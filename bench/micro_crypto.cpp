@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "crypto/aes.h"
 #include "crypto/bigint.h"
 #include "crypto/ecies.h"
@@ -17,6 +19,7 @@
 #include "ldp/local_hash.h"
 #include "util/hash.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -174,6 +177,47 @@ void BM_Paillier_EncryptFixedBase(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Paillier_EncryptFixedBase)->Unit(benchmark::kMicrosecond);
+
+// The 64-entry kPairwise pool PEOS builds each round (1024-bit N): the
+// N-th powers in 8-lane batches, inline (arg 0) or on a 4-worker pool.
+// One build takes 0.1-0.2 s, so the default minimum time would average
+// only ~3 builds; the 4-worker row swings with scheduler noise.
+void BM_RandomizerPool_Build(benchmark::State& state) {
+  auto& f = Paillier();
+  const unsigned workers = static_cast<unsigned>(state.range(0));
+  std::unique_ptr<ThreadPool> fanout;
+  if (workers > 0) fanout = std::make_unique<ThreadPool>(workers);
+  for (auto _ : state) {
+    RandomizerPool pool(f.kp.pub, 64, &Srng(),
+                        RandomizerPool::Mode::kPairwise, fanout.get());
+    benchmark::DoNotOptimize(pool.pairwise_masks_mont().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_RandomizerPool_Build)
+    ->Arg(0)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->MinTime(2.0)
+    ->UseRealTime();
+
+// The serial build the batched one replaced: 64 Encrypt(0) + ToMontInto.
+void BM_RandomizerPool_Build_Reference(benchmark::State& state) {
+  auto& f = Paillier();
+  const MontgomeryCtx& ctx = *f.kp.pub.n2_ctx();
+  MontgomeryCtx::Scratch scratch(ctx);
+  std::vector<std::vector<uint64_t>> pool(64,
+                                          std::vector<uint64_t>(ctx.limbs()));
+  for (auto _ : state) {
+    for (std::vector<uint64_t>& entry : pool) {
+      auto enc_zero = f.kp.pub.Encrypt(BigInt(), &Srng());
+      ctx.ToMontInto(enc_zero->value, entry.data(), &scratch);
+    }
+    benchmark::DoNotOptimize(pool.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_RandomizerPool_Build_Reference)->Unit(benchmark::kMillisecond);
 
 void BM_Paillier_DecryptPacked(benchmark::State& state) {
   // Packed share recovery at the PEOS Table-III layout (SOLH d'=16:

@@ -45,7 +45,7 @@ done
 # Default filter keeps the hot-path crypto benchmarks (incl. the Paillier
 # and Montgomery-kernel suite behind the PEOS server cost); pass
 # MICRO_FILTER='' for everything.
-MICRO_FILTER="${MICRO_FILTER-P256|Ecies|Aes|Sha256|XxHash|Paillier|Mont|BigInt_Mod}"
+MICRO_FILTER="${MICRO_FILTER-P256|Ecies|Aes|Sha256|XxHash|Paillier|RandomizerPool|Mont|BigInt_Mod}"
 TABLE3_N="${TABLE3_N:-2000}"
 STREAMING_FLAGS=""
 # Generous wall-clock budget for the --smoke table3 run (seconds): a smoke

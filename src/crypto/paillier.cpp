@@ -80,11 +80,7 @@ Result<PaillierCiphertext> PaillierPublicKey::Encrypt(
   if (m >= n_) {
     return Status::InvalidArgument("Paillier plaintext >= N");
   }
-  // r uniform in [1, N) with gcd(r, N) = 1 (overwhelming for random r).
-  BigInt r;
-  do {
-    r = BigInt::RandomBelow(n_, rng);
-  } while (r.IsZero() || BigInt::Gcd(r, n_) != BigInt(1));
+  const BigInt r = SampleRandomizer(rng);
 
   // c = (1 + m*N) * r^N mod N^2. The final combine goes through
   // BigInt::ModMul, which picks the division path for production-size
@@ -94,6 +90,15 @@ Result<PaillierCiphertext> PaillierPublicKey::Encrypt(
   BigInt r_to_n = n2_ctx_ != nullptr ? n2_ctx_->ModExp(r, n_)
                                      : r.ModExp(n_, n_squared_);
   return PaillierCiphertext{GToM(m).ModMul(r_to_n, n_squared_)};
+}
+
+BigInt PaillierPublicKey::SampleRandomizer(SecureRandom* rng) const {
+  // r uniform in [1, N) with gcd(r, N) = 1 (overwhelming for random r).
+  BigInt r;
+  do {
+    r = BigInt::RandomBelow(n_, rng);
+  } while (r.IsZero() || BigInt::Gcd(r, n_) != BigInt(1));
+  return r;
 }
 
 Result<PaillierCiphertext> PaillierPublicKey::EncryptU64(
@@ -476,7 +481,7 @@ Result<PaillierKeyPair> PaillierGenerateKeyPair(size_t modulus_bits,
 
 RandomizerPool::RandomizerPool(const PaillierPublicKey& pub, size_t size,
                                SecureRandom* rng, Mode mode,
-                               unsigned short_exp_bits)
+                               ThreadPool* fanout, unsigned short_exp_bits)
     : pub_(&pub), mode_(mode) {
   if (mode_ == Mode::kFixedBase && pub.n2_ctx() == nullptr) {
     mode_ = Mode::kPairwise;  // uninitialized key; keep the legacy path
@@ -484,26 +489,39 @@ RandomizerPool::RandomizerPool(const PaillierPublicKey& pub, size_t size,
   if (mode_ == Mode::kPairwise) {
     assert(size >= 2);
     const MontgomeryCtx* ctx = pub.n2_ctx();
-    std::unique_ptr<MontgomeryCtx::Scratch> scratch;
-    if (ctx != nullptr) {
-      pool_mont_.reserve(size);
-      scratch = std::make_unique<MontgomeryCtx::Scratch>(*ctx);
-    } else {
+    if (ctx == nullptr) {
+      // No Montgomery context: plain Enc(0) values back the fallback.
       pool_.reserve(size);
-    }
-    for (size_t i = 0; i < size; ++i) {
-      auto enc_zero = pub.Encrypt(BigInt(), rng);
-      assert(enc_zero.ok());
-      if (ctx != nullptr) {
-        // Montgomery form only; the plain pool_ backs the no-context
-        // fallback exclusively.
-        std::vector<uint64_t> mont(ctx->limbs());
-        ctx->ToMontInto(enc_zero->value, mont.data(), scratch.get());
-        pool_mont_.push_back(std::move(mont));
-      } else {
+      for (size_t i = 0; i < size; ++i) {
+        auto enc_zero = pub.Encrypt(BigInt(), rng);
+        assert(enc_zero.ok());
         pool_.push_back(std::move(enc_zero)->value);
       }
+      return;
     }
+    // Enc(0) = r^N mod N^2 (g^0 = 1). The randomizers are drawn serially,
+    // exactly as `size` Encrypt calls would draw them; the N-th powers
+    // share the public exponent N, so they run as one batch ladder per
+    // kMaxBatchLanes block, and the blocks fan out over `fanout`. Every
+    // kernel returns the canonical residue, so each entry is bitwise
+    // ToMont(Encrypt(0)) for its r.
+    std::vector<BigInt> rs(size);
+    for (BigInt& r : rs) r = pub.SampleRandomizer(rng);
+    pool_mont_.assign(size, std::vector<uint64_t>(ctx->limbs()));
+    constexpr size_t kLanes = MontgomeryCtx::kMaxBatchLanes;
+    ForChunks(fanout, 0, size, kLanes, [&](uint64_t lo, uint64_t hi) {
+      const size_t k = hi - lo;
+      MontgomeryCtx::Scratch scratch(*ctx);
+      scratch.EnsureLanes(*ctx, k);
+      const BigInt* in[kLanes];
+      uint64_t* out[kLanes];
+      for (size_t l = 0; l < k; ++l) {
+        in[l] = &rs[lo + l];
+        out[l] = pool_mont_[lo + l].data();
+      }
+      ctx->ToMontManyInto(k, in, out, &scratch);
+      ctx->CtModExpManyInto(k, out, pub.n(), 0, out, &scratch);
+    });
     return;
   }
 

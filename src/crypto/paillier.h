@@ -20,10 +20,12 @@
 //    plaintext (Horner in the Montgomery domain: w squarings + 1 multiply
 //    per ciphertext) and amortizes the two CRT modexps of a full
 //    decryption over the whole group — the PEOS server-side fast path.
-//  * A RandomizerPool can amortize the r^N modexp for simulation-scale
-//    benchmarks. Two modes (documented tradeoffs; full-strength
-//    PaillierPublicKey::Encrypt is the default everywhere except the
-//    Table III bench):
+//  * A RandomizerPool amortizes the r^N modexp. It is on by default:
+//    PeosConfig::use_randomizer_pool and
+//    ShuffleDpCollector::Options::use_randomizer_pool both default to
+//    true (kPairwise mode); full-strength PaillierPublicKey::Encrypt per
+//    ciphertext runs only when a caller turns the pool off. Two modes
+//    (documented tradeoffs):
 //      - kPairwise (DESIGN.md §4 item 5): masks are products of two
 //        pooled Enc(0) values — pool_size^2 distinct masks only, a
 //        simulation shortcut with no formal rerandomization guarantee.
@@ -33,8 +35,8 @@
 //        security rests on the standard Damgård-Jurik-Nielsen short-
 //        exponent indistinguishability assumption (h^r for r ~ U[0, 2^t)
 //        vs a uniform N-th residue, t = 2*lambda), which is *stronger*
-//        than the DCR assumption plain Paillier needs — hence full-width
-//        r^N stays the default and kFixedBase is opt-in.
+//        than the DCR assumption plain Paillier needs — hence kFixedBase
+//        is opt-in.
 
 #ifndef SHUFFLEDP_CRYPTO_PAILLIER_H_
 #define SHUFFLEDP_CRYPTO_PAILLIER_H_
@@ -47,6 +49,7 @@
 #include "crypto/montgomery.h"
 #include "crypto/secure_random.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace shuffledp {
 namespace crypto {
@@ -73,6 +76,11 @@ class PaillierPublicKey {
 
   /// Encrypts `m` (must be < N) with fresh randomness (one modexp).
   Result<PaillierCiphertext> Encrypt(const BigInt& m, SecureRandom* rng) const;
+
+  /// Draws the randomizer r of one Encrypt: uniform in [1, N) with
+  /// gcd(r, N) = 1, consuming exactly the rng draws Encrypt consumes.
+  /// Pre: the key is initialized (N != 0).
+  BigInt SampleRandomizer(SecureRandom* rng) const;
 
   /// Encrypts a 64-bit share value.
   Result<PaillierCiphertext> EncryptU64(uint64_t m, SecureRandom* rng) const;
@@ -232,15 +240,27 @@ class RandomizerPool {
     kFixedBase,  ///< fresh DJN short-exponent fixed-base mask per call
   };
 
-  /// kPairwise: precomputes `size` Enc(0) values (size >= 2).
-  /// kFixedBase: precomputes the comb tables for h = r0^N; `size` is
-  /// ignored. `short_exp_bits` is the fixed-base exponent width t = 2λ
-  /// (rounded up to a byte multiple; default 256 covers λ = 128).
+  /// kPairwise: precomputes `size` Enc(0) values (size >= 2). The
+  /// randomizers are drawn serially from `rng` in Encrypt's order; their
+  /// N-th powers are computed in kMaxBatchLanes blocks on `fanout` (inline
+  /// when null). Entries and the rng state afterwards are bitwise those
+  /// of `size` Encrypt(0) calls, whatever the worker count.
+  /// kFixedBase: precomputes the comb tables for h = r0^N; `size` and
+  /// `fanout` are ignored. `short_exp_bits` is the fixed-base exponent
+  /// width t = 2λ (rounded up to a byte multiple; default 256 covers
+  /// λ = 128).
   RandomizerPool(const PaillierPublicKey& pub, size_t size,
                  SecureRandom* rng, Mode mode = Mode::kPairwise,
+                 ThreadPool* fanout = nullptr,
                  unsigned short_exp_bits = 256);
 
   Mode mode() const { return mode_; }
+
+  /// The kPairwise masks in Montgomery form (empty in kFixedBase mode and
+  /// for a key without a Montgomery context).
+  const std::vector<std::vector<uint64_t>>& pairwise_masks_mont() const {
+    return pool_mont_;
+  }
 
   /// Returns c multiplied by a fresh Enc(0) mask (two pooled masks in
   /// kPairwise mode, one fixed-base mask in kFixedBase mode).

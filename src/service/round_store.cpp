@@ -69,6 +69,21 @@ Status GetDummyEntries(
   return Status::OK();
 }
 
+/// mkdir -p: creates `dir` and every missing parent. Returns 0, or the
+/// errno of the first component that could not be created (its path in
+/// `*failed`). An existing component is not an error.
+int MakeDirs(const std::string& dir, std::string* failed) {
+  for (size_t pos = dir.find('/', 1);; pos = dir.find('/', pos + 1)) {
+    const std::string prefix = dir.substr(0, pos);
+    if (::mkdir(prefix.c_str(), 0755) != 0 && errno != EEXIST) {
+      const int err = errno;
+      *failed = prefix;
+      return err;
+    }
+    if (pos == std::string::npos) return 0;
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -264,8 +279,9 @@ Result<std::unique_ptr<SegmentedRoundStore>> SegmentedRoundStore::Open(
     return Status::InvalidArgument(
         "round store partition identity out of range");
   }
-  if (::mkdir(options.dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    return MapStorageErrno("round store", options.dir, "mkdir", errno);
+  std::string failed_dir;
+  if (const int err = MakeDirs(options.dir, &failed_dir); err != 0) {
+    return MapStorageErrno("round store", failed_dir, "mkdir", err);
   }
 
   std::unique_ptr<SegmentedRoundStore> store(

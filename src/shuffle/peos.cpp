@@ -59,7 +59,7 @@ Result<PeosResult> RunPeos(const ldp::ScalarFrequencyOracle& oracle,
   if (config.use_randomizer_pool) {
     pool = std::make_unique<crypto::RandomizerPool>(
         server_keys.pub, config.randomizer_pool_size, rng,
-        config.randomizer_mode);
+        config.randomizer_mode, config.pool);
   }
   const uint64_t cipher_bytes = server_keys.pub.CiphertextBytes();
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "util/thread_pool.h"
+
 namespace shuffledp {
 namespace crypto {
 namespace {
@@ -29,6 +33,52 @@ class PaillierTest : public ::testing::Test {
 
 SecureRandom* PaillierTest::rng_ = nullptr;
 PaillierKeyPair* PaillierTest::kp_ = nullptr;
+
+// Restores the process-wide Montgomery backend on scope exit, so a
+// failing assertion cannot leak a forced backend into later tests.
+class BackendRestore {
+ public:
+  BackendRestore() : prev_(ActiveMontBackend()) {}
+  ~BackendRestore() { SetMontBackend(prev_); }
+
+ private:
+  MontBackend prev_;
+};
+
+std::vector<MontBackend> HostMontBackends() {
+  std::vector<MontBackend> backends = {MontBackend::kPortable};
+  if (BestMontBackend() == MontBackend::kAvx2) {
+    backends.push_back(MontBackend::kAvx2);
+  }
+  return backends;
+}
+
+// Checks a kPairwise pool built from `seed` against the serial reference
+// the batched build replaced: one Encrypt(0) per entry, converted with
+// ToMontInto. Every entry and the caller's next rng draw must be equal.
+void ExpectPoolBuildMatchesReference(const PaillierPublicKey& pub,
+                                     size_t size, uint64_t seed,
+                                     ThreadPool* fanout) {
+  const MontgomeryCtx& ctx = *pub.n2_ctx();
+  MontgomeryCtx::Scratch scratch(ctx);
+  SecureRandom ref_rng(seed);
+  std::vector<std::vector<uint64_t>> expect(
+      size, std::vector<uint64_t>(ctx.limbs()));
+  for (std::vector<uint64_t>& entry : expect) {
+    auto enc_zero = pub.Encrypt(BigInt(), &ref_rng);
+    ASSERT_TRUE(enc_zero.ok());
+    ctx.ToMontInto(enc_zero->value, entry.data(), &scratch);
+  }
+
+  SecureRandom rng(seed);
+  RandomizerPool pool(pub, size, &rng, RandomizerPool::Mode::kPairwise,
+                      fanout);
+  ASSERT_EQ(pool.pairwise_masks_mont().size(), size);
+  for (size_t i = 0; i < size; ++i) {
+    EXPECT_EQ(pool.pairwise_masks_mont()[i], expect[i]) << "entry " << i;
+  }
+  EXPECT_EQ(rng.NextU64(), ref_rng.NextU64());
+}
 
 TEST_F(PaillierTest, EncryptDecryptRoundTrip) {
   for (uint64_t m : {0ULL, 1ULL, 42ULL, 0xFFFFFFFFULL, 0xFFFFFFFFFFFFFFFFULL}) {
@@ -148,6 +198,27 @@ TEST_F(PaillierTest, RandomizerPoolPreservesPlaintext) {
   auto back = kp_->priv.Decrypt(rr);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->ToU64Saturating(), 31337u);  // plaintext preserved
+}
+
+// The batched, fanned-out pool build over full and ragged 8-lane blocks,
+// every worker count and every Montgomery backend the host has.
+TEST_F(PaillierTest, RandomizerPoolBuildMatchesSerialEncrypt) {
+  BackendRestore restore;
+  ThreadPool one(1), four(4);
+  for (MontBackend backend : HostMontBackends()) {
+    ASSERT_EQ(SetMontBackend(backend), backend);
+    uint64_t seed = 500;
+    for (size_t size : {2u, 7u, 8u, 9u, 64u, 65u}) {
+      for (ThreadPool* fanout :
+           {static_cast<ThreadPool*>(nullptr), &one, &four}) {
+        SCOPED_TRACE(std::string(MontBackendName(backend)) + " size " +
+                     std::to_string(size) + " workers " +
+                     std::to_string(fanout ? fanout->num_threads() : 0));
+        ExpectPoolBuildMatchesReference(kp_->pub, size, seed, fanout);
+      }
+      ++seed;
+    }
+  }
 }
 
 TEST_F(PaillierTest, RandomizerPoolFastEncrypt) {
@@ -527,6 +598,15 @@ TEST(PaillierKeyGenTest, ProductionSizeKeyWorks) {
   auto back = kp->priv.Decrypt(*c);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->ToU64Saturating(), 123456789u);
+
+  // The batched pool build at the production limb width (32-limb N^2).
+  BackendRestore restore;
+  ThreadPool four(4);
+  for (MontBackend backend : HostMontBackends()) {
+    ASSERT_EQ(SetMontBackend(backend), backend);
+    SCOPED_TRACE(MontBackendName(backend));
+    ExpectPoolBuildMatchesReference(kp->pub, 9, 901, &four);
+  }
 }
 
 TEST(PaillierKeyGenTest, TooSmallModulusRejected) {

@@ -322,6 +322,41 @@ TEST(SegmentedStore, IngestFinalizeQueryReopen) {
   RemoveTree(dir);
 }
 
+// A store directory whose parents do not exist yet is created whole
+// (mkdir -p); a parent that is a regular file is still a real error,
+// mapped through MapStorageErrno with the failing component's path.
+TEST(SegmentedStore, OpenCreatesMissingParentDirectories) {
+  const std::string root = TempPath("store_parents");
+  RemoveTree(root);
+  const std::string dir = root + "/a/b/store";
+  RoundStoreOptions options = StoreOptions(dir, 8);
+  {
+    auto store = SegmentedRoundStore::Open(options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    RoundDelta d = SampleDelta();
+    d.batch_lo = 0;
+    d.batch_hi = 1;
+    ASSERT_TRUE((*store)->AppendDelta(d, nullptr).ok());
+  }
+  // Reopening the now-existing tree replays what was written.
+  auto reopened = SegmentedRoundStore::Open(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  auto lookup = (*reopened)->Query(3);
+  ASSERT_TRUE(lookup.ok());
+  EXPECT_EQ(lookup->status, RoundStatus::kActive);
+  EXPECT_EQ(lookup->watermark, 1u);
+
+  WriteRaw(root + "/file", {1});
+  auto under_file = SegmentedRoundStore::Open(
+      StoreOptions(root + "/file/x/store", 8));
+  ASSERT_FALSE(under_file.ok());
+  EXPECT_EQ(under_file.status().code(), StatusCode::kInternal);
+  EXPECT_NE(under_file.status().message().find(root + "/file/x"),
+            std::string::npos)
+      << under_file.status().ToString();
+  RemoveTree(root);
+}
+
 // The worked example in docs/WIRE_FORMAT.md §7, byte for byte.
 TEST(SegmentedStore, SegmentGoldenBytesMatchDoc) {
   const std::string dir = TempPath("store_golden");

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
+#include "crypto/montgomery.h"
 #include "ldp/grr.h"
 #include "ldp/local_hash.h"
 
@@ -140,6 +144,62 @@ TEST(PeosTest, CostAccounting) {
   EXPECT_GT(c.aux_comm_mb_per_shuffler, 0.0);
   EXPECT_GT(c.server_comp_seconds, 0.0);
   EXPECT_GT(c.server_comm_mb, 0.0);
+}
+
+// A fixed-seed PEOS round is a pure function of its inputs: the worker
+// count (the user phase, the randomizer-pool build and the server
+// pipeline all fan out over config.pool) and the Montgomery backend may
+// change timing only. Every estimate is pinned bitwise to a golden.
+TEST(PeosTest, EstimatesBitwiseIdenticalAcrossThreadCountsAndBackends) {
+  const uint64_t n = 300, d = 8;
+  ldp::Grr oracle(2.5, d);
+  auto values = SkewedValues(n, d);
+  PeosConfig config = FastConfig(3, 60);
+  ASSERT_EQ(config.randomizer_pool_size, 64u);  // eight full 8-lane blocks
+
+  // Bit patterns of the estimates at seed 10, and the ledger's byte
+  // counts in MB, recorded before the pool build moved onto the batch
+  // kernels and the thread pool.
+  const std::vector<uint64_t> kGolden = {
+      0x3fdf0e165bd4d4e4ULL, 0x3fb73795f565c748ULL, 0x3fa7036679304ca4ULL,
+      0x3fb15ca498fef6cdULL, 0x3fb8ae524c7f7b66ULL, 0x3fbd128751cc97c3ULL,
+      0x3fa7036679304ca4ULL, 0x3facde57d5971d1fULL};
+  const double kGoldenAuxMb = 0.05035400390625;
+  const double kGoldenServerMb = 0.0274658203125;
+
+  using crypto::MontBackend;
+  std::vector<MontBackend> backends = {MontBackend::kPortable};
+  if (crypto::BestMontBackend() == MontBackend::kAvx2) {
+    backends.push_back(MontBackend::kAvx2);
+  }
+  // Restores the process-wide backend even when an assertion bails out.
+  struct BackendRestore {
+    MontBackend prev = crypto::ActiveMontBackend();
+    ~BackendRestore() { crypto::SetMontBackend(prev); }
+  } restore;
+  ThreadPool one(1), four(4);
+  for (MontBackend backend : backends) {
+    ASSERT_EQ(crypto::SetMontBackend(backend), backend);
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &four}) {
+      SCOPED_TRACE(std::string(crypto::MontBackendName(backend)) + " with " +
+                   std::to_string(pool == nullptr ? 0 : pool->num_threads()) +
+                   " workers");
+      config.pool = pool;
+      crypto::SecureRandom rng(uint64_t{10});
+      auto result = RunPeos(oracle, values, config, &rng);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      std::vector<uint64_t> bits(result->estimates.size());
+      for (size_t v = 0; v < bits.size(); ++v) {
+        std::memcpy(&bits[v], &result->estimates[v], sizeof(double));
+      }
+      EXPECT_EQ(bits, kGolden);
+      EXPECT_EQ(result->reports_decoded, n + 60);
+      const CostReport& c = result->costs;
+      EXPECT_EQ(c.user_comm_bytes_per_user, 2 * 8 + 64u);
+      EXPECT_EQ(c.aux_comm_mb_per_shuffler, kGoldenAuxMb);
+      EXPECT_EQ(c.server_comm_mb, kGoldenServerMb);
+    }
+  }
 }
 
 TEST(PeosTest, RejectsBadConfig) {
