@@ -175,23 +175,46 @@ std::vector<Bytes> EncryptAll(const ldp::ScalarFrequencyOracle& oracle,
     payloads[i] = w.Release();
   }
   (void)oracle;
-  return crypto::EciesEncryptBatch(server_pub, payloads, rng, pool);
+  auto blobs = crypto::EciesEncryptBatch(server_pub, payloads, rng, pool);
+  if (!blobs.ok()) {
+    std::fprintf(stderr, "encrypt failed: %s\n",
+                 blobs.status().ToString().c_str());
+    return {};
+  }
+  return std::move(blobs).value();
+}
+
+// Blobs per EciesDecryptBatch call, as in the SS protocol's server.
+constexpr uint64_t kDecryptChunk = 64;
+
+// Batch-decrypts blobs[lo, hi) in kDecryptChunk chunks on `pool` and
+// parses each payload into (*rows)[i]; rows that fail stay invalid.
+void DecryptReports(const std::vector<Bytes>& blobs, uint64_t lo, uint64_t hi,
+                    const crypto::Scalar256& priv, ThreadPool* pool,
+                    std::vector<service::DecodedRow>* rows) {
+  ForChunks(pool, lo, hi, kDecryptChunk, [&](uint64_t clo, uint64_t chi) {
+    std::vector<Bytes> chunk(blobs.begin() + clo, blobs.begin() + chi);
+    auto payloads = crypto::EciesDecryptBatch(priv, chunk);
+    for (uint64_t i = clo; i < chi; ++i) {
+      const Result<Bytes>& payload = payloads[i - clo];
+      if (!payload.ok()) continue;
+      ByteReader reader(*payload);
+      auto packed = reader.GetU64();
+      if (!packed.ok()) continue;
+      (*rows)[i].report = ldp::UnpackReport(*packed);
+      (*rows)[i].valid = true;
+    }
+  });
 }
 
 Row RunMonolithicEcies(const ldp::ScalarFrequencyOracle& oracle,
                        const std::vector<Bytes>& blobs,
                        const crypto::Scalar256& priv, ThreadPool* pool) {
   WallTimer timer;
+  std::vector<service::DecodedRow> decoded(blobs.size());
+  DecryptReports(blobs, 0, blobs.size(), priv, pool, &decoded);
   std::vector<ldp::LdpReport> reports(blobs.size());
-  pool->ParallelFor(0, blobs.size(), [&](uint64_t lo, uint64_t hi) {
-    for (uint64_t i = lo; i < hi; ++i) {
-      auto payload = crypto::EciesDecrypt(priv, blobs[i]);
-      if (!payload.ok()) continue;
-      ByteReader reader(*payload);
-      auto packed = reader.GetU64();
-      if (packed.ok()) reports[i] = ldp::UnpackReport(*packed);
-    }
-  });
+  for (size_t i = 0; i < blobs.size(); ++i) reports[i] = decoded[i].report;
   auto supports = ldp::SupportCountsFullDomain(oracle, reports, pool);
   Row row;
   row.mode = "monolithic-ecies";
@@ -212,18 +235,19 @@ Row RunStreamingEcies(const ldp::ScalarFrequencyOracle& oracle,
   service::StreamingCollector collector(oracle, opts);
   const uint64_t n = blobs.size();
   auto shared = std::make_shared<std::vector<Bytes>>(std::move(blobs));
+  auto rows = std::make_shared<std::vector<service::DecodedRow>>(n);
   WallTimer timer;
-  Status offer = collector.OfferIndexed(
-      n, [shared, priv](uint64_t row_index) -> Result<service::DecodedRow> {
-        SHUFFLEDP_ASSIGN_OR_RETURN(
-            Bytes payload, crypto::EciesDecrypt(priv, (*shared)[row_index]));
-        service::DecodedRow row;
-        ByteReader reader(payload);
-        auto packed = reader.GetU64();
-        if (!packed.ok()) return row;
-        row.report = ldp::UnpackReport(*packed);
-        row.valid = true;
-        return row;
+  // The SS server's shape: each batch's prepare stage batch-decrypts its
+  // rows on the fan-out pool, and the per-row decode reads them back.
+  Status offer = collector.OfferIndexedPrepared(
+      n,
+      [shared, rows, priv](uint64_t lo, uint64_t hi,
+                           ThreadPool* fan_out) -> Status {
+        DecryptReports(*shared, lo, hi, priv, fan_out, rows.get());
+        return Status::OK();
+      },
+      [rows](uint64_t row_index) -> Result<service::DecodedRow> {
+        return (*rows)[row_index];
       });
   auto round = collector.FinishRound(n, 0, service::Calibration::kStandard);
   Row row;

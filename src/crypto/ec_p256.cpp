@@ -231,10 +231,9 @@ struct Jacobian {
 };
 
 // Affine point in the Montgomery domain (z == 1 implicitly). Only valid
-// for non-infinite points; callers track infinity separately.
-struct AffineMont {
-  Fe x, y;
-};
+// for non-infinite points; callers track infinity separately. The header
+// declares it so P256Precomputed can hold a comb table without a copy.
+using AffineMont = P256Precomputed::Entry;
 
 bool JIsInfinity(const Jacobian& p) { return IsZeroFe(p.z); }
 
@@ -404,64 +403,52 @@ Jacobian JScalarMult(const Scalar256& k, const Jacobian& p) {
 }
 
 // ---------------------------------------------------------------------------
-// Fixed-base comb for the generator.
+// Fixed-point comb.
 //
 // Write k = sum_{j=0}^{31} 2^j (D_lo(j) + 2^32 D_hi(j)) with the 4-bit
 // digits D_lo(j) built from bits {j, j+64, j+128, j+192} of k and D_hi(j)
 // from bits {j+32, j+96, j+160, j+224}. Precomputing
-//   lo[b] = (b0 + b1 2^64 + b2 2^128 + b3 2^192) G      (b = b3b2b1b0)
+//   lo[b] = (b0 + b1 2^64 + b2 2^128 + b3 2^192) P      (b = b3b2b1b0)
 //   hi[b] = 2^32 lo[b]
-// reduces k*G to 31 doublings plus at most 64 mixed additions.
+// reduces k*P to 31 doublings plus at most 64 mixed additions.
 // ---------------------------------------------------------------------------
 
-struct CombTable {
-  AffineMont lo[16];
-  AffineMont hi[16];
-};
+// lo[b] at [b], hi[b] at [16 + b]; entries 0 and 16 (infinity) are unused.
+using CombTable = std::array<AffineMont, 32>;
+
+// Builds P's comb table. Pre: P is on the curve and not infinity. Every
+// entry is then a nonzero multiple below the group order, so none is
+// infinity.
+CombTable BuildCombTable(const P256Point& p) {
+  // basis[half][tooth] = 2^(64*tooth + 32*half) P.
+  Jacobian basis[2][4];
+  Jacobian acc = ToJacobian(p);
+  for (int i = 0; i < 8; ++i) {
+    if (i > 0) {
+      for (int d = 0; d < 32; ++d) acc = JDouble(acc);
+    }
+    basis[i & 1][i >> 1] = acc;
+  }
+  // Entry b adds the basis point of b's lowest tooth to the entry with that
+  // tooth cleared. 30 non-trivial entries, one batched normalization.
+  Jacobian all[32];
+  for (int half = 0; half < 2; ++half) {
+    Jacobian* entries = all + 16 * half;
+    entries[0] = JInfinity();
+    for (int b = 1; b < 16; ++b) {
+      const int tooth = __builtin_ctz(static_cast<unsigned>(b));
+      entries[b] = JAdd(entries[b & (b - 1)], basis[half][tooth]);
+    }
+  }
+  CombTable table{};
+  bool inf[32] = {};
+  BatchNormalize(all, 32, table.data(), inf);
+  return table;
+}
 
 const CombTable& BaseCombTable() {
-  static const CombTable* table = [] {
-    auto* t = new CombTable();
-    // Basis points 2^(64*tooth) G and 2^(64*tooth + 32) G.
-    Jacobian basis_lo[4], basis_hi[4];
-    basis_lo[0] = ToJacobian(P256::Generator());
-    for (int tooth = 0; tooth < 4; ++tooth) {
-      basis_hi[tooth] = basis_lo[tooth];
-      for (int i = 0; i < 32; ++i) basis_hi[tooth] = JDouble(basis_hi[tooth]);
-      if (tooth + 1 < 4) {
-        basis_lo[tooth + 1] = basis_hi[tooth];
-        for (int i = 0; i < 32; ++i) {
-          basis_lo[tooth + 1] = JDouble(basis_lo[tooth + 1]);
-        }
-      }
-    }
-    Jacobian jl[16], jh[16];
-    jl[0] = jh[0] = JInfinity();
-    for (int b = 1; b < 16; ++b) {
-      jl[b] = JInfinity();
-      jh[b] = JInfinity();
-      for (int tooth = 0; tooth < 4; ++tooth) {
-        if (b & (1 << tooth)) {
-          jl[b] = JAdd(jl[b], basis_lo[tooth]);
-          jh[b] = JAdd(jh[b], basis_hi[tooth]);
-        }
-      }
-    }
-    // One batched normalization for all 30 non-trivial entries.
-    Jacobian all[30];
-    AffineMont aff[30];
-    bool inf[30];
-    for (int b = 1; b < 16; ++b) {
-      all[b - 1] = jl[b];
-      all[14 + b] = jh[b];
-    }
-    BatchNormalize(all, 30, aff, inf);
-    for (int b = 1; b < 16; ++b) {
-      t->lo[b] = aff[b - 1];
-      t->hi[b] = aff[14 + b];
-    }
-    return t;
-  }();
+  static const CombTable* table =
+      new CombTable(BuildCombTable(P256::Generator()));
   return *table;
 }
 
@@ -485,8 +472,7 @@ AffineMont CtSelect16(const AffineMont* table, uint32_t idx) {
   return out;
 }
 
-Jacobian CombBaseMultJ(const Scalar256& k) {
-  const CombTable& t = BaseCombTable();
+Jacobian CombMultJ(const CombTable& t, const Scalar256& k) {
   Jacobian acc = JInfinity();
   for (int j = 31; j >= 0; --j) {
     acc = JDouble(acc);
@@ -495,10 +481,18 @@ Jacobian CombBaseMultJ(const Scalar256& k) {
     uint32_t dhi = ScalarBit(k, j + 32) | (ScalarBit(k, j + 96) << 1) |
                    (ScalarBit(k, j + 160) << 2) |
                    (ScalarBit(k, j + 224) << 3);
-    if (dlo != 0) acc = JAddMixed(acc, CtSelect16(t.lo, dlo));
-    if (dhi != 0) acc = JAddMixed(acc, CtSelect16(t.hi, dhi));
+    if (dlo != 0) acc = JAddMixed(acc, CtSelect16(t.data(), dlo));
+    if (dhi != 0) acc = JAddMixed(acc, CtSelect16(t.data() + 16, dhi));
   }
   return acc;
+}
+
+std::vector<P256Point> CombMultBatch(const CombTable& t,
+                                     const std::vector<Scalar256>& ks) {
+  std::vector<Jacobian> points;
+  points.reserve(ks.size());
+  for (const Scalar256& k : ks) points.push_back(CombMultJ(t, k));
+  return BatchToAffinePoints(points);
 }
 
 // ---------------------------------------------------------------------------
@@ -508,6 +502,7 @@ Jacobian CombBaseMultJ(const Scalar256& k) {
 
 constexpr int kWnafWidth = 5;
 constexpr int kWnafMaxDigits = 260;  // 256-bit scalar + borrow headroom
+constexpr int kWnafTableSize = 8;    // odd multiples {1,3,...,15}P
 
 // Recodes k into wNAF digits (little-endian); returns the digit count.
 int WnafRecode(const Scalar256& k, int8_t* digits) {
@@ -544,49 +539,6 @@ int WnafRecode(const Scalar256& k, int8_t* digits) {
   return len;
 }
 
-// k * P with a precomputed affine odd-multiple table {1,3,...,15}P.
-Jacobian WnafMultMixed(const AffineMont* odd, const Scalar256& k) {
-  int8_t digits[kWnafMaxDigits];
-  int len = WnafRecode(k, digits);
-  Jacobian acc = JInfinity();
-  for (int i = len - 1; i >= 0; --i) {
-    acc = JDouble(acc);
-    int d = digits[i];
-    if (d > 0) {
-      acc = JAddMixed(acc, odd[(d - 1) >> 1]);
-    } else if (d < 0) {
-      const AffineMont& e = odd[(-d - 1) >> 1];
-      acc = JAddMixed(acc, AffineMont{e.x, FeNeg(e.y)});
-    }
-  }
-  return acc;
-}
-
-// One-shot k * P: wNAF over a Jacobian odd-multiple table. Skipping the
-// table normalization (one inversion) beats the cheaper mixed additions
-// when the table is used for a single scalar.
-Jacobian WnafMultOneShot(const Scalar256& k, const Jacobian& p) {
-  if (JIsInfinity(p)) return JInfinity();
-  Jacobian odd[8];
-  odd[0] = p;
-  Jacobian p2 = JDouble(p);
-  for (int i = 1; i < 8; ++i) odd[i] = JAdd(odd[i - 1], p2);
-  int8_t digits[kWnafMaxDigits];
-  int len = WnafRecode(k, digits);
-  Jacobian acc = JInfinity();
-  for (int i = len - 1; i >= 0; --i) {
-    acc = JDouble(acc);
-    int d = digits[i];
-    if (d > 0) {
-      acc = JAdd(acc, odd[(d - 1) >> 1]);
-    } else if (d < 0) {
-      const Jacobian& e = odd[(-d - 1) >> 1];
-      acc = JAdd(acc, Jacobian{e.x, FeNeg(e.y), e.z});
-    }
-  }
-  return acc;
-}
-
 }  // namespace
 
 P256Point P256::Generator() {
@@ -604,19 +556,60 @@ P256Point P256::Add(const P256Point& a, const P256Point& b) {
 }
 
 P256Point P256::ScalarMult(const Scalar256& k, const P256Point& p) {
-  return ToAffine(WnafMultOneShot(k, ToJacobian(p)));
+  return ScalarMultBatch(k, {p})[0];
+}
+
+std::vector<P256Point> P256::ScalarMultBatch(
+    const Scalar256& k, const std::vector<P256Point>& points) {
+  const size_t n = points.size();
+  int8_t digits[kWnafMaxDigits];
+  const int len = WnafRecode(k, digits);
+
+  // Odd multiples {1,3,...,15}P_i in Jacobian form, 8 per point. Infinity
+  // inputs keep an all-infinity table and are skipped below.
+  std::vector<Jacobian> jtables(n * kWnafTableSize, JInfinity());
+  for (size_t i = 0; i < n; ++i) {
+    if (points[i].infinity) continue;
+    Jacobian* odd = &jtables[i * kWnafTableSize];
+    odd[0] = ToJacobian(points[i]);
+    Jacobian p2 = JDouble(odd[0]);
+    for (int m = 1; m < kWnafTableSize; ++m) odd[m] = JAdd(odd[m - 1], p2);
+  }
+  // One inversion normalizes every table. Odd multiples of an on-curve
+  // point of prime order are never infinity.
+  std::vector<AffineMont> tables(jtables.size());
+  std::unique_ptr<bool[]> inf(new bool[jtables.size() + 1]);
+  if (!jtables.empty()) {
+    BatchNormalize(jtables.data(), jtables.size(), tables.data(), inf.get());
+  }
+
+  std::vector<Jacobian> out(n, JInfinity());
+  for (size_t i = 0; i < n; ++i) {
+    if (points[i].infinity) continue;
+    const AffineMont* odd = &tables[i * kWnafTableSize];
+    Jacobian acc = JInfinity();
+    for (int j = len - 1; j >= 0; --j) {
+      acc = JDouble(acc);
+      const int d = digits[j];
+      if (d > 0) {
+        acc = JAddMixed(acc, odd[(d - 1) >> 1]);
+      } else if (d < 0) {
+        const AffineMont& e = odd[(-d - 1) >> 1];
+        acc = JAddMixed(acc, AffineMont{e.x, FeNeg(e.y)});
+      }
+    }
+    out[i] = acc;
+  }
+  return BatchToAffinePoints(out);
 }
 
 P256Point P256::ScalarBaseMult(const Scalar256& k) {
-  return ToAffine(CombBaseMultJ(k));
+  return ToAffine(CombMultJ(BaseCombTable(), k));
 }
 
 std::vector<P256Point> P256::ScalarBaseMultBatch(
     const std::vector<Scalar256>& ks) {
-  std::vector<Jacobian> points;
-  points.reserve(ks.size());
-  for (const Scalar256& k : ks) points.push_back(CombBaseMultJ(k));
-  return BatchToAffinePoints(points);
+  return CombMultBatch(BaseCombTable(), ks);
 }
 
 P256Point P256::ScalarMultReference(const Scalar256& k, const P256Point& p) {
@@ -628,53 +621,18 @@ P256Point P256::ScalarBaseMultReference(const Scalar256& k) {
 }
 
 P256Precomputed::P256Precomputed(const P256Point& p) : point_(p) {
-  if (p.infinity) return;
-  infinity_ = false;
-  Jacobian jp = ToJacobian(p);
-  Jacobian jodd[8];
-  jodd[0] = jp;
-  Jacobian p2 = JDouble(jp);
-  for (int i = 1; i < 8; ++i) jodd[i] = JAdd(jodd[i - 1], p2);
-  AffineMont aff[8];
-  bool inf[8];
-  BatchNormalize(jodd, 8, aff, inf);
-  for (int i = 0; i < 8; ++i) {
-    // Odd multiples of a non-infinite point of prime order are never
-    // infinite, so aff[i] is always populated.
-    odd_[i].x = aff[i].x;
-    odd_[i].y = aff[i].y;
-  }
+  if (!p.infinity) comb_ = BuildCombTable(p);
 }
-
-namespace {
-
-// The header-visible Entry mirrors AffineMont; rebuild the table in the
-// internal type (a 512-byte copy, negligible next to the field math).
-std::array<AffineMont, 8> OddTable(
-    const std::array<P256Precomputed::Entry, 8>& odd) {
-  std::array<AffineMont, 8> table;
-  for (int i = 0; i < 8; ++i) {
-    table[i].x = odd[i].x;
-    table[i].y = odd[i].y;
-  }
-  return table;
-}
-
-}  // namespace
 
 P256Point P256Precomputed::Mult(const Scalar256& k) const {
-  if (infinity_) return P256Point{};
-  return ToAffine(WnafMultMixed(OddTable(odd_).data(), k));
+  if (point_.infinity) return P256Point{};
+  return ToAffine(CombMultJ(comb_, k));
 }
 
 std::vector<P256Point> P256Precomputed::MultBatch(
     const std::vector<Scalar256>& ks) const {
-  if (infinity_) return std::vector<P256Point>(ks.size());
-  std::array<AffineMont, 8> table = OddTable(odd_);
-  std::vector<Jacobian> points;
-  points.reserve(ks.size());
-  for (const Scalar256& k : ks) points.push_back(WnafMultMixed(table.data(), k));
-  return BatchToAffinePoints(points);
+  if (point_.infinity) return std::vector<P256Point>(ks.size());
+  return CombMultBatch(comb_, ks);
 }
 
 bool P256::IsOnCurve(const P256Point& p) {

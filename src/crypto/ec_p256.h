@@ -6,28 +6,33 @@
 // Montgomery (CIOS) multiplication, Jacobian point arithmetic with the
 // a = -3 doubling formulas, and uncompressed SEC1 serialization.
 //
-// Scalar multiplication is tiered for the per-report hot path:
+// Scalar multiplication has one kernel per kind of point:
 //
-//  * ScalarBaseMult uses a fixed-base comb: the generator's multiples
-//    2^(32h+64t) G are combined into two 16-entry tables (4 teeth x 64-bit
-//    stride, split in halves), so k*G costs 31 doublings plus at most 64
-//    mixed additions. The table lookup is a constant-time scan (every
-//    entry is touched with masked selection).
-//  * ScalarMult on a variable point uses width-5 wNAF with 8 precomputed
-//    odd multiples {1,3,...,15}P: ~256 doublings plus ~43 signed mixed
-//    additions. P256Precomputed caches the (batch-normalized) odd-multiple
-//    table so repeated multiplications against one point — e.g. a batch of
-//    ECIES reports to one recipient — skip the precomputation.
-//  * Batch variants (ScalarBaseMultBatch, P256Precomputed::MultBatch)
-//    convert all results Jacobian->affine with Montgomery's simultaneous
-//    inversion: one field inversion per batch instead of one per point.
+//  * Fixed points use a comb. BuildCombTable(P) combines the multiples
+//    2^(32h+64t) P into two 16-entry affine tables (4 teeth x 64-bit
+//    stride, split in halves), so k*P costs 31 doublings plus at most 64
+//    mixed additions. ScalarBaseMult runs it on a static table for the
+//    generator; P256Precomputed builds one for any other point that is
+//    multiplied many times, e.g. the recipient of a batch of ECIES
+//    reports. Building a table costs about one variable-point multiply.
+//    The table lookup is a constant-time scan (every entry is touched
+//    with masked selection).
+//  * Variable points use width-5 wNAF with 8 odd multiples {1,3,...,15}P:
+//    ~256 doublings plus ~43 signed mixed additions. ScalarMultBatch
+//    recodes the one scalar once, builds every point's odd-multiple table
+//    and normalizes all of them to affine with one field inversion;
+//    ScalarMult is a batch of one.
+//  * Batch variants (ScalarBaseMultBatch, ScalarMultBatch,
+//    P256Precomputed::MultBatch) convert all results Jacobian->affine
+//    with Montgomery's simultaneous inversion: one field inversion per
+//    batch instead of one per point.
 //  * ScalarMultReference / ScalarBaseMultReference keep the original
 //    double-and-add ladder as an independent cross-check for tests.
 //
-// Aside from the fixed-base table scan, the implementation is not
-// hardened against timing side channels: this library is a research
-// simulation, not a TLS stack (the paper likewise assumes "no side
-// channels such as timing information", §V-B).
+// Aside from the comb table scan, the implementation is not hardened
+// against timing side channels: this library is a research simulation,
+// not a TLS stack (the paper likewise assumes "no side channels such as
+// timing information", §V-B).
 
 #ifndef SHUFFLEDP_CRYPTO_EC_P256_H_
 #define SHUFFLEDP_CRYPTO_EC_P256_H_
@@ -75,8 +80,16 @@ class P256 {
   /// Point addition (handles doubling and infinity).
   static P256Point Add(const P256Point& a, const P256Point& b);
 
-  /// Scalar multiplication k * P (width-5 wNAF).
+  /// Scalar multiplication k * P (width-5 wNAF); a ScalarMultBatch of
+  /// one. Pre: `p` is on the curve or infinity.
   static P256Point ScalarMult(const Scalar256& k, const P256Point& p);
+
+  /// k * P_i for every point, recoding `k` once and sharing one field
+  /// inversion for all the odd-multiple tables and one for all the
+  /// outputs. Infinity entries map to infinity. Pre: every point is on
+  /// the curve or infinity.
+  static std::vector<P256Point> ScalarMultBatch(
+      const Scalar256& k, const std::vector<P256Point>& points);
 
   /// k * G via the fixed-base comb table.
   static P256Point ScalarBaseMult(const Scalar256& k);
@@ -104,12 +117,15 @@ class P256 {
   static Scalar256 RandomScalar(SecureRandom* rng);
 };
 
-/// Reusable width-5 wNAF precomputation for one fixed point. Construction
-/// builds (and batch-normalizes) the odd-multiple table once; Mult and
-/// MultBatch then run with cheap mixed additions. Immutable after
+/// Reusable comb table for one fixed point, the same kernel ScalarBaseMult
+/// runs on the generator. Construction builds (and batch-normalizes) the
+/// table once, at about the cost of one ScalarMult; Mult and MultBatch then
+/// cost 31 doublings plus at most 64 mixed additions each. Immutable after
 /// construction and safe to share across threads.
 class P256Precomputed {
  public:
+  /// Pre: `p` is on the curve or infinity (every multiple of infinity is
+  /// infinity).
   explicit P256Precomputed(const P256Point& p);
 
   const P256Point& point() const { return point_; }
@@ -120,9 +136,9 @@ class P256Precomputed {
   /// k_i * P for every scalar, with one batched affine conversion.
   std::vector<P256Point> MultBatch(const std::vector<Scalar256>& ks) const;
 
-  // Odd multiples {1,3,...,15}P in affine coordinates, Montgomery domain.
-  // Public only so the implementation can convert to its internal field
-  // type; not part of the supported API surface.
+  // An affine point in the Montgomery domain. Public only because the
+  // implementation uses it as its internal affine type; not part of the
+  // supported API surface.
   struct Entry {
     Scalar256 x;
     Scalar256 y;
@@ -130,8 +146,10 @@ class P256Precomputed {
 
  private:
   P256Point point_;
-  std::array<Entry, 8> odd_{};
-  bool infinity_ = true;
+  // Comb table: [b] = (b0 + b1 2^64 + b2 2^128 + b3 2^192) P and
+  // [16 + b] = 2^32 times that, for b = b3b2b1b0 in [1, 15]. Entries 0 and
+  // 16 (infinity) are never read.
+  std::array<Entry, 32> comb_{};
 };
 
 /// Converts a scalar to/from 32 big-endian bytes.

@@ -38,19 +38,31 @@ Bytes AssembleBlob(const P256Point& r_point, const P256Point& shared,
   return out;
 }
 
+// Rejects a recipient that is infinity or off the curve: Serialize would
+// write the public bytes 04||0^64 for infinity, so the derived AES key
+// would be public and anyone could read the plaintext.
+Status CheckRecipient(const P256Point& recipient) {
+  if (recipient.infinity || !P256::IsOnCurve(recipient)) {
+    return Status::CryptoError("ECIES: recipient is not a curve point");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
-Bytes EciesEncrypt(const P256Point& recipient, const Bytes& plaintext,
-                   SecureRandom* rng) {
+Result<Bytes> EciesEncrypt(const P256Point& recipient, const Bytes& plaintext,
+                           SecureRandom* rng) {
+  SHUFFLEDP_RETURN_NOT_OK(CheckRecipient(recipient));
   Scalar256 ephemeral = P256::RandomScalar(rng);
   P256Point r_point = P256::ScalarBaseMult(ephemeral);
   P256Point shared = P256::ScalarMult(ephemeral, recipient);
   return AssembleBlob(r_point, shared, plaintext);
 }
 
-std::vector<Bytes> EciesEncryptBatch(const P256Point& recipient,
-                                     const std::vector<Bytes>& plaintexts,
-                                     SecureRandom* rng, ThreadPool* pool) {
+Result<std::vector<Bytes>> EciesEncryptBatch(
+    const P256Point& recipient, const std::vector<Bytes>& plaintexts,
+    SecureRandom* rng, ThreadPool* pool) {
+  SHUFFLEDP_RETURN_NOT_OK(CheckRecipient(recipient));
   const size_t n = plaintexts.size();
   std::vector<Bytes> out(n);
   if (n == 0) return out;
@@ -61,7 +73,7 @@ std::vector<Bytes> EciesEncryptBatch(const P256Point& recipient,
   std::vector<Scalar256> ephemerals(n);
   for (size_t i = 0; i < n; ++i) ephemerals[i] = P256::RandomScalar(rng);
 
-  // One wNAF table for the recipient, shared by every report in the batch.
+  // One comb table for the recipient, shared by every report in the batch.
   P256Precomputed recipient_table(recipient);
 
   auto encrypt_range = [&](uint64_t lo, uint64_t hi) {
@@ -83,47 +95,68 @@ std::vector<Bytes> EciesEncryptBatch(const P256Point& recipient,
   return out;
 }
 
-Result<Bytes> EciesDecrypt(const Scalar256& private_key, const Bytes& blob) {
-  if (blob.size() < P256::kPointBytes + 32) {
-    return Status::CryptoError("ECIES: blob too short");
+std::vector<Result<Bytes>> EciesDecryptBatch(const Scalar256& private_key,
+                                             const std::vector<Bytes>& blobs) {
+  // Parse every ephemeral point first. A rejected blob keeps its status and
+  // joins the batch multiply as infinity; an accepted one holds an empty
+  // placeholder until its plaintext replaces it.
+  std::vector<Result<Bytes>> out;
+  out.reserve(blobs.size());
+  std::vector<P256Point> r_points(blobs.size());
+  for (size_t i = 0; i < blobs.size(); ++i) {
+    const Bytes& blob = blobs[i];
+    if (blob.size() < P256::kPointBytes + 32) {
+      out.emplace_back(Status::CryptoError("ECIES: blob too short"));
+      continue;
+    }
+    auto r_point = P256::Parse(
+        Bytes(blob.begin(), blob.begin() + P256::kPointBytes));
+    if (!r_point.ok()) {
+      out.emplace_back(r_point.status());
+      continue;
+    }
+    r_points[i] = *r_point;
+    out.emplace_back(Bytes{});
   }
-  Bytes point_bytes(blob.begin(), blob.begin() + P256::kPointBytes);
-  auto r_point = P256::Parse(point_bytes);
-  if (!r_point.ok()) return r_point.status();
 
-  P256Point shared = P256::ScalarMult(private_key, *r_point);
-  if (shared.infinity) {
-    return Status::CryptoError("ECIES: degenerate shared point");
+  std::vector<P256Point> shared = P256::ScalarMultBatch(private_key, r_points);
+  for (size_t i = 0; i < blobs.size(); ++i) {
+    if (!out[i].ok()) continue;
+    if (shared[i].infinity) {
+      out[i] = Status::CryptoError("ECIES: degenerate shared point");
+      continue;
+    }
+    std::array<uint8_t, 16> key, iv;
+    DeriveKeyIv(shared[i], &key, &iv);
+    Bytes ct(blobs[i].begin() + P256::kPointBytes, blobs[i].end());
+    out[i] = AesCbcDecrypt(key, ct);
   }
-  std::array<uint8_t, 16> key, iv;
-  DeriveKeyIv(shared, &key, &iv);
-
-  Bytes ct(blob.begin() + P256::kPointBytes, blob.end());
-  return AesCbcDecrypt(key, ct);
+  return out;
 }
 
-Bytes OnionEncrypt(const std::vector<P256Point>& layers, const Bytes& payload,
-                   SecureRandom* rng) {
+Result<Bytes> EciesDecrypt(const Scalar256& private_key, const Bytes& blob) {
+  return std::move(EciesDecryptBatch(private_key, {blob})[0]);
+}
+
+Result<Bytes> OnionEncrypt(const std::vector<P256Point>& layers,
+                           const Bytes& payload, SecureRandom* rng) {
   Bytes blob = payload;
   // Innermost layer first: the last recipient peels last.
   for (size_t i = layers.size(); i-- > 0;) {
-    blob = EciesEncrypt(layers[i], blob, rng);
+    SHUFFLEDP_ASSIGN_OR_RETURN(blob, EciesEncrypt(layers[i], blob, rng));
   }
   return blob;
 }
 
-std::vector<Bytes> OnionEncryptBatch(const std::vector<P256Point>& layers,
-                                     const std::vector<Bytes>& payloads,
-                                     SecureRandom* rng, ThreadPool* pool) {
+Result<std::vector<Bytes>> OnionEncryptBatch(
+    const std::vector<P256Point>& layers, const std::vector<Bytes>& payloads,
+    SecureRandom* rng, ThreadPool* pool) {
   std::vector<Bytes> blobs = payloads;
   for (size_t i = layers.size(); i-- > 0;) {
-    blobs = EciesEncryptBatch(layers[i], blobs, rng, pool);
+    SHUFFLEDP_ASSIGN_OR_RETURN(blobs,
+                               EciesEncryptBatch(layers[i], blobs, rng, pool));
   }
   return blobs;
-}
-
-Result<Bytes> OnionPeel(const Scalar256& private_key, const Bytes& blob) {
-  return EciesDecrypt(private_key, blob);
 }
 
 }  // namespace crypto

@@ -8,13 +8,21 @@
 //   0x04 || R.x || R.y   (65 bytes, ephemeral public point)
 //   IV || CBC ciphertext (16 + padded length)
 //
-// The per-report hot path is the batched encryptor: EciesEncryptBatch
-// reuses the generator's fixed-base comb for every ephemeral key, builds
-// the recipient's wNAF table once per batch, converts all ephemeral and
-// shared points to affine with one Montgomery simultaneous inversion per
-// chunk, and optionally fans chunks out over a ThreadPool. OnionEncrypt /
-// OnionEncryptBatch wrap layered recipients for the sequential-shuffle
-// protocol. Single-shot EciesEncrypt remains byte-compatible.
+// The per-report hot paths are batched. EciesEncryptBatch reuses the
+// generator's fixed-base comb for every ephemeral key, builds one comb
+// table for the recipient per batch, converts all ephemeral and shared
+// points to affine with one Montgomery simultaneous inversion per chunk,
+// and optionally fans chunks out over a ThreadPool. EciesDecryptBatch
+// recodes the private key once and runs every blob's ephemeral point
+// through one batched wNAF multiply (P256::ScalarMultBatch), sharing the
+// field inversions. OnionEncrypt / OnionEncryptBatch wrap layered
+// recipients for the sequential-shuffle protocol; a shuffler peels its
+// layer with EciesDecryptBatch. The single-shot EciesEncrypt and
+// EciesDecrypt produce and accept the same bytes.
+//
+// Every encrypt entry point rejects a recipient that is infinity or off
+// the curve with CryptoError: such a recipient would make the derived AES
+// key public. Decryption is variable-time (see ec_p256.h).
 
 #ifndef SHUFFLEDP_CRYPTO_ECIES_H_
 #define SHUFFLEDP_CRYPTO_ECIES_H_
@@ -42,20 +50,30 @@ struct EciesKeyPair {
 EciesKeyPair EciesGenerateKeyPair(SecureRandom* rng);
 
 /// Encrypts `plaintext` to `recipient`. Fresh ephemeral key per call.
-Bytes EciesEncrypt(const P256Point& recipient, const Bytes& plaintext,
-                   SecureRandom* rng);
+/// CryptoError when `recipient` is infinity or not on the curve.
+Result<Bytes> EciesEncrypt(const P256Point& recipient, const Bytes& plaintext,
+                           SecureRandom* rng);
 
 /// Encrypts each plaintext to `recipient` with an independent ephemeral
 /// key (output[i] decrypts exactly like EciesEncrypt(recipient,
 /// plaintexts[i])), amortizing the elliptic-curve precomputation across
 /// the batch. Ephemeral scalars are drawn serially from `rng`; the point
 /// arithmetic and symmetric work run on `pool` when one is supplied.
-std::vector<Bytes> EciesEncryptBatch(const P256Point& recipient,
-                                     const std::vector<Bytes>& plaintexts,
-                                     SecureRandom* rng,
-                                     ThreadPool* pool = nullptr);
+/// CryptoError (before any scalar is drawn) when `recipient` is infinity
+/// or not on the curve.
+Result<std::vector<Bytes>> EciesEncryptBatch(
+    const P256Point& recipient, const std::vector<Bytes>& plaintexts,
+    SecureRandom* rng, ThreadPool* pool = nullptr);
 
-/// Decrypts a blob produced by EciesEncrypt.
+/// Decrypts every blob with one batched multiply by `private_key`.
+/// Entry i is exactly what EciesDecrypt(private_key, blobs[i]) returns:
+/// the plaintext, or CryptoError for a short blob, a malformed or
+/// off-curve ephemeral point, a degenerate shared point, or bad padding.
+/// Runs serially; callers fan chunks of blobs out themselves.
+std::vector<Result<Bytes>> EciesDecryptBatch(const Scalar256& private_key,
+                                             const std::vector<Bytes>& blobs);
+
+/// Decrypts a blob produced by EciesEncrypt; a batch of one.
 Result<Bytes> EciesDecrypt(const Scalar256& private_key, const Bytes& blob);
 
 /// Ciphertext expansion: bytes added on top of the padded plaintext.
@@ -64,20 +82,17 @@ constexpr size_t kEciesOverhead = 65 + 16;
 
 /// Onion encryption: encrypts `payload` under `layers` back-to-front so
 /// that layers[0] peels first (the first shuffler), layers.back() last
-/// (the server).
-Bytes OnionEncrypt(const std::vector<P256Point>& layers, const Bytes& payload,
-                   SecureRandom* rng);
+/// (the server). Each layer is one EciesEncrypt, and one EciesDecrypt
+/// removes it. CryptoError when any layer is not a valid recipient.
+Result<Bytes> OnionEncrypt(const std::vector<P256Point>& layers,
+                           const Bytes& payload, SecureRandom* rng);
 
 /// Onion-encrypts every payload, batching each layer's ECIES pass across
 /// all reports (one recipient table + batched affine conversions per
 /// layer). Equivalent to mapping OnionEncrypt over `payloads`.
-std::vector<Bytes> OnionEncryptBatch(const std::vector<P256Point>& layers,
-                                     const std::vector<Bytes>& payloads,
-                                     SecureRandom* rng,
-                                     ThreadPool* pool = nullptr);
-
-/// Removes one onion layer.
-Result<Bytes> OnionPeel(const Scalar256& private_key, const Bytes& blob);
+Result<std::vector<Bytes>> OnionEncryptBatch(
+    const std::vector<P256Point>& layers, const std::vector<Bytes>& payloads,
+    SecureRandom* rng, ThreadPool* pool = nullptr);
 
 }  // namespace crypto
 }  // namespace shuffledp

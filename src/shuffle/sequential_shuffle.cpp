@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
+#include <iterator>
 #include <memory>
 #include <mutex>
 
@@ -27,11 +29,45 @@ constexpr size_t kPayloadBytes = 16;
 // across SHUFFLEDP_THREADS settings.
 constexpr uint64_t kEncodeChunk = 4096;
 
+// Blobs per EciesDecryptBatch call in the shuffler peels and the server's
+// prepare stage: large enough to amortize the batch's two field
+// inversions, small enough to spread a batch over the pool. The output
+// does not depend on it.
+constexpr uint64_t kDecryptChunk = 64;
+
 Bytes MakePayload(uint64_t packed_report, uint64_t tag) {
   ByteWriter w(kPayloadBytes);
   w.PutU64(packed_report);
   w.PutU64(tag);
   return w.Release();
+}
+
+service::DecodedRow ParsePayload(const Bytes& payload) {
+  service::DecodedRow row;
+  ByteReader reader(payload);
+  auto packed = reader.GetU64();
+  if (!packed.ok()) return row;  // short payload: drop, don't abort
+  row.report = ldp::UnpackReport(*packed);
+  auto tag = reader.GetU64();
+  row.tag = tag.ok() ? *tag : 0;
+  row.valid = true;
+  return row;
+}
+
+// Decrypts blobs[lo, hi) in kDecryptChunk batches on `pool` (serially when
+// null), moving each blob out of `blobs`; out(i, result) receives row i's
+// plaintext or error. Chunks write disjoint rows.
+void DecryptChunks(
+    ThreadPool* pool, const crypto::Scalar256& private_key,
+    std::vector<Bytes>* blobs, uint64_t lo, uint64_t hi,
+    const std::function<void(uint64_t, Result<Bytes>)>& out) {
+  ForChunks(pool, lo, hi, kDecryptChunk, [&](uint64_t clo, uint64_t chi) {
+    std::vector<Bytes> chunk(std::make_move_iterator(blobs->begin() + clo),
+                             std::make_move_iterator(blobs->begin() + chi));
+    std::vector<Result<Bytes>> plain =
+        crypto::EciesDecryptBatch(private_key, chunk);
+    for (uint64_t i = clo; i < chi; ++i) out(i, std::move(plain[i - clo]));
+  });
 }
 
 }  // namespace
@@ -69,7 +105,7 @@ Result<SequentialShuffleResult> RunSequentialShuffle(
   // --- User phase: encode + onion encrypt ----------------------------------
   // Encoding stays a per-chunk loop (cheap, deterministic per seed); the
   // onion layers run through the batched ECIES path, which shares the
-  // fixed-base comb, builds each recipient's wNAF table once, and batches
+  // generator's comb, builds each recipient's comb table once, and batches
   // the affine conversions across all reports.
   std::vector<Bytes> in_flight;
   {
@@ -89,8 +125,9 @@ Result<SequentialShuffleResult> RunSequentialShuffle(
       }
     });
     crypto::SecureRandom onion_rng = rng->Fork();
-    in_flight =
-        crypto::OnionEncryptBatch(layers, payloads, &onion_rng, config.pool);
+    SHUFFLEDP_ASSIGN_OR_RETURN(
+        in_flight,
+        crypto::OnionEncryptBatch(layers, payloads, &onion_rng, config.pool));
   }
 
   // Spot-check dummies: the server plants accounts whose payloads it can
@@ -111,8 +148,9 @@ Result<SequentialShuffleResult> RunSequentialShuffle(
       dummy_ids.emplace_back(rep, tag);
       dummy_payloads.push_back(MakePayload(ldp::PackReport(rep), tag));
     }
-    std::vector<Bytes> dummy_blobs =
-        crypto::OnionEncryptBatch(layers, dummy_payloads, rng, config.pool);
+    SHUFFLEDP_ASSIGN_OR_RETURN(
+        std::vector<Bytes> dummy_blobs,
+        crypto::OnionEncryptBatch(layers, dummy_payloads, rng, config.pool));
     in_flight.insert(in_flight.end(),
                      std::make_move_iterator(dummy_blobs.begin()),
                      std::make_move_iterator(dummy_blobs.end()));
@@ -130,30 +168,19 @@ Result<SequentialShuffleResult> RunSequentialShuffle(
 
   for (uint32_t j = 0; j < r; ++j) {
     ComputeScope scope(&ledger, Role::kShuffler);
-    // Peel one onion layer from every blob (parallelizable).
+    // Peel one onion layer from every blob; the first failure aborts.
     std::vector<Bytes> peeled(in_flight.size());
     std::mutex status_mu;
     Status peel_status = Status::OK();
-    auto peel_range = [&](uint64_t lo, uint64_t hi) {
-      for (uint64_t i = lo; i < hi; ++i) {
-        auto inner = crypto::OnionPeel(shuffler_kps[j].private_key,
-                                       in_flight[i]);
-        if (!inner.ok()) {
-          std::lock_guard<std::mutex> lock(status_mu);
-          peel_status = inner.status();
-          return;
-        }
-        peeled[i] = std::move(inner).value();
-      }
-    };
-    if (config.pool != nullptr) {
-      config.pool->ParallelFor(0, in_flight.size(),
-                               [&](uint64_t lo, uint64_t hi) {
-                                 peel_range(lo, hi);
-                               });
-    } else {
-      peel_range(0, in_flight.size());
-    }
+    DecryptChunks(config.pool, shuffler_kps[j].private_key, &in_flight, 0,
+                  in_flight.size(), [&](uint64_t i, Result<Bytes> inner) {
+                    if (inner.ok()) {
+                      peeled[i] = std::move(inner).value();
+                      return;
+                    }
+                    std::lock_guard<std::mutex> lock(status_mu);
+                    if (peel_status.ok()) peel_status = inner.status();
+                  });
     if (!peel_status.ok()) return peel_status;
     in_flight = std::move(peeled);
 
@@ -170,9 +197,10 @@ Result<SequentialShuffleResult> RunSequentialShuffle(
         for (auto& payload : poison_payloads) {
           payload = MakePayload(ldp::PackReport(target), fake_sec.NextU64());
         }
-        in_flight = crypto::OnionEncryptBatch(remaining_layers,
-                                              poison_payloads, &fake_sec,
-                                              config.pool);
+        SHUFFLEDP_ASSIGN_OR_RETURN(
+            in_flight,
+            crypto::OnionEncryptBatch(remaining_layers, poison_payloads,
+                                      &fake_sec, config.pool));
         break;
       }
       case ShufflerBehaviour::kDropReports: {
@@ -202,8 +230,10 @@ Result<SequentialShuffleResult> RunSequentialShuffle(
       }
       fake_payloads[k] = MakePayload(ldp::PackReport(rep), fake_sec.NextU64());
     }
-    std::vector<Bytes> fake_blobs = crypto::OnionEncryptBatch(
-        remaining_layers, fake_payloads, &fake_sec, config.pool);
+    SHUFFLEDP_ASSIGN_OR_RETURN(
+        std::vector<Bytes> fake_blobs,
+        crypto::OnionEncryptBatch(remaining_layers, fake_payloads, &fake_sec,
+                                  config.pool));
     in_flight.insert(in_flight.end(),
                      std::make_move_iterator(fake_blobs.begin()),
                      std::make_move_iterator(fake_blobs.end()));
@@ -222,9 +252,11 @@ Result<SequentialShuffleResult> RunSequentialShuffle(
 
   // --- Server: streaming peel + spot-check + count + estimate --------------
   // The monolithic peel-everything-then-count pass is replaced by the
-  // sharded streaming pipeline: blobs are offered in fixed-size batches;
-  // the collector's consumer fans ECIES decryption and domain-sharded
-  // support counting out across the pool and strips the registered
+  // sharded streaming pipeline: blobs are offered in fixed-size batches.
+  // Each batch's prepare stage batch-decrypts and parses its rows on the
+  // pool (the PEOS packed-decrypt pattern); the per-row decode hands the
+  // stored row, or its decrypt error, to the collector, which counts
+  // supports domain-sharded across the pool and strips the registered
   // spot-check dummies before estimation.
   {
     service::StreamingOptions stream_opts = config.streaming;
@@ -232,24 +264,29 @@ Result<SequentialShuffleResult> RunSequentialShuffle(
     service::StreamingCollector collector(oracle, stream_opts);
     collector.ExpectDummies(dummy_ids);
 
+    const uint64_t total = in_flight.size();
     auto blobs = std::make_shared<std::vector<Bytes>>(std::move(in_flight));
+    // Rows filled by each batch's prepare stage, read (once per row) by the
+    // same batch's decode.
+    auto rows = std::make_shared<std::vector<Result<service::DecodedRow>>>(
+        total, Status::Internal("SS: row decoded before its batch decrypted"));
     const crypto::Scalar256 server_priv = server_kp.private_key;
-    SHUFFLEDP_RETURN_NOT_OK(collector.OfferIndexed(
-        blobs->size(),
-        [blobs, server_priv](uint64_t row_index)
-            -> Result<service::DecodedRow> {
-          SHUFFLEDP_ASSIGN_OR_RETURN(
-              Bytes payload,
-              crypto::EciesDecrypt(server_priv, (*blobs)[row_index]));
-          service::DecodedRow row;
-          ByteReader reader(payload);
-          auto packed = reader.GetU64();
-          if (!packed.ok()) return row;  // short payload: drop, don't abort
-          row.report = ldp::UnpackReport(*packed);
-          auto tag = reader.GetU64();
-          row.tag = tag.ok() ? *tag : 0;
-          row.valid = true;
-          return row;
+    SHUFFLEDP_RETURN_NOT_OK(collector.OfferIndexedPrepared(
+        total,
+        [blobs, rows, server_priv](uint64_t lo, uint64_t hi,
+                                   ThreadPool* fan_out) -> Status {
+          DecryptChunks(fan_out, server_priv, blobs.get(), lo, hi,
+                        [&rows](uint64_t i, Result<Bytes> payload) {
+                          if (payload.ok()) {
+                            (*rows)[i] = ParsePayload(*payload);
+                          } else {
+                            (*rows)[i] = payload.status();
+                          }
+                        });
+          return Status::OK();
+        },
+        [rows](uint64_t row_index) -> Result<service::DecodedRow> {
+          return std::move((*rows)[row_index]);
         }));
 
     SHUFFLEDP_ASSIGN_OR_RETURN(

@@ -1,12 +1,15 @@
 // Cross-checks for the accelerated P-256 scalar-multiplication paths:
-// the fixed-base comb (ScalarBaseMult), the width-5 wNAF variable-point
-// path (ScalarMult / P256Precomputed), and the batched affine conversion,
-// all validated against the retained double-and-add reference ladder.
+// the fixed-point comb (ScalarBaseMult on the generator's table,
+// P256Precomputed on any other point's), the batched width-5 wNAF
+// variable-point path (ScalarMultBatch / ScalarMult), and the batched
+// affine conversion, all validated against the retained double-and-add
+// reference ladder.
 
 #include "crypto/ec_p256.h"
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "crypto/secure_random.h"
@@ -21,8 +24,9 @@ std::vector<Scalar256> EdgeScalars() {
   n_minus_1[0] -= 1;  // order is odd, no borrow
   Scalar256 n_plus_1 = n;
   n_plus_1[0] += 1;  // no carry: low limb of n is well below 2^64-1
+  const Scalar256 all_ones = {~0ULL, ~0ULL, ~0ULL, ~0ULL};  // 2^256 - 1
   return {Scalar256{0, 0, 0, 0}, Scalar256{1, 0, 0, 0}, Scalar256{2, 0, 0, 0},
-          n_minus_1, n, n_plus_1};
+          n_minus_1, n, n_plus_1, all_ones};
 }
 
 TEST(P256FastTest, CombMatchesReferenceOnRandomScalars) {
@@ -47,7 +51,7 @@ TEST(P256FastTest, CombMatchesReferenceOnEdgeScalars) {
   EXPECT_EQ(P256::ScalarBaseMult(n_plus_1), P256::Generator());
 }
 
-TEST(P256FastTest, WnafMatchesReferenceOnRandomPoints) {
+TEST(P256FastTest, ScalarMultMatchesReferenceOnRandomPoints) {
   SecureRandom rng(uint64_t{103});
   for (int trial = 0; trial < 200; ++trial) {
     P256Point p = P256::ScalarBaseMult(P256::RandomScalar(&rng));
@@ -59,7 +63,7 @@ TEST(P256FastTest, WnafMatchesReferenceOnRandomPoints) {
   }
 }
 
-TEST(P256FastTest, WnafMatchesReferenceOnEdgeScalars) {
+TEST(P256FastTest, ScalarMultMatchesReferenceOnEdgeScalars) {
   SecureRandom rng(uint64_t{107});
   P256Point p = P256::ScalarBaseMult(P256::RandomScalar(&rng));
   for (const Scalar256& k : EdgeScalars()) {
@@ -74,17 +78,77 @@ TEST(P256FastTest, ScalarMultOfInfinityIsInfinity) {
   EXPECT_TRUE(P256::ScalarMult(P256::RandomScalar(&rng), inf).infinity);
 }
 
-TEST(P256FastTest, PrecomputedMatchesOneShot) {
+TEST(P256FastTest, PrecomputedCombMatchesReferenceOnRandomPoints) {
   SecureRandom rng(uint64_t{113});
-  P256Point p = P256::ScalarBaseMult(P256::RandomScalar(&rng));
-  P256Precomputed pre(p);
-  EXPECT_EQ(pre.point(), p);
-  for (int trial = 0; trial < 100; ++trial) {
-    Scalar256 k = P256::RandomScalar(&rng);
-    ASSERT_EQ(pre.Mult(k), P256::ScalarMultReference(k, p)) << trial;
+  for (int point = 0; point < 20; ++point) {
+    P256Point p = P256::ScalarBaseMult(P256::RandomScalar(&rng));
+    P256Precomputed pre(p);
+    EXPECT_EQ(pre.point(), p);
+    std::vector<Scalar256> ks;
+    for (int trial = 0; trial < 10; ++trial) {
+      ks.push_back(P256::RandomScalar(&rng));
+    }
+    std::vector<P256Point> batch = pre.MultBatch(ks);
+    ASSERT_EQ(batch.size(), ks.size());
+    for (size_t i = 0; i < ks.size(); ++i) {
+      const P256Point ref = P256::ScalarMultReference(ks[i], p);
+      ASSERT_EQ(pre.Mult(ks[i]), ref) << "point " << point << " scalar " << i;
+      ASSERT_EQ(batch[i], ref) << "point " << point << " scalar " << i;
+    }
   }
-  for (const Scalar256& k : EdgeScalars()) {
-    EXPECT_EQ(pre.Mult(k), P256::ScalarMultReference(k, p));
+}
+
+TEST(P256FastTest, PrecomputedCombMatchesReferenceOnEdgeScalars) {
+  SecureRandom rng(uint64_t{117});
+  // The generator as a recipient must agree with its own static table.
+  for (const P256Point& p : {P256::ScalarBaseMult(P256::RandomScalar(&rng)),
+                             P256::Generator()}) {
+    P256Precomputed pre(p);
+    const std::vector<Scalar256> edges = EdgeScalars();
+    std::vector<P256Point> batch = pre.MultBatch(edges);
+    ASSERT_EQ(batch.size(), edges.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const Scalar256& k = edges[i];
+      const P256Point ref = P256::ScalarMultReference(k, p);
+      EXPECT_EQ(pre.Mult(k), ref) << "edge scalar " << i;
+      EXPECT_EQ(batch[i], ref) << "edge scalar " << i;
+    }
+    EXPECT_TRUE(pre.Mult(P256::Order()).infinity);
+    EXPECT_EQ(pre.Mult(Scalar256{1, 0, 0, 0}), p);
+  }
+  P256Precomputed g(P256::Generator());
+  for (int trial = 0; trial < 50; ++trial) {
+    Scalar256 k = P256::RandomScalar(&rng);
+    ASSERT_EQ(g.Mult(k), P256::ScalarBaseMult(k)) << trial;
+  }
+}
+
+// Batch sizes around the 64-blob chunk the SS protocol decrypts in, with
+// infinity inputs mixed in at the head, middle and tail.
+TEST(P256FastTest, ScalarMultBatchMatchesReference) {
+  SecureRandom rng(uint64_t{119});
+  for (size_t size : {0, 1, 2, 63, 64, 65}) {
+    SCOPED_TRACE("batch of " + std::to_string(size));
+    std::vector<P256Point> points;
+    for (size_t i = 0; i < size; ++i) {
+      const bool infinity = size > 1 && (i == 0 || i == size / 2 ||
+                                         i + 1 == size);
+      points.push_back(infinity
+                           ? P256Point{}
+                           : P256::ScalarBaseMult(P256::RandomScalar(&rng)));
+    }
+    std::vector<Scalar256> ks = {P256::RandomScalar(&rng)};
+    if (size <= 2) {
+      for (const Scalar256& k : EdgeScalars()) ks.push_back(k);
+    }
+    for (const Scalar256& k : ks) {
+      std::vector<P256Point> batch = P256::ScalarMultBatch(k, points);
+      ASSERT_EQ(batch.size(), size);
+      for (size_t i = 0; i < size; ++i) {
+        ASSERT_EQ(batch[i], P256::ScalarMultReference(k, points[i]))
+            << "index " << i;
+      }
+    }
   }
 }
 
@@ -129,6 +193,7 @@ TEST(P256FastTest, BatchPrecomputedMatchesPerPoint) {
 
 TEST(P256FastTest, EmptyBatches) {
   EXPECT_TRUE(P256::ScalarBaseMultBatch({}).empty());
+  EXPECT_TRUE(P256::ScalarMultBatch(Scalar256{1, 0, 0, 0}, {}).empty());
   P256Precomputed pre(P256::Generator());
   EXPECT_TRUE(pre.MultBatch({}).empty());
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "ldp/grr.h"
 #include "ldp/local_hash.h"
 
@@ -153,6 +156,51 @@ TEST(SequentialShuffleTest, UserCommGrowsWithShufflerCount) {
     ASSERT_TRUE(result.ok());
     EXPECT_GT(result->costs.user_comm_bytes_per_user, prev);
     prev = result->costs.user_comm_bytes_per_user;
+  }
+}
+
+TEST(SequentialShuffleTest, EstimatesBitwiseIdenticalAcrossThreadCounts) {
+  const uint64_t n = 300, d = 16;
+  ldp::LocalHash oracle(3.0, d, 8);
+  auto values = SkewedValues(n, d);
+  SequentialShuffleConfig config;
+  config.num_shufflers = 3;
+  config.fake_reports_total = 60;
+  config.spot_check_dummies = 20;
+
+  // Bit patterns of the estimates at seed 43, and the ledger's byte
+  // counts, recorded before the recipient multiply moved onto the comb
+  // table and the peels and server decrypt onto batched ECIES.
+  const std::vector<uint64_t> kGolden = {
+      0x3fdb55a0839fa866ULL, 0xbfa09bb9057135b6ULL, 0x3fb787461d0b0c17ULL,
+      0x3fa09bb9057135b6ULL, 0x3fa09bb9057135b6ULL, 0x3fb8e9958829d091ULL,
+      0x3fb624f6b1ec479dULL, 0x3fa8e9958829d091ULL, 0x3f9bae345e675984ULL,
+      0xbf9624f6b1ec479dULL, 0x3f8624f6b1ec479dULL, 0x3f8624f6b1ec479dULL,
+      0x3fb09bb9057135b6ULL, 0x3f7624f6b1ec479dULL, 0x3f9624f6b1ec479dULL,
+      0x3f9bae345e675984ULL};
+  const uint64_t kGoldenUserBytes = 427;
+  const double kGoldenAuxMb = 0.07053375244140625;
+  const double kGoldenServerMb = 0.040950775146484375;
+
+  ThreadPool one(1), four(4);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &four}) {
+    SCOPED_TRACE(std::to_string(pool == nullptr ? 0 : pool->num_threads()) +
+                 " workers");
+    config.pool = pool;
+    crypto::SecureRandom rng(uint64_t{43});
+    auto result = RunSequentialShuffle(oracle, values, config, &rng);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    std::vector<uint64_t> bits(result->estimates.size());
+    for (size_t v = 0; v < bits.size(); ++v) {
+      std::memcpy(&bits[v], &result->estimates[v], sizeof(double));
+    }
+    EXPECT_EQ(bits, kGolden);
+    EXPECT_TRUE(result->spot_check_passed);
+    EXPECT_EQ(result->reports_at_server, n + 60);
+    const CostReport& c = result->costs;
+    EXPECT_EQ(c.user_comm_bytes_per_user, kGoldenUserBytes);
+    EXPECT_EQ(c.aux_comm_mb_per_shuffler, kGoldenAuxMb);
+    EXPECT_EQ(c.server_comm_mb, kGoldenServerMb);
   }
 }
 
