@@ -465,7 +465,7 @@ void BM_P256_ScalarBaseMult(benchmark::State& state) {
 BENCHMARK(BM_P256_ScalarBaseMult)->Unit(benchmark::kMicrosecond);
 
 // The seed implementation (double-and-add ladder), kept as the "before"
-// number for the comb / wNAF speedups.
+// number for the comb / fixed-window speedups.
 void BM_P256_ScalarBaseMult_Reference(benchmark::State& state) {
   Scalar256 k = P256::RandomScalar(&Srng());
   for (auto _ : state) {
@@ -514,6 +514,56 @@ void BM_P256_PrecomputedMult(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_P256_PrecomputedMult)->Unit(benchmark::kMicrosecond);
+
+// The two batched multiplies behind SS, 64 at a time: one key times 64
+// points (a decrypt chunk: ScalarMultBatch) and 64 scalars on one comb
+// table (an encrypt chunk: P256Precomputed::MultBatch). The plain rows run
+// the host's best P-256 backend, the _Portable rows pin the portable one.
+void RunP256Batch64(benchmark::State& state, P256Backend backend, bool comb) {
+  // Capture the active backend first: SetP256Backend returns the new one.
+  const P256Backend prev = ActiveP256Backend();
+  if (SetP256Backend(backend) != backend) {
+    SetP256Backend(prev);
+    state.SkipWithError("backend unavailable on this host");
+    return;
+  }
+  std::vector<P256Point> points(64);
+  std::vector<Scalar256> ks(64);
+  for (size_t i = 0; i < 64; ++i) {
+    points[i] = P256::ScalarBaseMult(P256::RandomScalar(&Srng()));
+    ks[i] = P256::RandomScalar(&Srng());
+  }
+  const P256Precomputed pre(points[0]);
+  for (auto _ : state) {
+    if (comb) {
+      benchmark::DoNotOptimize(pre.MultBatch(ks));
+    } else {
+      benchmark::DoNotOptimize(P256::ScalarMultBatch(ks[0], points));
+    }
+  }
+  SetP256Backend(prev);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 64);
+}
+
+void BM_P256_ScalarMultBatch64(benchmark::State& state) {
+  RunP256Batch64(state, BestP256Backend(), false);
+}
+BENCHMARK(BM_P256_ScalarMultBatch64)->Unit(benchmark::kMicrosecond);
+
+void BM_P256_ScalarMultBatch64_Portable(benchmark::State& state) {
+  RunP256Batch64(state, P256Backend::kPortable, false);
+}
+BENCHMARK(BM_P256_ScalarMultBatch64_Portable)->Unit(benchmark::kMicrosecond);
+
+void BM_P256_CombMultBatch64(benchmark::State& state) {
+  RunP256Batch64(state, BestP256Backend(), true);
+}
+BENCHMARK(BM_P256_CombMultBatch64)->Unit(benchmark::kMicrosecond);
+
+void BM_P256_CombMultBatch64_Portable(benchmark::State& state) {
+  RunP256Batch64(state, P256Backend::kPortable, true);
+}
+BENCHMARK(BM_P256_CombMultBatch64_Portable)->Unit(benchmark::kMicrosecond);
 
 void BM_Ecies_Encrypt32B(benchmark::State& state) {
   auto kp = EciesGenerateKeyPair(&Srng());
@@ -565,9 +615,7 @@ void BM_Ecies_DecryptBatch64x32B(benchmark::State& state) {
 BENCHMARK(BM_Ecies_DecryptBatch64x32B)->Unit(benchmark::kMicrosecond);
 
 // The same chunk through 64 single-shot EciesDecrypt calls: the baseline
-// for the batched row. BM_Ecies_Decrypt32B reads lower than both because
-// it decrypts the same blob every iteration, so the field arithmetic's
-// data-dependent branches repeat and predict well.
+// for the batched row.
 void BM_Ecies_DecryptLoop64x32B(benchmark::State& state) {
   auto kp = EciesGenerateKeyPair(&Srng());
   std::vector<Bytes> blobs = PeelChunk64(kp);

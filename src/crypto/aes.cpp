@@ -7,6 +7,8 @@
 #include <immintrin.h>
 #endif
 
+#include "util/cpu_features.h"
+
 namespace shuffledp {
 namespace crypto {
 
@@ -162,12 +164,6 @@ __attribute__((target("aes,sse2"))) void AesNiDecryptBlock(
   _mm_storeu_si128(reinterpret_cast<__m128i*>(out), b);
 }
 
-bool CpuHasAesNi() { return __builtin_cpu_supports("aes"); }
-
-#else
-
-bool CpuHasAesNi() { return false; }
-
 #endif  // SHUFFLEDP_AESNI_COMPILED
 
 AesBackend& BackendOverride() {
@@ -177,14 +173,16 @@ AesBackend& BackendOverride() {
 
 }  // namespace
 
+// The feature probe runs where the AES-NI code compiles (x86) and reports
+// nothing elsewhere.
 AesBackend BestAesBackend() {
-  return CpuHasAesNi() ? AesBackend::kAesNi : AesBackend::kPortable;
+  return KernelCpuFeatures().aes ? AesBackend::kAesNi : AesBackend::kPortable;
 }
 
 AesBackend ActiveAesBackend() { return BackendOverride(); }
 
 void SetAesBackend(AesBackend backend) {
-  if (backend == AesBackend::kAesNi && !CpuHasAesNi()) {
+  if (backend == AesBackend::kAesNi && !KernelCpuFeatures().aes) {
     backend = AesBackend::kPortable;
   }
   BackendOverride() = backend;

@@ -29,15 +29,16 @@ enum class AesBackend {
   kAesNi,     ///< x86 AES-NI instructions
 };
 
-/// The fastest backend supported by this CPU.
+/// The fastest backend supported by this CPU; kPortable when
+/// SHUFFLEDP_FORCE_PORTABLE=1 (util/cpu_features.h).
 AesBackend BestAesBackend();
 
 /// Backend that newly constructed Aes128 instances will use.
 AesBackend ActiveAesBackend();
 
 /// Overrides the backend for subsequently constructed instances. Requests
-/// for kAesNi silently degrade to kPortable when the CPU lacks support,
-/// so forced-fallback tests are safe everywhere. Not thread-safe against
+/// for kAesNi silently degrade to kPortable when the CPU lacks support
+/// or SHUFFLEDP_FORCE_PORTABLE=1, so forced-fallback tests are safe everywhere. Not thread-safe against
 /// concurrent Aes128 construction; intended for tests and benchmarks.
 void SetAesBackend(AesBackend backend);
 

@@ -4,7 +4,9 @@
 #include <cstring>
 #include <memory>
 
+#include "crypto/ec_p256_ifma.h"
 #include "crypto/secure_random.h"
+#include "util/cpu_features.h"
 
 namespace shuffledp {
 namespace crypto {
@@ -32,12 +34,11 @@ constexpr Fe kGx = {0xF4A13945D898C296ULL, 0x77037D812DEB33A0ULL,
 constexpr Fe kGy = {0xCBB6406837BF51F5ULL, 0x2BCE33576B315ECEULL,
                     0x8EE7EB4A7C0F9E16ULL, 0x4FE342E2FE1A7F9BULL};
 
-// mu = -p^{-1} mod 2^64.
-u64 ComputeMontgomeryMu(u64 p0) {
-  u64 inv = 1;
-  for (int i = 0; i < 6; ++i) inv *= 2 - p0 * inv;  // Newton: inv = p0^-1
-  return ~inv + 1;                                   // -inv
-}
+// R = 2^256 mod p (Montgomery one) and R^2 mod p.
+constexpr Fe kOne = {0x0000000000000001ULL, 0xFFFFFFFF00000000ULL,
+                     0xFFFFFFFFFFFFFFFFULL, 0x00000000FFFFFFFEULL};
+constexpr Fe kRR = {0x0000000000000003ULL, 0xFFFFFFFBFFFFFFFFULL,
+                    0xFFFFFFFFFFFFFFFEULL, 0x00000004FFFFFFFDULL};
 
 bool IsZeroFe(const Fe& a) {
   return (a[0] | a[1] | a[2] | a[3]) == 0;
@@ -50,8 +51,26 @@ int CompareFe(const Fe& a, const Fe& b) {
   return 0;
 }
 
-// out = a + b, returns carry.
-u64 AddFeRaw(const Fe& a, const Fe& b, Fe* out) {
+// ---------------------------------------------------------------------------
+// Constant-time helpers. A mask is all-ones or zero.
+// ---------------------------------------------------------------------------
+
+// All-ones iff x != 0.
+inline u64 CtNonzeroMask(u64 x) { return 0 - ((x | (0 - x)) >> 63); }
+
+inline u64 CtFeZeroMask(const Fe& a) {
+  return ~CtNonzeroMask(a[0] | a[1] | a[2] | a[3]);
+}
+
+// mask ? a : b, limb by limb.
+inline Fe CtSelect(u64 mask, const Fe& a, const Fe& b) {
+  Fe out;
+  for (int i = 0; i < 4; ++i) out[i] = (a[i] & mask) | (b[i] & ~mask);
+  return out;
+}
+
+// out = a + b, returns the carry.
+inline u64 AddFeRaw(const Fe& a, const Fe& b, Fe* out) {
   u128 carry = 0;
   for (int i = 0; i < 4; ++i) {
     u128 s = static_cast<u128>(a[i]) + b[i] + carry;
@@ -61,8 +80,8 @@ u64 AddFeRaw(const Fe& a, const Fe& b, Fe* out) {
   return static_cast<u64>(carry);
 }
 
-// out = a - b, returns borrow.
-u64 SubFeRaw(const Fe& a, const Fe& b, Fe* out) {
+// out = a - b, returns the borrow.
+inline u64 SubFeRaw(const Fe& a, const Fe& b, Fe* out) {
   u128 borrow = 0;
   for (int i = 0; i < 4; ++i) {
     u128 d = static_cast<u128>(a[i]) - b[i] - borrow;
@@ -72,163 +91,129 @@ u64 SubFeRaw(const Fe& a, const Fe& b, Fe* out) {
   return static_cast<u64>(borrow);
 }
 
-/// Montgomery arithmetic context for a fixed 256-bit odd modulus.
-class Mont256 {
- public:
-  explicit Mont256(const Fe& modulus)
-      : m_(modulus), mu_(ComputeMontgomeryMu(modulus[0])) {
-    // r_mod = 2^256 mod m (m > 2^255, so a single subtraction suffices).
-    Fe zero{};
-    SubFeRaw(zero, m_, &r_mod_);  // 2^256 - m represented in 256 bits
-    // rr_ = (2^256)^2 mod m via 256 modular doublings of r_mod.
-    rr_ = r_mod_;
-    for (int i = 0; i < 256; ++i) rr_ = AddMod(rr_, rr_);
-    one_ = ToMont(Fe{1, 0, 0, 0});
-  }
-
-  const Fe& modulus() const { return m_; }
-  const Fe& mont_one() const { return one_; }
-
-  Fe AddMod(const Fe& a, const Fe& b) const {
-    Fe sum;
-    u64 carry = AddFeRaw(a, b, &sum);
-    if (carry || CompareFe(sum, m_) >= 0) {
-      Fe tmp;
-      SubFeRaw(sum, m_, &tmp);
-      return tmp;
-    }
-    return sum;
-  }
-
-  Fe SubMod(const Fe& a, const Fe& b) const {
-    Fe diff;
-    u64 borrow = SubFeRaw(a, b, &diff);
-    if (borrow) {
-      Fe tmp;
-      AddFeRaw(diff, m_, &tmp);
-      return tmp;
-    }
-    return diff;
-  }
-
-  // CIOS Montgomery multiplication: returns a*b*R^-1 mod m.
-  Fe MontMul(const Fe& a, const Fe& b) const {
-    u64 t[6] = {0, 0, 0, 0, 0, 0};
-    for (int i = 0; i < 4; ++i) {
-      // t += a * b[i]
-      u128 carry = 0;
-      for (int j = 0; j < 4; ++j) {
-        u128 cur = static_cast<u128>(a[j]) * b[i] + t[j] + carry;
-        t[j] = static_cast<u64>(cur);
-        carry = cur >> 64;
-      }
-      u128 cur = static_cast<u128>(t[4]) + carry;
-      t[4] = static_cast<u64>(cur);
-      t[5] = static_cast<u64>(cur >> 64);
-
-      // Reduce: add m * (t[0] * mu) and shift one limb.
-      u64 m = t[0] * mu_;
-      carry = (static_cast<u128>(m) * m_[0] + t[0]) >> 64;
-      for (int j = 1; j < 4; ++j) {
-        u128 cur2 = static_cast<u128>(m) * m_[j] + t[j] + carry;
-        t[j - 1] = static_cast<u64>(cur2);
-        carry = cur2 >> 64;
-      }
-      u128 cur3 = static_cast<u128>(t[4]) + carry;
-      t[3] = static_cast<u64>(cur3);
-      t[4] = t[5] + static_cast<u64>(cur3 >> 64);
-      t[5] = 0;
-    }
-    Fe out = {t[0], t[1], t[2], t[3]};
-    if (t[4] != 0 || CompareFe(out, m_) >= 0) {
-      Fe tmp;
-      SubFeRaw(out, m_, &tmp);
-      out = tmp;
-    }
-    return out;
-  }
-
-  Fe ToMont(const Fe& a) const { return MontMul(a, rr_); }
-  Fe FromMont(const Fe& a) const { return MontMul(a, Fe{1, 0, 0, 0}); }
-
-  // a^e mod m with a in Montgomery form; e a plain integer.
-  Fe MontPow(const Fe& a, const Fe& e) const {
-    Fe acc = one_;
-    for (int bit = 255; bit >= 0; --bit) {
-      acc = MontMul(acc, acc);
-      if ((e[bit / 64] >> (bit % 64)) & 1) acc = MontMul(acc, a);
-    }
-    return acc;
-  }
-
-  // Inverse via Fermat (m prime): a^(m-2).
-  Fe MontInverse(const Fe& a) const {
-    Fe e = m_;
-    // e = m - 2
-    Fe two = {2, 0, 0, 0};
-    Fe exp;
-    SubFeRaw(e, two, &exp);
-    return MontPow(a, exp);
-  }
-
- private:
-  Fe m_;
-  u64 mu_;
-  Fe r_mod_;
-  Fe rr_;
-  Fe one_;
-};
-
-const Mont256& FieldCtx() {
-  static const Mont256* ctx = new Mont256(kP);
-  return *ctx;
+// Reduces hi * 2^256 + v, known to be below 2 * m, into [0, m).
+inline Fe CtReduceOnce(const Fe& v, u64 hi, const Fe& m) {
+  Fe t;
+  const u64 borrow = SubFeRaw(v, m, &t);
+  // Keep v only when it is below m: no carry-in and the subtraction
+  // borrowed.
+  return CtSelect(0 - (borrow & (hi ^ 1)), v, t);
 }
 
-// -(a) mod p, in the Montgomery domain (negation commutes with the domain).
-Fe FeNeg(const Fe& a) {
-  if (IsZeroFe(a)) return a;
+// ---------------------------------------------------------------------------
+// The P-256 field, 4x64 limbs in the Montgomery domain R = 2^256. Every
+// operation is branchless and returns a canonical value in [0, p).
+//
+// p's low limb is 2^64 - 1, so the Montgomery factor -p^-1 mod 2^64 is 1:
+// the reduction multiplier is the low limb itself, and m * p0 + t0 is
+// exactly m * 2^64. With p's third limb zero, each reduction step then
+// needs two multiplies (by p1 and p3) instead of four.
+// ---------------------------------------------------------------------------
+
+Fe FeAdd(const Fe& a, const Fe& b) {
+  Fe sum;
+  const u64 carry = AddFeRaw(a, b, &sum);
+  return CtReduceOnce(sum, carry, kP);
+}
+
+Fe FeSub(const Fe& a, const Fe& b) {
+  Fe diff;
+  const u64 borrow = SubFeRaw(a, b, &diff);
+  Fe p_masked;
+  for (int i = 0; i < 4; ++i) p_masked[i] = kP[i] & (0 - borrow);
   Fe out;
-  SubFeRaw(kP, a, &out);
+  AddFeRaw(diff, p_masked, &out);
   return out;
 }
 
-// a^(2^n) by repeated Montgomery squaring.
-Fe MontSqrN(Fe a, int n) {
-  const Mont256& f = FieldCtx();
-  for (int i = 0; i < n; ++i) a = f.MontMul(a, a);
+// -(a) mod p; zero stays zero.
+Fe FeNeg(const Fe& a) {
+  Fe out;
+  SubFeRaw(kP, a, &out);
+  const u64 keep = ~CtFeZeroMask(a);
+  for (int i = 0; i < 4; ++i) out[i] &= keep;
+  return out;
+}
+
+// Montgomery product a * b * 2^-256 mod p (CIOS, one limb of b per
+// step, the reduction interleaved).
+Fe FeMul(const Fe& a, const Fe& b) {
+  u64 t0 = 0, t1 = 0, t2 = 0, t3 = 0, t4 = 0;
+  for (int i = 0; i < 4; ++i) {
+    // t += a * b[i]
+    u128 c = static_cast<u128>(a[0]) * b[i] + t0;
+    t0 = static_cast<u64>(c);
+    c = static_cast<u128>(a[1]) * b[i] + t1 + static_cast<u64>(c >> 64);
+    t1 = static_cast<u64>(c);
+    c = static_cast<u128>(a[2]) * b[i] + t2 + static_cast<u64>(c >> 64);
+    t2 = static_cast<u64>(c);
+    c = static_cast<u128>(a[3]) * b[i] + t3 + static_cast<u64>(c >> 64);
+    t3 = static_cast<u64>(c);
+    c = static_cast<u128>(t4) + static_cast<u64>(c >> 64);
+    t4 = static_cast<u64>(c);
+    const u64 t5 = static_cast<u64>(c >> 64);
+    // t = (t + m * p) / 2^64 with m = t0 (-p^-1 mod 2^64 == 1): m * p0 +
+    // t0 is m * 2^64, so limb 0 carries m and p2 = 0 adds nothing.
+    const u64 m = t0;
+    c = static_cast<u128>(m) * kP[1] + t1 + m;
+    t0 = static_cast<u64>(c);
+    c = static_cast<u128>(t2) + static_cast<u64>(c >> 64);
+    t1 = static_cast<u64>(c);
+    c = static_cast<u128>(m) * kP[3] + t3 + static_cast<u64>(c >> 64);
+    t2 = static_cast<u64>(c);
+    c = static_cast<u128>(t4) + static_cast<u64>(c >> 64);
+    t3 = static_cast<u64>(c);
+    t4 = t5 + static_cast<u64>(c >> 64);
+  }
+  // t < 2p for inputs below p.
+  return CtReduceOnce(Fe{t0, t1, t2, t3}, t4, kP);
+}
+
+Fe FeSqr(const Fe& a) { return FeMul(a, a); }
+
+Fe ToMont(const Fe& a) { return FeMul(a, kRR); }
+Fe FromMont(const Fe& a) { return FeMul(a, Fe{1, 0, 0, 0}); }
+
+// a^(2^n) by repeated squaring.
+Fe FeSqrN(Fe a, int n) {
+  for (int i = 0; i < n; ++i) a = FeSqr(a);
   return a;
 }
 
-// a^(p-2) = a^-1 via a fixed addition chain (255 squarings, 12 multiplies;
-// ~30% cheaper than square-and-multiply over p-2). Chain (addchain output
-// for the P-256 field prime):
+// a^(p-2) = a^-1 via a fixed addition chain (255 squarings, 12 multiplies).
+// Chain (addchain output for the P-256 field prime):
 //   _111 = 7, _111111 = 2^6-1, x12 = 2^12-1, x15, x16, x32 = 2^32-1,
 //   i53 = x32<<15, x47 = 2^47-1,
 //   i263 = ((i53<<17 + 1)<<143 + x47)<<47,
 //   result = (x47 + i263)<<2 + 1  ==  p - 2.
 Fe FeInverse(const Fe& a) {
-  const Mont256& f = FieldCtx();
-  Fe t10 = f.MontMul(a, a);
-  Fe t11 = f.MontMul(t10, a);
-  Fe t110 = f.MontMul(t11, t11);
-  Fe t111 = f.MontMul(t110, a);
-  Fe t111111 = f.MontMul(MontSqrN(t111, 3), t111);
-  Fe x12 = f.MontMul(MontSqrN(t111111, 6), t111111);
-  Fe x15 = f.MontMul(MontSqrN(x12, 3), t111);
-  Fe x16 = f.MontMul(MontSqrN(x15, 1), a);
-  Fe x32 = f.MontMul(MontSqrN(x16, 16), x16);
-  Fe i53 = MontSqrN(x32, 15);
-  Fe x47 = f.MontMul(x15, i53);
-  Fe i263 =
-      MontSqrN(f.MontMul(MontSqrN(f.MontMul(MontSqrN(i53, 17), a), 143), x47),
-               47);
-  return f.MontMul(MontSqrN(f.MontMul(x47, i263), 2), a);
+  Fe t10 = FeSqr(a);
+  Fe t11 = FeMul(t10, a);
+  Fe t110 = FeSqr(t11);
+  Fe t111 = FeMul(t110, a);
+  Fe t111111 = FeMul(FeSqrN(t111, 3), t111);
+  Fe x12 = FeMul(FeSqrN(t111111, 6), t111111);
+  Fe x15 = FeMul(FeSqrN(x12, 3), t111);
+  Fe x16 = FeMul(FeSqr(x15), a);
+  Fe x32 = FeMul(FeSqrN(x16, 16), x16);
+  Fe i53 = FeSqrN(x32, 15);
+  Fe x47 = FeMul(x15, i53);
+  Fe i263 = FeSqrN(FeMul(FeSqrN(FeMul(FeSqrN(i53, 17), a), 143), x47), 47);
+  return FeMul(FeSqrN(FeMul(x47, i263), 2), a);
 }
 
+// k mod n, branchless. Every k < 2^256 is below 2n, so one conditional
+// subtraction suffices.
+Scalar256 ReduceModN(const Scalar256& k) {
+  return CtReduceOnce(k, 0, kN);
+}
+
+// ---------------------------------------------------------------------------
+// Points.
+// ---------------------------------------------------------------------------
+
 // Jacobian point, coordinates in Montgomery form. Infinity <=> z == 0.
-struct Jacobian {
-  Fe x, y, z;
-};
+using Jacobian = p256_ifma::Jacobian;
 
 // Affine point in the Montgomery domain (z == 1 implicitly). Only valid
 // for non-infinite points; callers track infinity separately. The header
@@ -239,140 +224,152 @@ bool JIsInfinity(const Jacobian& p) { return IsZeroFe(p.z); }
 
 Jacobian JInfinity() { return Jacobian{Fe{}, Fe{}, Fe{}}; }
 
+AffineMont ToAffineMont(const P256Point& p) {
+  return AffineMont{ToMont(p.x), ToMont(p.y)};
+}
+
 Jacobian ToJacobian(const P256Point& p) {
   if (p.infinity) return JInfinity();
-  const Mont256& f = FieldCtx();
-  return Jacobian{f.ToMont(p.x), f.ToMont(p.y), f.mont_one()};
+  return Jacobian{ToMont(p.x), ToMont(p.y), kOne};
 }
 
 P256Point ToAffine(const Jacobian& p) {
   if (JIsInfinity(p)) return P256Point{};
-  const Mont256& f = FieldCtx();
   Fe zinv = FeInverse(p.z);
-  Fe zinv2 = f.MontMul(zinv, zinv);
-  Fe zinv3 = f.MontMul(zinv2, zinv);
+  Fe zinv2 = FeSqr(zinv);
+  Fe zinv3 = FeMul(zinv2, zinv);
   P256Point out;
   out.infinity = false;
-  out.x = f.FromMont(f.MontMul(p.x, zinv2));
-  out.y = f.FromMont(f.MontMul(p.y, zinv3));
+  out.x = FromMont(FeMul(p.x, zinv2));
+  out.y = FromMont(FeMul(p.y, zinv3));
   return out;
 }
 
-// Doubling with a = -3 (dbl-2001-b).
+// Doubling with a = -3 (dbl-2001-b). Branch-free: infinity (z == 0) maps
+// to z3 = 2yz = 0, and P-256 has no point of order two (y == 0).
 Jacobian JDouble(const Jacobian& p) {
-  if (JIsInfinity(p) || IsZeroFe(p.y)) return JInfinity();
-  const Mont256& f = FieldCtx();
-  Fe delta = f.MontMul(p.z, p.z);
-  Fe gamma = f.MontMul(p.y, p.y);
-  Fe beta = f.MontMul(p.x, gamma);
-  Fe t1 = f.SubMod(p.x, delta);
-  Fe t2 = f.AddMod(p.x, delta);
-  Fe t3 = f.MontMul(t1, t2);
-  Fe alpha = f.AddMod(f.AddMod(t3, t3), t3);  // 3*(x-delta)*(x+delta)
-  Fe alpha2 = f.MontMul(alpha, alpha);
-  Fe beta2 = f.AddMod(beta, beta);
-  Fe beta4 = f.AddMod(beta2, beta2);
-  Fe beta8 = f.AddMod(beta4, beta4);
+  Fe delta = FeSqr(p.z);
+  Fe gamma = FeSqr(p.y);
+  Fe beta = FeMul(p.x, gamma);
+  Fe t3 = FeMul(FeSub(p.x, delta), FeAdd(p.x, delta));
+  Fe alpha = FeAdd(FeAdd(t3, t3), t3);  // 3*(x-delta)*(x+delta)
+  Fe beta2 = FeAdd(beta, beta);
+  Fe beta4 = FeAdd(beta2, beta2);
   Jacobian out;
-  out.x = f.SubMod(alpha2, beta8);
-  Fe yz = f.AddMod(p.y, p.z);
-  Fe yz2 = f.MontMul(yz, yz);
-  out.z = f.SubMod(f.SubMod(yz2, gamma), delta);
-  Fe gamma2 = f.MontMul(gamma, gamma);
-  Fe g2_2 = f.AddMod(gamma2, gamma2);
-  Fe g2_4 = f.AddMod(g2_2, g2_2);
-  Fe g2_8 = f.AddMod(g2_4, g2_4);
-  Fe inner = f.SubMod(beta4, out.x);
-  out.y = f.SubMod(f.MontMul(alpha, inner), g2_8);
+  out.x = FeSub(FeSqr(alpha), FeAdd(beta4, beta4));
+  Fe yz = FeMul(p.y, p.z);
+  out.z = FeAdd(yz, yz);
+  Fe gamma2 = FeSqr(gamma);
+  Fe g2_2 = FeAdd(gamma2, gamma2);
+  Fe g2_4 = FeAdd(g2_2, g2_2);
+  out.y = FeSub(FeMul(alpha, FeSub(beta4, out.x)), FeAdd(g2_4, g2_4));
   return out;
 }
 
-// General Jacobian addition.
+// General Jacobian addition, complete by branching. Only for public
+// points: P256::Add, table construction and the reference ladder.
 Jacobian JAdd(const Jacobian& a, const Jacobian& b) {
   if (JIsInfinity(a)) return b;
   if (JIsInfinity(b)) return a;
-  const Mont256& f = FieldCtx();
-  Fe z1z1 = f.MontMul(a.z, a.z);
-  Fe z2z2 = f.MontMul(b.z, b.z);
-  Fe u1 = f.MontMul(a.x, z2z2);
-  Fe u2 = f.MontMul(b.x, z1z1);
-  Fe s1 = f.MontMul(f.MontMul(a.y, b.z), z2z2);
-  Fe s2 = f.MontMul(f.MontMul(b.y, a.z), z1z1);
-  Fe h = f.SubMod(u2, u1);
-  Fe r = f.SubMod(s2, s1);
+  Fe z1z1 = FeSqr(a.z);
+  Fe z2z2 = FeSqr(b.z);
+  Fe u1 = FeMul(a.x, z2z2);
+  Fe u2 = FeMul(b.x, z1z1);
+  Fe s1 = FeMul(FeMul(a.y, b.z), z2z2);
+  Fe s2 = FeMul(FeMul(b.y, a.z), z1z1);
+  Fe h = FeSub(u2, u1);
+  Fe r = FeSub(s2, s1);
   if (IsZeroFe(h)) {
     if (IsZeroFe(r)) return JDouble(a);
     return JInfinity();
   }
-  Fe hh = f.MontMul(h, h);
-  Fe hhh = f.MontMul(hh, h);
-  Fe v = f.MontMul(u1, hh);
-  Fe r2 = f.MontMul(r, r);
+  Fe hh = FeSqr(h);
+  Fe hhh = FeMul(hh, h);
+  Fe v = FeMul(u1, hh);
   Jacobian out;
-  out.x = f.SubMod(f.SubMod(r2, hhh), f.AddMod(v, v));
-  out.y = f.SubMod(f.MontMul(r, f.SubMod(v, out.x)), f.MontMul(s1, hhh));
-  out.z = f.MontMul(f.MontMul(a.z, b.z), h);
+  out.x = FeSub(FeSub(FeSqr(r), hhh), FeAdd(v, v));
+  out.y = FeSub(FeMul(r, FeSub(v, out.x)), FeMul(s1, hhh));
+  out.z = FeMul(FeMul(a.z, b.z), h);
   return out;
 }
 
-// Mixed addition a + b with b affine (z2 = 1): saves ~4 multiplications
-// per addition versus JAdd, which is what makes precomputed affine tables
-// worthwhile. `b` must not be the point at infinity.
+// Mixed addition a + b with b affine (z2 = 1), without exceptional cases:
+// a must be neither infinity nor +-b. The secret-scalar loops below
+// call it only where the surrounding proof rules both out, and pick the
+// right result for an infinity accumulator or a zero digit by mask.
 Jacobian JAddMixed(const Jacobian& a, const AffineMont& b) {
-  const Mont256& f = FieldCtx();
-  if (JIsInfinity(a)) return Jacobian{b.x, b.y, f.mont_one()};
-  Fe z1z1 = f.MontMul(a.z, a.z);
-  Fe u2 = f.MontMul(b.x, z1z1);
-  Fe s2 = f.MontMul(f.MontMul(b.y, a.z), z1z1);
-  Fe h = f.SubMod(u2, a.x);
-  Fe r = f.SubMod(s2, a.y);
-  if (IsZeroFe(h)) {
-    if (IsZeroFe(r)) return JDouble(a);
-    return JInfinity();
-  }
-  Fe hh = f.MontMul(h, h);
-  Fe hhh = f.MontMul(hh, h);
-  Fe v = f.MontMul(a.x, hh);
-  Fe r2 = f.MontMul(r, r);
+  Fe z1z1 = FeSqr(a.z);
+  Fe u2 = FeMul(b.x, z1z1);
+  Fe s2 = FeMul(FeMul(b.y, a.z), z1z1);
+  Fe h = FeSub(u2, a.x);
+  Fe r = FeSub(s2, a.y);
+  Fe hh = FeSqr(h);
+  Fe hhh = FeMul(hh, h);
+  Fe v = FeMul(a.x, hh);
   Jacobian out;
-  out.x = f.SubMod(f.SubMod(r2, hhh), f.AddMod(v, v));
-  out.y = f.SubMod(f.MontMul(r, f.SubMod(v, out.x)), f.MontMul(a.y, hhh));
-  out.z = f.MontMul(a.z, h);
+  out.x = FeSub(FeSub(FeSqr(r), hhh), FeAdd(v, v));
+  out.y = FeSub(FeMul(r, FeSub(v, out.x)), FeMul(a.y, hhh));
+  out.z = FeMul(a.z, h);
+  return out;
+}
+
+// One step of a secret-scalar loop: given the accumulator, whether it has
+// left infinity yet (`started`) and whether this digit is nonzero, returns
+// acc + e, e itself (first nonzero digit) or acc (zero digit), by mask.
+Jacobian CtAccumulate(const Jacobian& acc, const AffineMont& e, u64 started,
+                      u64 nonzero) {
+  const Jacobian sum = JAddMixed(acc, e);
+  const u64 take_sum = started & nonzero;
+  const u64 take_e = ~started & nonzero;
+  Jacobian out;
+  out.x = CtSelect(take_sum, sum.x, CtSelect(take_e, e.x, acc.x));
+  out.y = CtSelect(take_sum, sum.y, CtSelect(take_e, e.y, acc.y));
+  out.z = CtSelect(take_sum, sum.z, CtSelect(take_e, kOne, acc.z));
+  return out;
+}
+
+// Constant-time scan of a 16-entry table: every entry is read and masked,
+// and the result is table[idx], or zero when idx is not in [0, 15].
+AffineMont CtSelect16(const AffineMont* table, uint32_t idx) {
+  AffineMont out{};
+  for (uint32_t i = 0; i < 16; ++i) {
+    const u64 mask = ~CtNonzeroMask(i ^ idx);
+    for (int j = 0; j < 4; ++j) {
+      out.x[j] |= table[i].x[j] & mask;
+      out.y[j] |= table[i].y[j] & mask;
+    }
+  }
   return out;
 }
 
 // Montgomery's simultaneous-inversion trick: normalizes `n` Jacobian
 // points to affine (Montgomery-domain) coordinates with a single field
 // inversion plus 3 multiplications per point. infinity[i] is set for
-// inputs with z == 0 (whose out[] entry is untouched).
+// inputs with z == 0, whose out[] entry is zero. Branchless: a zero z
+// enters the running product as one.
 void BatchNormalize(const Jacobian* in, size_t n, AffineMont* out,
                     bool* infinity) {
-  const Mont256& f = FieldCtx();
   std::vector<Fe> prefix(n);
-  Fe acc = f.mont_one();
+  Fe acc = kOne;
   for (size_t i = 0; i < n; ++i) {
     prefix[i] = acc;
-    if (!IsZeroFe(in[i].z)) acc = f.MontMul(acc, in[i].z);
+    acc = FeMul(acc, CtSelect(CtFeZeroMask(in[i].z), kOne, in[i].z));
   }
   Fe inv = FeInverse(acc);
   for (size_t i = n; i-- > 0;) {
-    if (IsZeroFe(in[i].z)) {
-      infinity[i] = true;
-      continue;
-    }
-    infinity[i] = false;
-    Fe zinv = f.MontMul(inv, prefix[i]);
-    inv = f.MontMul(inv, in[i].z);
-    Fe zinv2 = f.MontMul(zinv, zinv);
-    Fe zinv3 = f.MontMul(zinv2, zinv);
-    out[i].x = f.MontMul(in[i].x, zinv2);
-    out[i].y = f.MontMul(in[i].y, zinv3);
+    const u64 inf = CtFeZeroMask(in[i].z);
+    infinity[i] = (inf & 1) != 0;
+    Fe zinv = FeMul(inv, prefix[i]);
+    inv = FeMul(inv, CtSelect(inf, kOne, in[i].z));
+    Fe zinv2 = FeSqr(zinv);
+    Fe zinv3 = FeMul(zinv2, zinv);
+    out[i].x = CtSelect(inf, Fe{}, FeMul(in[i].x, zinv2));
+    out[i].y = CtSelect(inf, Fe{}, FeMul(in[i].y, zinv3));
   }
 }
 
 // Batch conversion all the way to plain-domain affine P256Points.
 std::vector<P256Point> BatchToAffinePoints(const std::vector<Jacobian>& in) {
-  const Mont256& f = FieldCtx();
   std::vector<AffineMont> aff(in.size());
   std::unique_ptr<bool[]> inf(new bool[in.size() + 1]);
   if (!in.empty()) {
@@ -380,10 +377,10 @@ std::vector<P256Point> BatchToAffinePoints(const std::vector<Jacobian>& in) {
   }
   std::vector<P256Point> out(in.size());
   for (size_t i = 0; i < in.size(); ++i) {
-    if (inf[i]) continue;  // default-constructed P256Point is infinity
-    out[i].infinity = false;
-    out[i].x = f.FromMont(aff[i].x);
-    out[i].y = f.FromMont(aff[i].y);
+    // An infinity entry's coordinates are already zero, like P256Point{}.
+    out[i].infinity = inf[i];
+    out[i].x = FromMont(aff[i].x);
+    out[i].y = FromMont(aff[i].y);
   }
   return out;
 }
@@ -403,6 +400,20 @@ Jacobian JScalarMult(const Scalar256& k, const Jacobian& p) {
 }
 
 // ---------------------------------------------------------------------------
+// Backend dispatch.
+// ---------------------------------------------------------------------------
+
+bool CpuHasIfma() {
+  const CpuFeatures& cpu = KernelCpuFeatures();
+  return p256_ifma::Compiled() && cpu.avx512f && cpu.avx512ifma;
+}
+
+P256Backend& BackendOverride() {
+  static P256Backend backend = BestP256Backend();
+  return backend;
+}
+
+// ---------------------------------------------------------------------------
 // Fixed-point comb.
 //
 // Write k = sum_{j=0}^{31} 2^j (D_lo(j) + 2^32 D_hi(j)) with the 4-bit
@@ -410,10 +421,24 @@ Jacobian JScalarMult(const Scalar256& k, const Jacobian& p) {
 // from bits {j+32, j+96, j+160, j+224}. Precomputing
 //   lo[b] = (b0 + b1 2^64 + b2 2^128 + b3 2^192) P      (b = b3b2b1b0)
 //   hi[b] = 2^32 lo[b]
-// reduces k*P to 31 doublings plus at most 64 mixed additions.
+// reduces k*P to 31 doublings plus 64 mixed additions.
+//
+// Constant time: k is first reduced mod n, and every column adds both
+// digits' table entries (found by a full masked scan), keeping acc or
+// acc + entry by mask. No exceptional case of the addition is reachable.
+// At column j acc holds s*P and the entry e*P, with s and e integers:
+//  * s = sum_{c>j} 2^(c-j) (D_lo(c) + 2^32 D_hi(c)) (plus D_lo(j) before
+//    the hi addition) and s + e are both at most k / 2^j < n;
+//  * e's bits sit at offsets {0, 64, 128, 192} (lo) or {32, 96, 160, 224}
+//    (hi) and s's bits never do: columns c > j land at offsets
+//    (c - j) + 32m with 1 <= c - j <= 31, and the lo digit is added
+//    before the hi one.
+// So s == e (mod n) needs s = e, and s == -e (mod n) needs s + e = 0;
+// with disjoint bits both mean s = e = 0: an infinity accumulator and a
+// zero digit, which the masks handle.
 // ---------------------------------------------------------------------------
 
-// lo[b] at [b], hi[b] at [16 + b]; entries 0 and 16 (infinity) are unused.
+// lo[b] at [b], hi[b] at [16 + b]; entries 0 and 16 (infinity) are zero.
 using CombTable = std::array<AffineMont, 32>;
 
 // Builds P's comb table. Pre: P is on the curve and not infinity. Every
@@ -456,90 +481,126 @@ inline uint32_t ScalarBit(const Scalar256& k, int i) {
   return static_cast<uint32_t>((k[i >> 6] >> (i & 63)) & 1);
 }
 
-// Constant-time scan of a 16-entry table: every entry is read and masked
-// regardless of `idx`. idx must be in [1, 15]; index 0 (infinity) is never
-// selected because zero digits skip the addition entirely.
-AffineMont CtSelect16(const AffineMont* table, uint32_t idx) {
-  AffineMont out{};
-  for (uint32_t i = 1; i < 16; ++i) {
-    u64 mask = (static_cast<u64>(i ^ idx) - 1) >> 63;  // 1 iff i == idx
-    mask = static_cast<u64>(0) - mask;                 // all-ones iff match
-    for (int j = 0; j < 4; ++j) {
-      out.x[j] |= table[i].x[j] & mask;
-      out.y[j] |= table[i].y[j] & mask;
-    }
-  }
-  return out;
-}
-
+// Pre: k < n.
 Jacobian CombMultJ(const CombTable& t, const Scalar256& k) {
   Jacobian acc = JInfinity();
+  u64 started = 0;
   for (int j = 31; j >= 0; --j) {
     acc = JDouble(acc);
-    uint32_t dlo = ScalarBit(k, j) | (ScalarBit(k, j + 64) << 1) |
-                   (ScalarBit(k, j + 128) << 2) | (ScalarBit(k, j + 192) << 3);
-    uint32_t dhi = ScalarBit(k, j + 32) | (ScalarBit(k, j + 96) << 1) |
-                   (ScalarBit(k, j + 160) << 2) |
-                   (ScalarBit(k, j + 224) << 3);
-    if (dlo != 0) acc = JAddMixed(acc, CtSelect16(t.data(), dlo));
-    if (dhi != 0) acc = JAddMixed(acc, CtSelect16(t.data() + 16, dhi));
+    const uint32_t dlo = p256_ifma::CombDigit(k, j, 0);
+    const uint32_t dhi = p256_ifma::CombDigit(k, j, 1);
+    const u64 nz_lo = CtNonzeroMask(dlo);
+    acc = CtAccumulate(acc, CtSelect16(t.data(), dlo), started, nz_lo);
+    started |= nz_lo;
+    const u64 nz_hi = CtNonzeroMask(dhi);
+    acc = CtAccumulate(acc, CtSelect16(t.data() + 16, dhi), started, nz_hi);
+    started |= nz_hi;
   }
   return acc;
 }
 
 std::vector<P256Point> CombMultBatch(const CombTable& t,
                                      const std::vector<Scalar256>& ks) {
-  std::vector<Jacobian> points;
-  points.reserve(ks.size());
-  for (const Scalar256& k : ks) points.push_back(CombMultJ(t, k));
+  std::vector<Scalar256> reduced(ks.size());
+  for (size_t i = 0; i < ks.size(); ++i) reduced[i] = ReduceModN(ks[i]);
+  std::vector<Jacobian> points(ks.size());
+  if (ActiveP256Backend() == P256Backend::kIfma) {
+    p256_ifma::CombMultBatch(t.data(), reduced.data(), reduced.size(),
+                             points.data());
+  } else {
+    for (size_t i = 0; i < reduced.size(); ++i) {
+      points[i] = CombMultJ(t, reduced[i]);
+    }
+  }
   return BatchToAffinePoints(points);
 }
 
 // ---------------------------------------------------------------------------
-// Width-5 wNAF for variable points: digits are zero or odd in [-15, 15],
-// with at least 4 zeros between nonzero digits (expected density 1/6).
+// Variable points: regular signed fixed-window (width-5 Booth) recoding.
+//
+// k = sum_{w=0}^{51} d_w 2^(5w) with every d_w in [-16, 16]; the top digit
+// is in [0, 2] because k < 2^256. The loop runs 5 doublings and one
+// addition of sign(d_w) * T[|d_w|] per digit, T[i] = i*P for i in [1, 16],
+// whatever the digits are.
+//
+// No exceptional case of the addition is reachable for k in [0, n-1]
+// (k is reduced mod n first). Let s_w = sum_{i>=w} d_i 2^(5(i-w)); Booth
+// partial sums satisfy 0 <= s_w <= k / 2^(5w) + 1. Before digit w's
+// addition acc holds 32 s_{w+1} P, and the addend is d_w P.
+//  * w >= 1: |32 s_{w+1} -+ d_w| <= n/32 + 48 < n, so acc == +-addend
+//    (mod n) forces 32 s_{w+1} = -+d_w, i.e. s_{w+1} = d_w = 0: an
+//    infinity accumulator and a zero digit, which the masks handle.
+//  * w = 0: acc == -addend means k == 0 (mod n), the same masked case.
+//    acc == addend means k == 2 d_0 (mod n). With d_0 > 0 that is
+//    k = 2 d_0 <= 32, but there d_0 is k (k < 16), negative (16 <= k <
+//    32) or zero (k = 32). With d_0 = -m < 0 it is k = n - 2m, whose low
+//    five bits are 17 - 2m mod 32 (n's are 17), while d_0 = -m needs
+//    them to be 32 - m: m = 17, outside [1, 16]. No k in [1, n-1]
+//    reaches it.
 // ---------------------------------------------------------------------------
 
-constexpr int kWnafWidth = 5;
-constexpr int kWnafMaxDigits = 260;  // 256-bit scalar + borrow headroom
-constexpr int kWnafTableSize = 8;    // odd multiples {1,3,...,15}P
+constexpr int kBoothDigits = p256_ifma::kBoothDigits;
+constexpr int kBoothTableSize = 16;  // multiples {1, 2, ..., 16}P
 
-// Recodes k into wNAF digits (little-endian); returns the digit count.
-int WnafRecode(const Scalar256& k, int8_t* digits) {
-  u64 x[5] = {k[0], k[1], k[2], k[3], 0};
-  int len = 0;
-  auto is_zero = [&x] { return (x[0] | x[1] | x[2] | x[3] | x[4]) == 0; };
-  while (!is_zero()) {
-    int8_t d = 0;
-    if (x[0] & 1) {
-      int v = static_cast<int>(x[0] & ((1u << kWnafWidth) - 1));
-      if (v >= (1 << (kWnafWidth - 1))) v -= 1 << kWnafWidth;
-      d = static_cast<int8_t>(v);
-      if (v > 0) {
-        // x -= v
-        u64 borrow = static_cast<u64>(v);
-        for (int i = 0; i < 5 && borrow; ++i) {
-          u64 prev = x[i];
-          x[i] -= borrow;
-          borrow = x[i] > prev ? 1 : 0;
-        }
-      } else {
-        // x += -v
-        u64 carry = static_cast<u64>(-v);
-        for (int i = 0; i < 5 && carry; ++i) {
-          x[i] += carry;
-          carry = x[i] < carry ? 1 : 0;
-        }
-      }
+// Recodes k < 2^256 into kBoothDigits signed digits (little-endian).
+// Branchless: the digit values are secret.
+void BoothRecode(const Scalar256& k, int8_t* digits) {
+  for (int w = 0; w < kBoothDigits; ++w) {
+    // Window bits b_{5w-1} .. b_{5w+4} (bit -1 and bits >= 256 are zero).
+    const int lo = 5 * w - 1;
+    uint32_t v = 0;
+    for (int b = 0; b < 6; ++b) {
+      const int bit = lo + b;
+      if (bit >= 0 && bit < 256) v |= ScalarBit(k, bit) << b;
     }
-    digits[len++] = d;
-    for (int i = 0; i < 4; ++i) x[i] = (x[i] >> 1) | (x[i + 1] << 63);
-    x[4] >>= 1;
+    // d = b_{-1} + b0 + 2 b1 + 4 b2 + 8 b3 - 16 b4.
+    const int d = static_cast<int>((v >> 1) + (v & 1)) -
+                  32 * static_cast<int>(v >> 5);
+    digits[w] = static_cast<int8_t>(d);
   }
-  return len;
+}
+
+// The loop body shared by each point: pre-normalized multiples
+// table[i] = (i + 1) P.
+Jacobian BoothMultJ(const AffineMont* table, const int8_t* digits) {
+  Jacobian acc = JInfinity();
+  u64 started = 0;
+  for (int w = kBoothDigits - 1; w >= 0; --w) {
+    if (w != kBoothDigits - 1) {
+      for (int i = 0; i < 5; ++i) acc = JDouble(acc);
+    }
+    const int d = digits[w];
+    const u64 neg = 0 - static_cast<u64>(static_cast<uint32_t>(d) >> 31);
+    const uint32_t mag = static_cast<uint32_t>((d ^ static_cast<int>(neg)) -
+                                               static_cast<int>(neg));
+    AffineMont e = CtSelect16(table, mag - 1);
+    e.y = CtSelect(neg, FeNeg(e.y), e.y);
+    const u64 nonzero = CtNonzeroMask(mag);
+    acc = CtAccumulate(acc, e, started, nonzero);
+    started |= nonzero;
+  }
+  return acc;
 }
 
 }  // namespace
+
+P256Backend BestP256Backend() {
+  return CpuHasIfma() ? P256Backend::kIfma : P256Backend::kPortable;
+}
+
+P256Backend ActiveP256Backend() { return BackendOverride(); }
+
+P256Backend SetP256Backend(P256Backend backend) {
+  if (backend == P256Backend::kIfma && !CpuHasIfma()) {
+    backend = P256Backend::kPortable;
+  }
+  BackendOverride() = backend;
+  return backend;
+}
+
+const char* P256BackendName(P256Backend backend) {
+  return backend == P256Backend::kIfma ? "ifma" : "portable";
+}
 
 P256Point P256::Generator() {
   P256Point g;
@@ -562,49 +623,52 @@ P256Point P256::ScalarMult(const Scalar256& k, const P256Point& p) {
 std::vector<P256Point> P256::ScalarMultBatch(
     const Scalar256& k, const std::vector<P256Point>& points) {
   const size_t n = points.size();
-  int8_t digits[kWnafMaxDigits];
-  const int len = WnafRecode(k, digits);
+  int8_t digits[kBoothDigits];
+  BoothRecode(ReduceModN(k), digits);
 
-  // Odd multiples {1,3,...,15}P_i in Jacobian form, 8 per point. Infinity
-  // inputs keep an all-infinity table and are skipped below.
-  std::vector<Jacobian> jtables(n * kWnafTableSize, JInfinity());
-  for (size_t i = 0; i < n; ++i) {
-    if (points[i].infinity) continue;
-    Jacobian* odd = &jtables[i * kWnafTableSize];
-    odd[0] = ToJacobian(points[i]);
-    Jacobian p2 = JDouble(odd[0]);
-    for (int m = 1; m < kWnafTableSize; ++m) odd[m] = JAdd(odd[m - 1], p2);
-  }
-  // One inversion normalizes every table. Odd multiples of an on-curve
-  // point of prime order are never infinity.
-  std::vector<AffineMont> tables(jtables.size());
-  std::unique_ptr<bool[]> inf(new bool[jtables.size() + 1]);
-  if (!jtables.empty()) {
-    BatchNormalize(jtables.data(), jtables.size(), tables.data(), inf.get());
-  }
-
-  std::vector<Jacobian> out(n, JInfinity());
-  for (size_t i = 0; i < n; ++i) {
-    if (points[i].infinity) continue;
-    const AffineMont* odd = &tables[i * kWnafTableSize];
-    Jacobian acc = JInfinity();
-    for (int j = len - 1; j >= 0; --j) {
-      acc = JDouble(acc);
-      const int d = digits[j];
-      if (d > 0) {
-        acc = JAddMixed(acc, odd[(d - 1) >> 1]);
-      } else if (d < 0) {
-        const AffineMont& e = odd[(-d - 1) >> 1];
-        acc = JAddMixed(acc, AffineMont{e.x, FeNeg(e.y)});
+  std::vector<Jacobian> out(n);
+  if (ActiveP256Backend() == P256Backend::kIfma) {
+    // Infinity inputs run the generator in their lane and are discarded.
+    const AffineMont dummy = ToAffineMont(Generator());
+    std::vector<AffineMont> affine(n);
+    for (size_t i = 0; i < n; ++i) {
+      affine[i] = points[i].infinity ? dummy : ToAffineMont(points[i]);
+    }
+    p256_ifma::ScalarMultBatch(digits, affine.data(), n, out.data());
+  } else {
+    // Multiples {1..16}P_i in Jacobian form, 16 per point: odd ones by a
+    // mixed addition of P_i, even ones by doubling. Infinity inputs keep
+    // an all-infinity table; their lanes are discarded below.
+    std::vector<Jacobian> jtables(n * kBoothTableSize, JInfinity());
+    for (size_t i = 0; i < n; ++i) {
+      if (points[i].infinity) continue;
+      const AffineMont p = ToAffineMont(points[i]);
+      Jacobian* t = &jtables[i * kBoothTableSize];
+      t[0] = Jacobian{p.x, p.y, kOne};
+      for (int m = 2; m <= kBoothTableSize; ++m) {
+        // m*P is never +-P or infinity: P has prime order n > 17.
+        t[m - 1] = m % 2 == 0 ? JDouble(t[m / 2 - 1]) : JAddMixed(t[m - 2], p);
       }
     }
-    out[i] = acc;
+    // One inversion normalizes every table.
+    std::vector<AffineMont> tables(jtables.size());
+    std::unique_ptr<bool[]> inf(new bool[jtables.size() + 1]);
+    if (!jtables.empty()) {
+      BatchNormalize(jtables.data(), jtables.size(), tables.data(), inf.get());
+    }
+    for (size_t i = 0; i < n; ++i) {
+      if (points[i].infinity) continue;
+      out[i] = BoothMultJ(&tables[i * kBoothTableSize], digits);
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (points[i].infinity) out[i] = JInfinity();
   }
   return BatchToAffinePoints(out);
 }
 
 P256Point P256::ScalarBaseMult(const Scalar256& k) {
-  return ToAffine(CombMultJ(BaseCombTable(), k));
+  return ScalarBaseMultBatch({k})[0];
 }
 
 std::vector<P256Point> P256::ScalarBaseMultBatch(
@@ -625,8 +689,7 @@ P256Precomputed::P256Precomputed(const P256Point& p) : point_(p) {
 }
 
 P256Point P256Precomputed::Mult(const Scalar256& k) const {
-  if (point_.infinity) return P256Point{};
-  return ToAffine(CombMultJ(comb_, k));
+  return MultBatch({k})[0];
 }
 
 std::vector<P256Point> P256Precomputed::MultBatch(
@@ -638,16 +701,14 @@ std::vector<P256Point> P256Precomputed::MultBatch(
 bool P256::IsOnCurve(const P256Point& p) {
   if (p.infinity) return true;
   if (CompareFe(p.x, kP) >= 0 || CompareFe(p.y, kP) >= 0) return false;
-  const Mont256& f = FieldCtx();
-  Fe x = f.ToMont(p.x);
-  Fe y = f.ToMont(p.y);
-  Fe b = f.ToMont(kB);
+  Fe x = ToMont(p.x);
+  Fe y = ToMont(p.y);
+  Fe b = ToMont(kB);
   // y^2 == x^3 - 3x + b
-  Fe y2 = f.MontMul(y, y);
-  Fe x2 = f.MontMul(x, x);
-  Fe x3 = f.MontMul(x2, x);
-  Fe three_x = f.AddMod(f.AddMod(x, x), x);
-  Fe rhs = f.AddMod(f.SubMod(x3, three_x), b);
+  Fe y2 = FeSqr(y);
+  Fe x3 = FeMul(FeSqr(x), x);
+  Fe three_x = FeAdd(FeAdd(x, x), x);
+  Fe rhs = FeAdd(FeSub(x3, three_x), b);
   return CompareFe(y2, rhs) == 0;
 }
 

@@ -14,15 +14,16 @@
 // points to affine with one Montgomery simultaneous inversion per chunk,
 // and optionally fans chunks out over a ThreadPool. EciesDecryptBatch
 // recodes the private key once and runs every blob's ephemeral point
-// through one batched wNAF multiply (P256::ScalarMultBatch), sharing the
-// field inversions. OnionEncrypt / OnionEncryptBatch wrap layered
+// through one batched fixed-window multiply (P256::ScalarMultBatch),
+// sharing the field inversions. OnionEncrypt / OnionEncryptBatch wrap layered
 // recipients for the sequential-shuffle protocol; a shuffler peels its
 // layer with EciesDecryptBatch. The single-shot EciesEncrypt and
 // EciesDecrypt produce and accept the same bytes.
 //
 // Every encrypt entry point rejects a recipient that is infinity or off
 // the curve with CryptoError: such a recipient would make the derived AES
-// key public. Decryption is variable-time (see ec_p256.h).
+// key public. The P-256 multiplies under both directions run in time
+// independent of the secret scalar (see ec_p256.h).
 
 #ifndef SHUFFLEDP_CRYPTO_ECIES_H_
 #define SHUFFLEDP_CRYPTO_ECIES_H_

@@ -57,7 +57,7 @@ MontBackend BestMontBackend();
 MontBackend ActiveMontBackend();
 
 /// Overrides the active backend; silently degrades to portable when the
-/// host lacks the requested ISA. Returns the backend actually selected.
+/// host lacks the requested ISA or SHUFFLEDP_FORCE_PORTABLE=1. Returns the backend actually selected.
 MontBackend SetMontBackend(MontBackend backend);
 
 const char* MontBackendName(MontBackend backend);

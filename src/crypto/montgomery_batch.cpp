@@ -37,7 +37,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -47,6 +46,8 @@
 #define SHUFFLEDP_MONT_AVX2_COMPILED 0
 #endif
 
+#include "util/cpu_features.h"
+
 namespace shuffledp {
 namespace crypto {
 
@@ -55,16 +56,7 @@ namespace {
 using u128 = unsigned __int128;
 
 bool CpuHasAvx2() {
-#if SHUFFLEDP_MONT_AVX2_COMPILED
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
-
-bool ForcePortable() {
-  const char* v = std::getenv("SHUFFLEDP_FORCE_PORTABLE");
-  return v != nullptr && v[0] == '1' && v[1] == '\0';
+  return SHUFFLEDP_MONT_AVX2_COMPILED && KernelCpuFeatures().avx2;
 }
 
 MontBackend& BackendOverride() {
@@ -91,7 +83,6 @@ uint64_t CtEq(uint64_t x, uint64_t y) {
 }  // namespace
 
 MontBackend BestMontBackend() {
-  if (ForcePortable()) return MontBackend::kPortable;
   return CpuHasAvx2() ? MontBackend::kAvx2 : MontBackend::kPortable;
 }
 

@@ -4,9 +4,10 @@
 
 #if defined(__x86_64__) || defined(__i386__)
 #define SHUFFLEDP_SHANI_COMPILED 1
-#include <cpuid.h>
 #include <immintrin.h>
 #endif
+
+#include "util/cpu_features.h"
 
 namespace shuffledp {
 namespace crypto {
@@ -36,12 +37,6 @@ inline uint32_t Rotr(uint32_t x, int r) { return (x >> r) | (x << (32 - r)); }
 // ---------------------------------------------------------------------------
 
 #ifdef SHUFFLEDP_SHANI_COMPILED
-
-bool CpuHasShaNi() {
-  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
-  return (ebx & (1u << 29)) != 0;  // CPUID.(7,0):EBX.SHA
-}
 
 __attribute__((target("sha,ssse3,sse4.1"))) void ShaNiProcessBlocks(
     uint32_t state[8], const uint8_t* data, size_t nblocks) {
@@ -180,10 +175,6 @@ __attribute__((target("sha,ssse3,sse4.1"))) void ShaNiProcessBlocks(
   _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), state1);
 }
 
-#else
-
-bool CpuHasShaNi() { return false; }
-
 #endif  // SHUFFLEDP_SHANI_COMPILED
 
 ShaBackend& ShaBackendOverride() {
@@ -193,14 +184,16 @@ ShaBackend& ShaBackendOverride() {
 
 }  // namespace
 
+// The feature probe runs where the SHA-NI code compiles (x86) and reports
+// nothing elsewhere.
 ShaBackend BestShaBackend() {
-  return CpuHasShaNi() ? ShaBackend::kShaNi : ShaBackend::kPortable;
+  return KernelCpuFeatures().sha ? ShaBackend::kShaNi : ShaBackend::kPortable;
 }
 
 ShaBackend ActiveShaBackend() { return ShaBackendOverride(); }
 
 void SetShaBackend(ShaBackend backend) {
-  if (backend == ShaBackend::kShaNi && !CpuHasShaNi()) {
+  if (backend == ShaBackend::kShaNi && !KernelCpuFeatures().sha) {
     backend = ShaBackend::kPortable;
   }
   ShaBackendOverride() = backend;

@@ -24,14 +24,15 @@ enum class ShaBackend {
   kShaNi,     ///< x86 SHA extensions
 };
 
-/// The fastest backend supported by this CPU.
+/// The fastest backend supported by this CPU; kPortable when
+/// SHUFFLEDP_FORCE_PORTABLE=1 (util/cpu_features.h).
 ShaBackend BestShaBackend();
 
 /// Backend used by subsequent Sha256 operations.
 ShaBackend ActiveShaBackend();
 
 /// Overrides the backend; kShaNi silently degrades to kPortable when the
-/// CPU lacks the SHA extensions. Intended for tests and benchmarks.
+/// CPU lacks the SHA extensions or SHUFFLEDP_FORCE_PORTABLE=1. Intended for tests and benchmarks.
 void SetShaBackend(ShaBackend backend);
 
 /// Human-readable backend name ("shani" / "portable").

@@ -30,6 +30,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "util/cpu_features.h"
 #include "util/hash.h"
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -82,27 +83,17 @@ inline uint64_t FinishHash(uint64_t h0, uint64_t k1) {
   return h;
 }
 
-bool CpuHasAvx2() {
-#if SHUFFLEDP_SUPPORT_AVX2_COMPILED
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
+// Explicit SHUFFLEDP_SUPPORT_BACKEND requests read the host's features,
+// so they keep precedence over SHUFFLEDP_FORCE_PORTABLE; automatic
+// selection and SetSupportBackend read the kernel features, which that
+// variable empties.
+bool HasAvx2(const CpuFeatures& f) {
+  return SHUFFLEDP_SUPPORT_AVX2_COMPILED && f.avx2;
 }
 
-bool CpuHasAvx512() {
-#if SHUFFLEDP_SUPPORT_AVX2_COMPILED
+bool HasAvx512(const CpuFeatures& f) {
   // F for the 512-bit integer base ops, DQ for VPMULLQ.
-  return __builtin_cpu_supports("avx512f") &&
-         __builtin_cpu_supports("avx512dq");
-#else
-  return false;
-#endif
-}
-
-bool ForcePortable() {
-  const char* v = std::getenv("SHUFFLEDP_FORCE_PORTABLE");
-  return v != nullptr && v[0] == '1' && v[1] == '\0';
+  return SHUFFLEDP_SUPPORT_AVX2_COMPILED && f.avx512f && f.avx512dq;
 }
 
 SupportBackend& BackendOverride() {
@@ -611,29 +602,29 @@ SupportBackend BestSupportBackend() {
   if (const char* v = std::getenv("SHUFFLEDP_SUPPORT_BACKEND")) {
     if (std::strcmp(v, "scalar") == 0) return SupportBackend::kScalar;
     if (std::strcmp(v, "portable") == 0) return SupportBackend::kPortable;
+    const CpuFeatures& host = HostCpuFeatures();
     if (std::strcmp(v, "avx2") == 0) {
-      return CpuHasAvx2() ? SupportBackend::kAvx2
-                          : SupportBackend::kPortable;
+      return HasAvx2(host) ? SupportBackend::kAvx2 : SupportBackend::kPortable;
     }
     if (std::strcmp(v, "avx512") == 0) {
-      if (CpuHasAvx512()) return SupportBackend::kAvx512;
-      return CpuHasAvx2() ? SupportBackend::kAvx2
-                          : SupportBackend::kPortable;
+      if (HasAvx512(host)) return SupportBackend::kAvx512;
+      return HasAvx2(host) ? SupportBackend::kAvx2 : SupportBackend::kPortable;
     }
     // Unrecognized values fall through to auto-detection.
   }
-  if (ForcePortable()) return SupportBackend::kPortable;
-  if (CpuHasAvx512()) return SupportBackend::kAvx512;
-  return CpuHasAvx2() ? SupportBackend::kAvx2 : SupportBackend::kPortable;
+  const CpuFeatures& cpu = KernelCpuFeatures();
+  if (HasAvx512(cpu)) return SupportBackend::kAvx512;
+  return HasAvx2(cpu) ? SupportBackend::kAvx2 : SupportBackend::kPortable;
 }
 
 SupportBackend ActiveSupportBackend() { return BackendOverride(); }
 
 SupportBackend SetSupportBackend(SupportBackend backend) {
-  if (backend == SupportBackend::kAvx512 && !CpuHasAvx512()) {
+  const CpuFeatures& cpu = KernelCpuFeatures();
+  if (backend == SupportBackend::kAvx512 && !HasAvx512(cpu)) {
     backend = SupportBackend::kAvx2;
   }
-  if (backend == SupportBackend::kAvx2 && !CpuHasAvx2()) {
+  if (backend == SupportBackend::kAvx2 && !HasAvx2(cpu)) {
     backend = SupportBackend::kPortable;
   }
   BackendOverride() = backend;

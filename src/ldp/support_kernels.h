@@ -53,8 +53,8 @@ SupportBackend BestSupportBackend();
 SupportBackend ActiveSupportBackend();
 
 /// Overrides the backend (tests/benchmarks). A SIMD request on a host
-/// without that instruction set falls down the chain
-/// (avx512 → avx2 → portable). Returns the backend actually installed.
+/// without that instruction set, or under SHUFFLEDP_FORCE_PORTABLE=1,
+/// falls down the chain (avx512 → avx2 → portable). Returns the backend actually installed.
 SupportBackend SetSupportBackend(SupportBackend backend);
 
 const char* SupportBackendName(SupportBackend backend);

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "p256_backends.h"
+
 namespace shuffledp {
 namespace crypto {
 namespace {
@@ -116,16 +118,20 @@ TEST(EciesTest, MixedBatchDecryptMatchesRecordedOutcomes) {
       "err:CryptoError: CBC bad padding",
       "err:CryptoError: ECIES: blob too short",
       "ok:060606060606060606060606060606060606060606060606060606060606060606"};
-  std::vector<std::string> batch, single;
-  for (const Result<Bytes>& r : EciesDecryptBatch(kp.private_key, blobs)) {
-    batch.push_back(Describe(r));
+  for (P256Backend backend : AvailableP256Backends()) {
+    ScopedP256Backend scoped(backend);
+    SCOPED_TRACE(P256BackendName(backend));
+    std::vector<std::string> batch, single;
+    for (const Result<Bytes>& r : EciesDecryptBatch(kp.private_key, blobs)) {
+      batch.push_back(Describe(r));
+    }
+    for (const Bytes& b : blobs) {
+      single.push_back(Describe(EciesDecrypt(kp.private_key, b)));
+    }
+    EXPECT_EQ(batch, kGolden);
+    EXPECT_EQ(single, kGolden);
+    EXPECT_TRUE(EciesDecryptBatch(kp.private_key, {}).empty());
   }
-  for (const Bytes& b : blobs) {
-    single.push_back(Describe(EciesDecrypt(kp.private_key, b)));
-  }
-  EXPECT_EQ(batch, kGolden);
-  EXPECT_EQ(single, kGolden);
-  EXPECT_TRUE(EciesDecryptBatch(kp.private_key, {}).empty());
 }
 
 TEST(EciesTest, ZeroPrivateKeyGivesDegenerateSharedPoint) {

@@ -1,5 +1,8 @@
 // Dudect-style timing-leak smoke test for the constant-time Montgomery
-// kernels (CtMulInto / CtModExp / CtModExpManyInto).
+// kernels (CtMulInto / CtModExp / CtModExpManyInto) and the P-256 scalar
+// multiplies that take secret scalars (the comb behind every ECIES
+// encrypt, ScalarMultBatch behind every ECIES decrypt), on each P-256
+// backend the host has.
 //
 // Method (Reparaz, Balasch, Verbauwhede — "dude, is my code constant
 // time?"): measure the same operation over two input classes that a
@@ -15,10 +18,11 @@
 // round, and each check gets kRounds independent measurement rounds,
 // passing if ANY round is below threshold — a genuine leak produces
 // |t| in the hundreds consistently, while noise spikes are transient.
-// The canary test at the bottom runs the SAME harness against the
-// variable-time sliding-window ModExp and asserts it FAILS, pinning the
-// harness's statistical power so a silent regression in the measurement
-// loop cannot fake a pass.
+// The canary tests at the bottom run the SAME harness against the
+// variable-time sliding-window ModExp and the old variable-time width-5
+// wNAF point multiply, and assert they FAIL, pinning the harness's
+// statistical power so a silent regression in the measurement loop
+// cannot fake a pass.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -29,8 +33,10 @@
 #include <gtest/gtest.h>
 
 #include "crypto/bigint.h"
+#include "crypto/ec_p256.h"
 #include "crypto/montgomery.h"
 #include "crypto/secure_random.h"
+#include "p256_backends.h"
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <x86intrin.h>
@@ -280,6 +286,135 @@ TEST(TimingLeakTest, CtMulOperandClasses) {
       << ")";
 }
 
+// ---------------------------------------------------------------------------
+// P-256. Scalars are secret in both multiplies: the ephemeral k of every
+// ECIES encrypt goes through the comb (P256Precomputed::MultBatch), and
+// every shuffler's and the server's long-term key through ScalarMultBatch.
+// ---------------------------------------------------------------------------
+
+// A scalar with eight set bits: 56 of its 64 comb digits and all but
+// eight of its wNAF digits are zero, so any zero-digit shortcut shows.
+Scalar256 SparseScalar() {
+  return Scalar256{(1ULL << 3) | (1ULL << 40), (1ULL << 6) | (1ULL << 35),
+                   (1ULL << 12) | (1ULL << 42), (1ULL << 8) | (1ULL << 38)};
+}
+
+// Weight 1: 2^128, a single nonzero digit in every recoding and half the
+// bit length (a variable-time ladder also skips its top 127 doublings).
+Scalar256 LowWeightScalar() { return Scalar256{0, 0, 1, 0}; }
+
+std::vector<Scalar256> RandomScalars(size_t count, SecureRandom* rng) {
+  std::vector<Scalar256> out;
+  for (size_t i = 0; i < count; ++i) out.push_back(P256::RandomScalar(rng));
+  return out;
+}
+
+// Runs `check` once per P-256 backend the host has.
+template <typename Check>
+void ForEachP256Backend(Check&& check) {
+  for (P256Backend backend : AvailableP256Backends()) {
+    ScopedP256Backend scoped(backend);
+    SCOPED_TRACE(P256BackendName(backend));
+    check(backend);
+  }
+}
+
+// Class 0: one fixed sparse scalar. Class 1: a fresh random scalar per
+// sample. The comb used to skip zero digits, which this detects.
+TEST(TimingLeakTest, P256CombFixedVsRandomScalar) {
+  SecureRandom rng(uint64_t{77101});
+  const P256Precomputed pre(P256::ScalarBaseMult(P256::RandomScalar(&rng)));
+  const size_t kSamples = 500;
+  const Scalar256 sparse = SparseScalar();
+  const std::vector<Scalar256> fresh =
+      RandomScalars(kRounds * kSamples * 2 + 64, &rng);
+  ForEachP256Backend([&](P256Backend backend) {
+    size_t next = 0;
+    volatile uint64_t sink = 0;
+    double min_t, max_t;
+    RunRounds(kSamples, uint64_t{21}, [&](int cls) {
+      const Scalar256& k =
+          cls == 0 ? sparse : fresh[next++ % fresh.size()];
+      sink += pre.MultBatch({k})[0].x[0];
+    }, &min_t, &max_t);
+    EXPECT_LT(min_t, kThreshold)
+        << "comb timing depends on the secret scalar on "
+        << P256BackendName(backend) << " (max |t|=" << max_t << ")";
+  });
+}
+
+// 2^128 (one nonzero comb digit) vs 2^255 - 1 (every digit nonzero).
+TEST(TimingLeakTest, P256CombLowVsHighWeightScalar) {
+  SecureRandom rng(uint64_t{77102});
+  const P256Precomputed pre(P256::ScalarBaseMult(P256::RandomScalar(&rng)));
+  const size_t kSamples = 500;
+  const Scalar256 low = LowWeightScalar();
+  const Scalar256 high = {~0ULL, ~0ULL, ~0ULL, ~0ULL >> 1};
+  ForEachP256Backend([&](P256Backend backend) {
+    volatile uint64_t sink = 0;
+    double min_t, max_t;
+    RunRounds(kSamples, uint64_t{22}, [&](int cls) {
+      sink += pre.MultBatch({cls == 0 ? low : high})[0].x[0];
+    }, &min_t, &max_t);
+    EXPECT_LT(min_t, kThreshold)
+        << "comb timing depends on scalar weight on "
+        << P256BackendName(backend) << " (max |t|=" << max_t << ")";
+  });
+}
+
+// Eight fixed points (one IFMA vector), as an ECIES decrypt chunk sees
+// them: only the key changes between classes.
+std::vector<P256Point> DecryptPoints(SecureRandom* rng) {
+  std::vector<P256Point> points;
+  for (int i = 0; i < 8; ++i) {
+    points.push_back(P256::ScalarBaseMult(P256::RandomScalar(rng)));
+  }
+  return points;
+}
+
+TEST(TimingLeakTest, P256ScalarMultBatchFixedVsRandomKey) {
+  SecureRandom rng(uint64_t{77103});
+  const std::vector<P256Point> points = DecryptPoints(&rng);
+  const size_t kSamples = 300;
+  const Scalar256 sparse = SparseScalar();
+  const std::vector<Scalar256> fresh =
+      RandomScalars(kRounds * kSamples * 2 + 64, &rng);
+  ForEachP256Backend([&](P256Backend backend) {
+    size_t next = 0;
+    volatile uint64_t sink = 0;
+    double min_t, max_t;
+    RunRounds(kSamples, uint64_t{23}, [&](int cls) {
+      const Scalar256& k =
+          cls == 0 ? sparse : fresh[next++ % fresh.size()];
+      sink += P256::ScalarMultBatch(k, points)[0].x[0];
+    }, &min_t, &max_t);
+    EXPECT_LT(min_t, kThreshold)
+        << "ScalarMultBatch timing depends on the secret key on "
+        << P256BackendName(backend) << " (max |t|=" << max_t << ")";
+  });
+}
+
+// 2^128 vs 0x5555...55: weight 1 against weight 128, and one wNAF digit
+// against the densest wNAF pattern (a nonzero digit every ~5 bits).
+TEST(TimingLeakTest, P256ScalarMultBatchLowVsHighWeightKey) {
+  SecureRandom rng(uint64_t{77104});
+  const std::vector<P256Point> points = DecryptPoints(&rng);
+  const size_t kSamples = 300;
+  const Scalar256 low = LowWeightScalar();
+  const uint64_t fives = 0x5555555555555555ULL;
+  const Scalar256 high = {fives, fives, fives, fives};
+  ForEachP256Backend([&](P256Backend backend) {
+    volatile uint64_t sink = 0;
+    double min_t, max_t;
+    RunRounds(kSamples, uint64_t{24}, [&](int cls) {
+      sink += P256::ScalarMultBatch(cls == 0 ? low : high, points)[0].x[0];
+    }, &min_t, &max_t);
+    EXPECT_LT(min_t, kThreshold)
+        << "ScalarMultBatch timing depends on key weight on "
+        << P256BackendName(backend) << " (max |t|=" << max_t << ")";
+  });
+}
+
 // CANARY: the variable-time sliding-window ModExp run through the exact
 // same harness with the low/high-weight classes MUST flunk — ~128 extra
 // window multiplies is an enormous signal. If this test ever passes the
@@ -302,6 +437,102 @@ TEST(TimingLeakTest, CanaryVariableTimeModExpIsDetected) {
   EXPECT_GT(max_t, kThreshold)
       << "harness failed to detect a deliberately variable-time ladder "
          "(max |t|=" << max_t << ", min |t|=" << min_t << ")";
+}
+
+// The variable-time width-5 wNAF that ScalarMultBatch ran before the
+// fixed-window rewrite, kept only here as the P-256 canary. Digits are
+// zero or odd in [-15, 15] (little-endian); returns the digit count.
+int WnafRecode(const Scalar256& k, int8_t* digits) {
+  uint64_t x[5] = {k[0], k[1], k[2], k[3], 0};
+  int len = 0;
+  auto is_zero = [&x] { return (x[0] | x[1] | x[2] | x[3] | x[4]) == 0; };
+  while (!is_zero()) {
+    int8_t d = 0;
+    if (x[0] & 1) {
+      int v = static_cast<int>(x[0] & 31);
+      if (v >= 16) v -= 32;
+      d = static_cast<int8_t>(v);
+      if (v > 0) {
+        uint64_t borrow = static_cast<uint64_t>(v);  // x -= v
+        for (int i = 0; i < 5 && borrow; ++i) {
+          const uint64_t prev = x[i];
+          x[i] -= borrow;
+          borrow = x[i] > prev ? 1 : 0;
+        }
+      } else {
+        uint64_t carry = static_cast<uint64_t>(-v);  // x += -v
+        for (int i = 0; i < 5 && carry; ++i) {
+          x[i] += carry;
+          carry = x[i] < carry ? 1 : 0;
+        }
+      }
+    }
+    digits[len++] = d;
+    for (int i = 0; i < 4; ++i) x[i] = (x[i] >> 1) | (x[i + 1] << 63);
+    x[4] >>= 1;
+  }
+  return len;
+}
+
+// p - y for 0 < y < p: the affine negation of a point.
+Scalar256 FieldNegate(const Scalar256& y) {
+  constexpr Scalar256 kFieldP = {0xFFFFFFFFFFFFFFFFULL, 0x00000000FFFFFFFFULL,
+                                 0x0000000000000000ULL, 0xFFFFFFFF00000001ULL};
+  Scalar256 out;
+  unsigned __int128 borrow = 0;
+  for (int i = 0; i < 4; ++i) {
+    const unsigned __int128 d =
+        static_cast<unsigned __int128>(kFieldP[i]) - y[i] - borrow;
+    out[i] = static_cast<uint64_t>(d);
+    borrow = (d >> 64) & 1;
+  }
+  return out;
+}
+
+// k * P by the wNAF above: a doubling per digit, an addition per nonzero
+// digit, built on the public affine P256::Add.
+P256Point WnafScalarMult(const Scalar256& k, const P256Point& p) {
+  int8_t digits[260];
+  const int len = WnafRecode(k, digits);
+  P256Point odd[8];  // {1, 3, ..., 15} P
+  odd[0] = p;
+  const P256Point p2 = P256::Add(p, p);
+  for (int m = 1; m < 8; ++m) odd[m] = P256::Add(odd[m - 1], p2);
+  P256Point acc;  // infinity
+  for (int j = len - 1; j >= 0; --j) {
+    acc = P256::Add(acc, acc);
+    const int d = digits[j];
+    if (d > 0) {
+      acc = P256::Add(acc, odd[(d - 1) >> 1]);
+    } else if (d < 0) {
+      P256Point e = odd[(-d - 1) >> 1];
+      e.y = FieldNegate(e.y);
+      acc = P256::Add(acc, e);
+    }
+  }
+  return acc;
+}
+
+// CANARY: the old variable-time wNAF through the same harness, with the
+// ScalarMultBatch weight classes, MUST flunk: ~130 point operations
+// against ~300. If it ever passes, the P-256 ct passes above
+// are meaningless.
+TEST(TimingLeakTest, CanaryVariableTimeWnafIsDetected) {
+  SecureRandom rng(uint64_t{77105});
+  const P256Point p = P256::ScalarBaseMult(P256::RandomScalar(&rng));
+  const Scalar256 low = LowWeightScalar();
+  const uint64_t fives = 0x5555555555555555ULL;
+  const Scalar256 high = {fives, fives, fives, fives};
+  ASSERT_EQ(WnafScalarMult(high, p), P256::ScalarMultReference(high, p));
+  const size_t kSamples = 150;
+  volatile uint64_t sink = 0;
+  double min_t, max_t;
+  RunRounds(kSamples, uint64_t{25}, [&](int cls) {
+    sink += WnafScalarMult(cls == 0 ? low : high, p).x[0];
+  }, &min_t, &max_t);
+  EXPECT_GT(max_t, kThreshold)
+      << "harness failed to detect the variable-time wNAF (max |t|="
+      << max_t << ", min |t|=" << min_t << ")";
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include "ldp/grr.h"
 #include "ldp/local_hash.h"
+#include "tests/crypto/p256_backends.h"
 
 namespace shuffledp {
 namespace shuffle {
@@ -170,7 +171,8 @@ TEST(SequentialShuffleTest, EstimatesBitwiseIdenticalAcrossThreadCounts) {
 
   // Bit patterns of the estimates at seed 43, and the ledger's byte
   // counts, recorded before the recipient multiply moved onto the comb
-  // table and the peels and server decrypt onto batched ECIES.
+  // table and the peels and server decrypt onto batched ECIES. They must
+  // hold on every P-256 backend.
   const std::vector<uint64_t> kGolden = {
       0x3fdb55a0839fa866ULL, 0xbfa09bb9057135b6ULL, 0x3fb787461d0b0c17ULL,
       0x3fa09bb9057135b6ULL, 0x3fa09bb9057135b6ULL, 0x3fb8e9958829d091ULL,
@@ -183,24 +185,29 @@ TEST(SequentialShuffleTest, EstimatesBitwiseIdenticalAcrossThreadCounts) {
   const double kGoldenServerMb = 0.040950775146484375;
 
   ThreadPool one(1), four(4);
-  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &four}) {
-    SCOPED_TRACE(std::to_string(pool == nullptr ? 0 : pool->num_threads()) +
-                 " workers");
-    config.pool = pool;
-    crypto::SecureRandom rng(uint64_t{43});
-    auto result = RunSequentialShuffle(oracle, values, config, &rng);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    std::vector<uint64_t> bits(result->estimates.size());
-    for (size_t v = 0; v < bits.size(); ++v) {
-      std::memcpy(&bits[v], &result->estimates[v], sizeof(double));
+  for (crypto::P256Backend backend : crypto::AvailableP256Backends()) {
+    crypto::ScopedP256Backend scoped(backend);
+    for (ThreadPool* pool :
+         {static_cast<ThreadPool*>(nullptr), &one, &four}) {
+      SCOPED_TRACE(std::string(crypto::P256BackendName(backend)) + ", " +
+                   std::to_string(pool == nullptr ? 0 : pool->num_threads()) +
+                   " workers");
+      config.pool = pool;
+      crypto::SecureRandom rng(uint64_t{43});
+      auto result = RunSequentialShuffle(oracle, values, config, &rng);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      std::vector<uint64_t> bits(result->estimates.size());
+      for (size_t v = 0; v < bits.size(); ++v) {
+        std::memcpy(&bits[v], &result->estimates[v], sizeof(double));
+      }
+      EXPECT_EQ(bits, kGolden);
+      EXPECT_TRUE(result->spot_check_passed);
+      EXPECT_EQ(result->reports_at_server, n + 60);
+      const CostReport& c = result->costs;
+      EXPECT_EQ(c.user_comm_bytes_per_user, kGoldenUserBytes);
+      EXPECT_EQ(c.aux_comm_mb_per_shuffler, kGoldenAuxMb);
+      EXPECT_EQ(c.server_comm_mb, kGoldenServerMb);
     }
-    EXPECT_EQ(bits, kGolden);
-    EXPECT_TRUE(result->spot_check_passed);
-    EXPECT_EQ(result->reports_at_server, n + 60);
-    const CostReport& c = result->costs;
-    EXPECT_EQ(c.user_comm_bytes_per_user, kGoldenUserBytes);
-    EXPECT_EQ(c.aux_comm_mb_per_shuffler, kGoldenAuxMb);
-    EXPECT_EQ(c.server_comm_mb, kGoldenServerMb);
   }
 }
 
