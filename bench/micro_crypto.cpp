@@ -357,6 +357,11 @@ void BM_Mont_MulBatch(benchmark::State& state) {
 BENCHMARK(BM_Mont_MulBatch)
     ->Args({1024, 4})->Args({1024, 8})->Args({2048, 4})->Args({2048, 8});
 
+void BM_Mont_MulBatch_Avx2(benchmark::State& state) {
+  RunMulBatch(state, MontBackend::kAvx2);
+}
+BENCHMARK(BM_Mont_MulBatch_Avx2)->Args({1024, 8})->Args({2048, 8});
+
 void BM_Mont_MulBatch_Portable(benchmark::State& state) {
   RunMulBatch(state, MontBackend::kPortable);
 }
@@ -367,6 +372,11 @@ void BM_Mont_SqrBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_Mont_SqrBatch)
     ->Args({1024, 4})->Args({1024, 8})->Args({2048, 4})->Args({2048, 8});
+
+void BM_Mont_SqrBatch_Avx2(benchmark::State& state) {
+  RunSqrBatch(state, MontBackend::kAvx2);
+}
+BENCHMARK(BM_Mont_SqrBatch_Avx2)->Args({1024, 8})->Args({2048, 8});
 
 void BM_Mont_SqrBatch_Portable(benchmark::State& state) {
   RunSqrBatch(state, MontBackend::kPortable);
@@ -414,21 +424,38 @@ void BM_Mont_CtModExp(benchmark::State& state) {
 BENCHMARK(BM_Mont_CtModExp)
     ->Arg(1024)->Arg(2048)->Unit(benchmark::kMicrosecond);
 
-void BM_Mont_CtModExpMany8(benchmark::State& state) {
+void RunCtModExpMany8(benchmark::State& state, MontBackend backend) {
   // The batched ct ladder (shared exponent, 8 lanes) — the packed-CRT
   // decryption exponentiation shape; per-lane cost = time / items.
   const size_t bits = static_cast<size_t>(state.range(0));
   const size_t k = 8;
+  const MontBackend prev = ActiveMontBackend();  // see RunMulBatch
+  if (SetMontBackend(backend) != backend) {
+    SetMontBackend(prev);
+    state.SkipWithError("backend unavailable on this host");
+    return;
+  }
   BatchBench b(bits, k);
   BigInt e = BigInt::RandomWithBits(bits / 2, &Srng());
   for (auto _ : state) {
     b.ctx.CtModExpManyInto(k, b.in.data(), e, 0, b.out.data(), &b.scratch);
     benchmark::DoNotOptimize(b.lanes[0].data());
   }
+  SetMontBackend(prev);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(k));
 }
+
+void BM_Mont_CtModExpMany8(benchmark::State& state) {
+  RunCtModExpMany8(state, BestMontBackend());
+}
 BENCHMARK(BM_Mont_CtModExpMany8)
+    ->Arg(1024)->Arg(2048)->Unit(benchmark::kMicrosecond);
+
+void BM_Mont_CtModExpMany8_Avx2(benchmark::State& state) {
+  RunCtModExpMany8(state, MontBackend::kAvx2);
+}
+BENCHMARK(BM_Mont_CtModExpMany8_Avx2)
     ->Arg(1024)->Arg(2048)->Unit(benchmark::kMicrosecond);
 
 void BM_Paillier_DecryptPackedBatch(benchmark::State& state) {

@@ -16,6 +16,19 @@ uint64_t NegInverse64(uint64_t m0) {
   return ~inv + 1;
 }
 
+// Little-endian radix-2^52 digits of x < 2^(52 k).
+std::vector<uint64_t> Digits52(const BigInt& x, size_t k) {
+  std::vector<uint64_t> d(k);
+  for (size_t j = 0; j < k; ++j) {
+    const size_t w = 52 * j / 64;
+    const unsigned r = 52 * j % 64;
+    uint64_t v = x.limb(w) >> r;
+    if (r > 12) v |= x.limb(w + 1) << (64 - r);
+    d[j] = v & ((uint64_t{1} << 52) - 1);
+  }
+  return d;
+}
+
 // Sliding-window width by exponent size: table build (2^(w-1) multiplies)
 // must amortize over ~ebits/(w+1) window multiplies.
 unsigned WindowWidth(size_t ebits) {
@@ -49,11 +62,22 @@ Result<MontgomeryCtx> MontgomeryCtx::Create(const BigInt& modulus) {
   BigInt r = BigInt(1).ShiftLeft(64 * ctx.limbs_);
   ctx.one_mont_ = r.Mod(modulus);
   ctx.rr_ = ctx.one_mont_.Mul(ctx.one_mont_).Mod(modulus);
+  const BigInt rrr = ctx.rr_.Mul(ctx.one_mont_).Mod(modulus);
   ctx.one_mont_limbs_.resize(ctx.limbs_);
   ctx.rr_limbs_.resize(ctx.limbs_);
+  ctx.rrr_limbs_.resize(ctx.limbs_);
   for (size_t i = 0; i < ctx.limbs_; ++i) {
     ctx.one_mont_limbs_[i] = ctx.one_mont_.limb(i);
     ctx.rr_limbs_[i] = ctx.rr_.limb(i);
+    ctx.rrr_limbs_[i] = rrr.limb(i);
+  }
+  const size_t k = IfmaDigitsFor(ctx.limbs_);
+  if (k != 0) {
+    // R' = 2^(52k) = R * 2^s, so R' mod m is a one-quotient-digit Mod.
+    ctx.mod52_ = Digits52(modulus, k);
+    ctx.one52_ = Digits52(
+        ctx.one_mont_.ShiftLeft(52 * k - 64 * ctx.limbs_).Mod(modulus), k);
+    ctx.r52_ = Digits52(ctx.one_mont_, k);
   }
   return ctx;
 }

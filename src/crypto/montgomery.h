@@ -19,10 +19,10 @@
 //  * ModExp uses a sliding window (width 2-6 chosen from the exponent
 //    size) over odd-power tables, all on caller-free scratch.
 //  * MulManyInto/SqrManyInto process K independent operand sets per pass
-//    (interleaved carry chains portably, 32-bit-digit AVX2 lanes behind
-//    runtime dispatch) — the multi-ciphertext fast path for workloads
-//    like packed CRT decryption that always hold a column of
-//    independent values.
+//    (interleaved carry chains portably; behind runtime dispatch, 8 lanes
+//    of 32-bit digits on AVX2 or of 52-bit digits on AVX-512 IFMA) — the
+//    multi-ciphertext fast path for workloads like packed CRT decryption
+//    that always hold a column of independent values.
 //  * Ct* kernels are the constant-time tier for secret exponents: fixed
 //    flow, branchless reduction, fixed-window ModExp with a full table
 //    scan per window. See docs/ARCHITECTURE.md ("Crypto kernels") for
@@ -41,23 +41,30 @@
 namespace shuffledp {
 namespace crypto {
 
-/// Batch-kernel implementation tiers (MulManyInto/SqrManyInto). The
-/// portable tier interleaves K scalar CIOS carry chains in one loop; the
-/// AVX2 tier runs 8 ciphertext lanes as two 4-lane vectors of 32-bit
-/// digits. Same dispatch shape as AesBackend/ShaBackend in aes.h/sha256.h.
+/// Batch-kernel implementation tiers (MulManyInto/SqrManyInto/
+/// CtModExpManyInto). The portable tier interleaves K scalar CIOS carry
+/// chains in one loop; the AVX2 tier runs 8 ciphertext lanes as two
+/// 4-lane vectors of 32-bit digits; the IFMA tier runs 8 lanes of 52-bit
+/// digits through vpmadd52{lo,hi}uq at the widths the keys use (8, 16,
+/// 32, 48 and 64 limbs) and hands other widths to the AVX2 kernels. Same
+/// dispatch shape as AesBackend/ShaBackend in aes.h/sha256.h.
 enum class MontBackend {
   kPortable,  ///< interleaved scalar lanes (always available)
   kAvx2,      ///< 8-lane 32-bit-digit CIOS via AVX2
+  kIfma,      ///< 8-lane 52-bit-digit CIOS via AVX-512 IFMA (+ AVX2)
 };
 
-/// Best backend the host supports. Honors SHUFFLEDP_FORCE_PORTABLE=1.
+/// Best backend the host supports (ifma, then avx2, then portable).
+/// Honors SHUFFLEDP_FORCE_PORTABLE=1.
 MontBackend BestMontBackend();
 
 /// Backend the batch kernels currently use (defaults to BestMontBackend()).
 MontBackend ActiveMontBackend();
 
-/// Overrides the active backend; silently degrades to portable when the
-/// host lacks the requested ISA or SHUFFLEDP_FORCE_PORTABLE=1. Returns the backend actually selected.
+/// Overrides the active backend; silently degrades ifma -> avx2 ->
+/// portable when the host lacks the requested ISA (everything degrades to
+/// portable under SHUFFLEDP_FORCE_PORTABLE=1). Returns the backend
+/// actually selected.
 MontBackend SetMontBackend(MontBackend backend);
 
 const char* MontBackendName(MontBackend backend);
@@ -172,8 +179,11 @@ class MontgomeryCtx {
   void SqrManyInto(size_t k, const uint64_t* const* a, uint64_t* const* out,
                    Scratch* scratch) const;
 
-  /// out[l] = ToMont(*a[l]) for plain-domain BigInts (reduced mod m
-  /// internally); the R^2 multiply runs k lanes wide.
+  /// out[l] = ToMont(*a[l]) for plain-domain BigInts. An input below R^2
+  /// (at most 2*limbs() words, e.g. an N^2 ciphertext entering the p^2
+  /// context) is split as hi*R + lo and reduced without a division:
+  /// lo*R^2 and hi*R^3 run as k-lane multiplies, then one modular add.
+  /// Wider inputs go through BigInt::Mod first.
   void ToMontManyInto(size_t k, const BigInt* const* a, uint64_t* const* out,
                       Scratch* scratch) const;
 
@@ -193,13 +203,23 @@ class MontgomeryCtx {
   /// and stays in the variable-time tier).
   void CtSqrInto(const uint64_t* a, uint64_t* out, Scratch* scratch) const;
 
+  /// Constant-time batch multiply: out[l] = a[l] * b[l] * R^-1 mod m,
+  /// with the branchless final reduction on every lane. 8-lane blocks run
+  /// on the active vector backend. Lane pointers and scratch as in
+  /// MulManyInto.
+  void CtMulManyInto(size_t k, const uint64_t* const* a,
+                     const uint64_t* const* b, uint64_t* const* out,
+                     Scratch* scratch) const;
+
   /// Constant-time batch ModExp with one shared secret exponent: out[l] =
   /// base_mont[l]^exponent in Montgomery form (inputs already in
   /// Montgomery form, outputs stay there). The shared exponent makes the
   /// window schedule uniform across lanes, so the whole ladder runs on
-  /// the interleaved batch kernels. `exp_bits` as in CtModExp (0 = use
-  /// BitLength). scratch sized via EnsureLanes(ctx, min(k,
-  /// kMaxBatchLanes)). Lane pointers as in MulManyInto.
+  /// the interleaved batch kernels; on the IFMA tier each 8-lane block
+  /// keeps its table and accumulator in radix 2^52 from entry to exit.
+  /// `exp_bits` as in CtModExp (0 = use BitLength). scratch sized via
+  /// EnsureLanes(ctx, min(k, kMaxBatchLanes)). Lane pointers as in
+  /// MulManyInto.
   void CtModExpManyInto(size_t k, const uint64_t* const* base_mont,
                         const BigInt& exponent, size_t exp_bits,
                         uint64_t* const* out, Scratch* scratch) const;
@@ -260,16 +280,40 @@ class MontgomeryCtx {
   void SqrMany8Avx2(const uint64_t* const* a, uint64_t* const* out,
                     bool ct) const;
 
-  // Batch multiply with the constant-time final reduction on every lane.
-  void CtMulManyInto(size_t k, const uint64_t* const* a,
-                     const uint64_t* const* b, uint64_t* const* out,
-                     Scratch* scratch) const;
+  // 8-lane AVX-512 IFMA tier (montgomery_ifma.cpp; lane count exactly 8;
+  // only when mod52_ is set). Radix-2^52 CIOS over k = mod52_.size()
+  // digits with R' = 2^(52k); the first operand enters pre-shifted by
+  // s = 52k - 64*limbs() bits, so a*2^s*b*R'^-1 = a*b*R^-1 and the
+  // result is bitwise the other tiers'. Fixed flow with a masked final
+  // subtraction, so it serves the ct and variable-time callers alike.
+  void MulMany8Ifma(const uint64_t* const* a, const uint64_t* const* b,
+                    uint64_t* const* out) const;
+
+  // The CtModExpManyInto ladder for one 8-lane block, in radix 2^52 from
+  // entry to exit: digits[win] is window win's exponent digit (w bits),
+  // consumed from the top window down.
+  void CtModExpMany8Ifma(const uint64_t* const* base_mont,
+                         const uint64_t* digits, size_t nwin, unsigned w,
+                         uint64_t* const* out) const;
+
+  // Radix-2^52 digit count k of the IFMA kernels for a modulus of `limbs`
+  // words, or 0 when no IFMA kernel is built for that width.
+  static size_t IfmaDigitsFor(size_t limbs);
+
+  // True when 8-lane blocks should take the IFMA kernels.
+  bool UseIfma() const;
 
   BigInt modulus_;
   std::vector<uint64_t> mod_limbs_;
   std::vector<uint32_t> mod_digits_;      // mod as 2*limbs() 32-bit digits
   std::vector<uint64_t> one_mont_limbs_;  // R mod m
   std::vector<uint64_t> rr_limbs_;        // R^2 mod m
+  std::vector<uint64_t> rrr_limbs_;       // R^3 mod m
+  // IFMA tier operands in radix 2^52 (empty when the width has no IFMA
+  // kernel).
+  std::vector<uint64_t> mod52_;  // m
+  std::vector<uint64_t> one52_;  // R' mod m, one in the IFMA ladder
+  std::vector<uint64_t> r52_;    // R mod m, the ladder's exit factor
   size_t limbs_ = 0;
   uint64_t mu_ = 0;  // -m^{-1} mod 2^64
   BigInt rr_;        // R^2 mod m

@@ -10,8 +10,9 @@
 // K independent operations advanced in lockstep: K separate carry
 // chains in one loop body keep the multiplier pipeline full.
 //
-// Two tiers behind runtime dispatch (same pattern as AES-NI/SHA-NI in
-// aes.cpp/sha256.cpp):
+// Three tiers behind runtime dispatch (util/cpu_features, as for every
+// SIMD kernel); the vector tiers take whole 8-lane blocks and the
+// portable interleave finishes the tail:
 //  * portable — interleaved scalar lanes (K = 4 with a K = 2 / scalar
 //    tail), plain uint64/u128 arithmetic;
 //  * avx2 — 8 lanes as two 4-lane __m256i streams of 32-bit digits
@@ -20,14 +21,19 @@
 //    latency chain. Squarings take a dedicated kernel (SqrMany8Avx2):
 //    off-diagonal half-product scan, doubling fused with the diagonal,
 //    then the same deferred-carry SOS reduction as the portable
-//    squaring — ~1.5 d^2 vector multiplies vs the generic 2 d^2.
+//    squaring — ~1.5 d^2 vector multiplies vs the generic 2 d^2;
+//  * ifma — 8 lanes of radix-2^52 digits through vpmadd52{lo,hi}uq
+//    (montgomery_ifma.cpp), at the widths it has kernels for; other
+//    widths take the avx2 kernels on this backend.
 //
 // The constant-time tier lives here too: the CIOS pass is already
-// fixed-flow in both backends, so Ct* kernels are the same arithmetic
-// with a branchless final correction (CtReduceOnce), and CtModExp* is a
-// fixed-window ladder that scans the whole window table instead of
-// indexing it. Backend dispatch is ct-safe: it keys on the CPU feature
-// set, which is public, never on operand values.
+// fixed-flow in every backend, so Ct* kernels are the same arithmetic
+// with a branchless final correction (CtReduceOnce; the IFMA kernel
+// always ends in a masked move), and CtModExp* is a fixed-window ladder
+// that scans the whole window table instead of indexing it — on the
+// IFMA backend in radix 2^52 from entry to exit. Backend dispatch is
+// ct-safe: it keys on the CPU feature set, the modulus width, the lane
+// count and pointer identity, all public, never on operand values.
 //
 // This is a separate translation unit so the target("avx2") functions
 // and their workspace never perturb the scalar kernels' codegen in
@@ -59,6 +65,12 @@ bool CpuHasAvx2() {
   return SHUFFLEDP_MONT_AVX2_COMPILED && KernelCpuFeatures().avx2;
 }
 
+// The IFMA tier hands widths without an IFMA kernel to the AVX2 one.
+bool CpuHasIfma() {
+  const CpuFeatures& f = KernelCpuFeatures();
+  return CpuHasAvx2() && f.avx512f && f.avx512ifma;
+}
+
 MontBackend& BackendOverride() {
   static MontBackend backend = BestMontBackend();
   return backend;
@@ -83,12 +95,16 @@ uint64_t CtEq(uint64_t x, uint64_t y) {
 }  // namespace
 
 MontBackend BestMontBackend() {
+  if (CpuHasIfma()) return MontBackend::kIfma;
   return CpuHasAvx2() ? MontBackend::kAvx2 : MontBackend::kPortable;
 }
 
 MontBackend ActiveMontBackend() { return BackendOverride(); }
 
 MontBackend SetMontBackend(MontBackend backend) {
+  if (backend == MontBackend::kIfma && !CpuHasIfma()) {
+    backend = MontBackend::kAvx2;
+  }
   if (backend == MontBackend::kAvx2 && !CpuHasAvx2()) {
     backend = MontBackend::kPortable;
   }
@@ -97,7 +113,18 @@ MontBackend SetMontBackend(MontBackend backend) {
 }
 
 const char* MontBackendName(MontBackend backend) {
-  return backend == MontBackend::kAvx2 ? "avx2" : "portable";
+  switch (backend) {
+    case MontBackend::kIfma:
+      return "ifma";
+    case MontBackend::kAvx2:
+      return "avx2";
+    default:
+      return "portable";
+  }
+}
+
+bool MontgomeryCtx::UseIfma() const {
+  return !mod52_.empty() && ActiveMontBackend() == MontBackend::kIfma;
 }
 
 void MontgomeryCtx::CtReduceOnce(const uint64_t* v, uint64_t hi,
@@ -599,7 +626,9 @@ void MontgomeryCtx::MulManyInto(size_t k, const uint64_t* const* a,
                                 Scratch* scratch) const {
   scratch->EnsureLanes(*this, std::min<size_t>(k, 4));
   size_t idx = 0;
-  if (ActiveMontBackend() == MontBackend::kAvx2) {
+  if (UseIfma()) {
+    for (; k - idx >= 8; idx += 8) MulMany8Ifma(a + idx, b + idx, out + idx);
+  } else if (ActiveMontBackend() != MontBackend::kPortable) {
     for (; k - idx >= 8; idx += 8) {
       MulMany8Avx2(a + idx, b + idx, out + idx, /*ct=*/false);
     }
@@ -621,7 +650,9 @@ void MontgomeryCtx::SqrManyInto(size_t k, const uint64_t* const* a,
                                 Scratch* scratch) const {
   scratch->EnsureLanes(*this, std::min<size_t>(k, 4));
   size_t idx = 0;
-  if (ActiveMontBackend() == MontBackend::kAvx2) {
+  if (UseIfma()) {
+    for (; k - idx >= 8; idx += 8) MulMany8Ifma(a + idx, a + idx, out + idx);
+  } else if (ActiveMontBackend() != MontBackend::kPortable) {
     for (; k - idx >= 8; idx += 8) {
       SqrMany8Avx2(a + idx, out + idx, /*ct=*/false);
     }
@@ -642,20 +673,49 @@ void MontgomeryCtx::ToMontManyInto(size_t k, const BigInt* const* a,
                                    uint64_t* const* out,
                                    Scratch* scratch) const {
   const size_t n = limbs_;
+  // c = hi*R + lo with lo, hi < R gives c*R = lo*R^2*R^-1 + hi*R^3*R^-1
+  // (mod m). Every kernel accepts a first operand below R, not only below
+  // m, and returns the canonical residue, so the modular sum below is
+  // bitwise ToMont(c mod m) — without a division.
   const uint64_t* rr[kMaxBatchLanes];
+  const uint64_t* rrr[kMaxBatchLanes];
+  uint64_t* hi[kMaxBatchLanes];
+  std::vector<uint64_t> hiv;
   for (size_t done = 0; done < k; done += kMaxBatchLanes) {
     const size_t kb = std::min(kMaxBatchLanes, k - done);
+    bool wide = false;
     for (size_t l = 0; l < kb; ++l) {
-      const BigInt& v = *a[done + l];
-      if (v < modulus_) {
-        for (size_t i = 0; i < n; ++i) out[done + l][i] = v.limb(i);
-      } else {
-        const BigInt r = v.Mod(modulus_);
-        for (size_t i = 0; i < n; ++i) out[done + l][i] = r.limb(i);
+      wide |= a[done + l]->limb_count() > n;
+    }
+    if (wide && hiv.empty()) hiv.resize(kMaxBatchLanes * n);
+    for (size_t l = 0; l < kb; ++l) {
+      const BigInt* v = a[done + l];
+      BigInt reduced;
+      if (v->limb_count() > 2 * n) {
+        reduced = v->Mod(modulus_);
+        v = &reduced;
+      }
+      for (size_t i = 0; i < n; ++i) out[done + l][i] = v->limb(i);
+      if (wide) {
+        hi[l] = hiv.data() + l * n;
+        for (size_t i = 0; i < n; ++i) hi[l][i] = v->limb(n + i);
       }
       rr[l] = rr_limbs_.data();
+      rrr[l] = rrr_limbs_.data();
     }
     MulManyInto(kb, out + done, rr, out + done, scratch);
+    if (!wide) continue;
+    MulManyInto(kb, hi, rrr, hi, scratch);
+    for (size_t l = 0; l < kb; ++l) {
+      uint64_t* o = out[done + l];
+      uint64_t carry = 0;
+      for (size_t i = 0; i < n; ++i) {
+        const u128 sum = static_cast<u128>(o[i]) + hi[l][i] + carry;
+        o[i] = static_cast<uint64_t>(sum);
+        carry = static_cast<uint64_t>(sum >> 64);
+      }
+      ReduceOnce(o, carry, o);
+    }
   }
 }
 
@@ -676,7 +736,10 @@ void MontgomeryCtx::CtMulManyInto(size_t k, const uint64_t* const* a,
                                   Scratch* scratch) const {
   scratch->EnsureLanes(*this, std::min<size_t>(k, 4));
   size_t idx = 0;
-  if (ActiveMontBackend() == MontBackend::kAvx2) {
+  if (UseIfma()) {
+    // The IFMA kernel always ends in the masked subtraction.
+    for (; k - idx >= 8; idx += 8) MulMany8Ifma(a + idx, b + idx, out + idx);
+  } else if (ActiveMontBackend() != MontBackend::kPortable) {
     for (; k - idx >= 8; idx += 8) {
       // The ct ladder squares via CtMulManyInto(acc, acc, acc); routing
       // on pointer identity is operand-value independent, so it is safe
@@ -718,10 +781,23 @@ void MontgomeryCtx::CtModExpManyInto(size_t k,
   const unsigned w = CtWindowWidth(exp_bits);
   const size_t tsize = size_t{1} << w;
   const size_t nwin = (exp_bits + w - 1) / w;
+  // Window digits, least significant first; the ladder reads them at
+  // public indices and turns each into masks, never into an address.
+  std::vector<uint64_t> digits(nwin);
+  for (size_t win = 0; win < nwin; ++win) {
+    const size_t lo = win * w;
+    const u128 window = (static_cast<u128>(e[lo / 64 + 1]) << 64) |
+                        e[lo / 64];
+    digits[win] = static_cast<uint64_t>(window >> (lo % 64)) & (tsize - 1);
+  }
 
   for (size_t done = 0; done < k; done += kMaxBatchLanes) {
     const size_t kb = std::min(kMaxBatchLanes, k - done);
     const uint64_t* const* bases = base_mont + done;
+    if (kb == kMaxBatchLanes && UseIfma()) {
+      CtModExpMany8Ifma(bases, digits.data(), nwin, w, out + done);
+      continue;
+    }
 
     // Per-lane window table, entry 0 = Montgomery one so a zero digit
     // multiplies by the identity (the ladder multiplies every window).
@@ -762,14 +838,9 @@ void MontgomeryCtx::CtModExpManyInto(size_t k,
       for (unsigned s = 0; s < w; ++s) {
         CtMulManyInto(kb, acc, acc, acc, scratch);
       }
-      const size_t lo = win * w;
-      const u128 window = (static_cast<u128>(e[lo / 64 + 1]) << 64) |
-                          e[lo / 64];
-      const uint64_t digit =
-          static_cast<uint64_t>(window >> (lo % 64)) & (tsize - 1);
       std::fill(selv.begin(), selv.end(), 0);
       for (size_t d = 0; d < tsize; ++d) {
-        const uint64_t msk = 0 - CtEq(d, digit);
+        const uint64_t msk = 0 - CtEq(d, digits[win]);
         for (size_t l = 0; l < kb; ++l) {
           const uint64_t* src = te(l, d);
           for (size_t i = 0; i < n; ++i) sel[l][i] |= src[i] & msk;

@@ -21,6 +21,7 @@
 #include "crypto/bigint.h"
 #include "crypto/montgomery.h"
 #include "crypto/secure_random.h"
+#include "mont_backends.h"
 
 namespace shuffledp {
 namespace crypto {
@@ -87,7 +88,7 @@ class MontgomeryFuzz {
         return Check(o, "ToMontInto");
       }
       default: {  // flip the batch backend under everything else
-        auto backends = Backends();
+        auto backends = AvailableMontBackends();
         SetMontBackend(backends[rng_.NextU64() % backends.size()]);
         return true;
       }
@@ -98,14 +99,6 @@ class MontgomeryFuzz {
 
  private:
   static constexpr size_t kPool = 8;
-
-  static std::vector<MontBackend> Backends() {
-    std::vector<MontBackend> out = {MontBackend::kPortable};
-    if (BestMontBackend() == MontBackend::kAvx2) {
-      out.push_back(MontBackend::kAvx2);
-    }
-    return out;
-  }
 
   size_t Pick() { return rng_.NextU64() % kPool; }
 
@@ -206,7 +199,7 @@ TEST(MontgomeryFuzzTest, RandomOpSequencesMatchShadowModel) {
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   SecureRandom meta_rng(seed);
   const size_t mod_bits[] = {65, 127, 192, 320, 512, 777, 1024};
-  MontBackend prev = ActiveMontBackend();
+  ScopedMontBackend restore(ActiveMontBackend());
   uint64_t ran = 0;
   for (uint64_t it = 0; it < iters; ++it) {
     if (std::chrono::steady_clock::now() > deadline) break;
@@ -224,7 +217,6 @@ TEST(MontgomeryFuzzTest, RandomOpSequencesMatchShadowModel) {
     }
     ++ran;
   }
-  SetMontBackend(prev);
   std::cout << "[fuzz] completed " << ran << " iterations\n";
   EXPECT_GE(ran, 1u);
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "crypto/secure_random.h"
+#include "mont_backends.h"
+#include "util/cpu_features.h"
 
 namespace shuffledp {
 namespace crypto {
@@ -226,27 +228,6 @@ TEST(MontgomeryTest, KernelScratchReuseAndAliasing) {
 // Interleaved batch kernels (MulManyInto / SqrManyInto / ToMontManyInto)
 // ---------------------------------------------------------------------------
 
-// Backends to exercise: always portable; AVX2 too when the host has it.
-std::vector<MontBackend> TestableBackends() {
-  std::vector<MontBackend> out = {MontBackend::kPortable};
-  if (BestMontBackend() == MontBackend::kAvx2) {
-    out.push_back(MontBackend::kAvx2);
-  }
-  return out;
-}
-
-// RAII pin so a failing test can't leak a forced backend into later tests.
-class BackendPin {
- public:
-  explicit BackendPin(MontBackend b) : prev_(ActiveMontBackend()) {
-    SetMontBackend(b);
-  }
-  ~BackendPin() { SetMontBackend(prev_); }
-
- private:
-  MontBackend prev_;
-};
-
 // Montgomery-domain operand sets with adversarial raw values: 0, 1, m-1
 // (all valid residues), plus uniform randoms.
 std::vector<std::vector<uint64_t>> MakeLaneOperands(const MontgomeryCtx& ctx,
@@ -282,8 +263,8 @@ std::vector<std::vector<uint64_t>> MakeLaneOperands(const MontgomeryCtx& ctx,
 // available backend, must be bitwise identical to k scalar MulInto calls.
 TEST(MontgomeryBatchTest, MulManyBitwiseEqualsScalar) {
   SecureRandom rng(uint64_t{20});
-  for (MontBackend backend : TestableBackends()) {
-    BackendPin pin(backend);
+  for (MontBackend backend : AvailableMontBackends()) {
+    ScopedMontBackend pin(backend);
     for (size_t bits : {65, 127, 512, 1000, 2048}) {
       BigInt m = BigInt::RandomWithBits(bits, &rng);
       if (!m.IsOdd()) m = m.Add(BigInt(1));
@@ -317,8 +298,8 @@ TEST(MontgomeryBatchTest, MulManyBitwiseEqualsScalar) {
 
 TEST(MontgomeryBatchTest, SqrManyBitwiseEqualsScalar) {
   SecureRandom rng(uint64_t{21});
-  for (MontBackend backend : TestableBackends()) {
-    BackendPin pin(backend);
+  for (MontBackend backend : AvailableMontBackends()) {
+    ScopedMontBackend pin(backend);
     for (size_t bits : {65, 192, 513, 1024, 2048}) {
       BigInt m = BigInt::RandomWithBits(bits, &rng);
       if (!m.IsOdd()) m = m.Add(BigInt(1));
@@ -350,30 +331,47 @@ TEST(MontgomeryBatchTest, SqrManyBitwiseEqualsScalar) {
 
 TEST(MontgomeryBatchTest, ToMontManyBitwiseEqualsScalar) {
   SecureRandom rng(uint64_t{22});
-  for (MontBackend backend : TestableBackends()) {
-    BackendPin pin(backend);
-    BigInt m = BigInt::RandomWithBits(1024, &rng);
+  // 1024 bits has an IFMA kernel, 832 bits (13 limbs) does not.
+  for (size_t bits : {1024, 832}) {
+    BigInt m = BigInt::RandomWithBits(bits, &rng);
     if (!m.IsOdd()) m = m.Add(BigInt(1));
     auto ctx = MontgomeryCtx::Create(m);
     ASSERT_TRUE(ctx.ok());
     const size_t n = ctx->limbs();
-    MontgomeryCtx::Scratch scratch(*ctx);
-    const size_t k = 13;  // forces an 8-lane block plus a ragged tail
-    std::vector<BigInt> vals = {BigInt(), BigInt(1), m.Sub(BigInt(1)),
-                                m.Add(BigInt(9))};  // >= m: must reduce
-    while (vals.size() < k) vals.push_back(BigInt::RandomBelow(m, &rng));
-    std::vector<const BigInt*> vp(k);
-    std::vector<std::vector<uint64_t>> got(k, std::vector<uint64_t>(n));
-    std::vector<uint64_t*> op(k);
-    for (size_t l = 0; l < k; ++l) {
-      vp[l] = &vals[l];
-      op[l] = got[l].data();
+    const BigInt r = BigInt(1).ShiftLeft(64 * n);
+    // Narrow values, values between m and R, values below R^2 that take
+    // the division-free split (hi*R + lo, with all-ones halves), and one
+    // above R^2 that still goes through BigInt::Mod.
+    std::vector<BigInt> vals = {
+        BigInt(), BigInt(1), m.Sub(BigInt(1)), m, m.Add(BigInt(9)),
+        r.Sub(BigInt(1)), r, m.Mul(m), m.Mul(r), r.Mul(r).Sub(BigInt(1)),
+        r.Mul(m).Sub(BigInt(1)), r.Mul(r).Add(BigInt(5))};
+    while (vals.size() < 21) {
+      vals.push_back(BigInt::RandomWithBits(64 * n + 1 + vals.size() * 40,
+                                            &rng));
     }
-    ctx->ToMontManyInto(k, vp.data(), op.data(), &scratch);
-    for (size_t l = 0; l < k; ++l) {
-      std::vector<uint64_t> want(n);
-      ctx->ToMontInto(vals[l], want.data(), &scratch);
-      EXPECT_EQ(got[l], want) << MontBackendName(backend) << " lane=" << l;
+    while (vals.size() < 29) vals.push_back(BigInt::RandomBelow(m, &rng));
+    for (MontBackend backend : AvailableMontBackends()) {
+      ScopedMontBackend pin(backend);
+      MontgomeryCtx::Scratch scratch(*ctx);
+      // 13 lanes: an 8-lane block plus a ragged tail; then all 29, whose
+      // last block holds narrow values only.
+      for (size_t k : {13u, 29u}) {
+        std::vector<const BigInt*> vp(k);
+        std::vector<std::vector<uint64_t>> got(k, std::vector<uint64_t>(n));
+        std::vector<uint64_t*> op(k);
+        for (size_t l = 0; l < k; ++l) {
+          vp[l] = &vals[l];
+          op[l] = got[l].data();
+        }
+        ctx->ToMontManyInto(k, vp.data(), op.data(), &scratch);
+        for (size_t l = 0; l < k; ++l) {
+          std::vector<uint64_t> want(n);
+          ctx->ToMontInto(vals[l], want.data(), &scratch);
+          EXPECT_EQ(got[l], want) << MontBackendName(backend) << " bits="
+                                  << bits << " k=" << k << " lane=" << l;
+        }
+      }
     }
   }
 }
@@ -383,8 +381,8 @@ TEST(MontgomeryBatchTest, ToMontManyBitwiseEqualsScalar) {
 // own lane's inputs), with pairwise-distinct out pointers.
 TEST(MontgomeryBatchTest, LaneMixingAliasedBatches) {
   SecureRandom rng(uint64_t{23});
-  for (MontBackend backend : TestableBackends()) {
-    BackendPin pin(backend);
+  for (MontBackend backend : AvailableMontBackends()) {
+    ScopedMontBackend pin(backend);
     BigInt m = BigInt::RandomWithBits(512, &rng);
     if (!m.IsOdd()) m = m.Add(BigInt(1));
     auto ctx = MontgomeryCtx::Create(m);
@@ -431,22 +429,29 @@ TEST(MontgomeryBatchTest, LaneMixingAliasedBatches) {
   }
 }
 
-// Forcing an unavailable backend must degrade silently, and the
-// portable/AVX2 pair must agree bitwise on the same inputs.
+// Forcing an unavailable backend must degrade silently, ifma -> avx2 ->
+// portable, and every available backend must agree bitwise with
+// portable on the same inputs.
 TEST(MontgomeryBatchTest, BackendDispatchDegradesAndAgrees) {
-  MontBackend prev = ActiveMontBackend();
-  MontBackend got = SetMontBackend(MontBackend::kAvx2);
-  if (BestMontBackend() == MontBackend::kPortable) {
-    EXPECT_EQ(got, MontBackend::kPortable);  // silently degraded
-  } else {
-    EXPECT_EQ(got, MontBackend::kAvx2);
+  const CpuFeatures& f = KernelCpuFeatures();
+  const MontBackend best =
+      f.avx2 && f.avx512f && f.avx512ifma ? MontBackend::kIfma
+      : f.avx2                            ? MontBackend::kAvx2
+                                          : MontBackend::kPortable;
+  EXPECT_EQ(BestMontBackend(), best);
+  {
+    ScopedMontBackend restore(ActiveMontBackend());
+    EXPECT_EQ(SetMontBackend(MontBackend::kIfma), best);
+    EXPECT_EQ(ActiveMontBackend(), best);
+    EXPECT_EQ(SetMontBackend(MontBackend::kAvx2),
+              best == MontBackend::kPortable ? MontBackend::kPortable
+                                             : MontBackend::kAvx2);
+    EXPECT_EQ(SetMontBackend(MontBackend::kPortable), MontBackend::kPortable);
   }
-  EXPECT_EQ(SetMontBackend(MontBackend::kPortable), MontBackend::kPortable);
-  SetMontBackend(prev);
+  EXPECT_STREQ(MontBackendName(MontBackend::kIfma), "ifma");
+  EXPECT_STREQ(MontBackendName(MontBackend::kAvx2), "avx2");
+  EXPECT_STREQ(MontBackendName(MontBackend::kPortable), "portable");
 
-  if (BestMontBackend() != MontBackend::kAvx2) {
-    GTEST_SKIP() << "no AVX2 on this host; cross-backend check skipped";
-  }
   SecureRandom rng(uint64_t{24});
   BigInt m = BigInt::RandomWithBits(2048, &rng);
   if (!m.IsOdd()) m = m.Add(BigInt(1));
@@ -458,24 +463,92 @@ TEST(MontgomeryBatchTest, BackendDispatchDegradesAndAgrees) {
   auto as = MakeLaneOperands(*ctx, k, &rng);
   auto bs = MakeLaneOperands(*ctx, k, &rng);
   std::vector<const uint64_t*> ap(k), bp(k);
-  std::vector<std::vector<uint64_t>> o1(k, std::vector<uint64_t>(n));
-  std::vector<std::vector<uint64_t>> o2(k, std::vector<uint64_t>(n));
-  std::vector<uint64_t*> op(k);
   for (size_t l = 0; l < k; ++l) {
     ap[l] = as[l].data();
     bp[l] = bs[l].data();
   }
-  {
-    BackendPin pin(MontBackend::kAvx2);
-    for (size_t l = 0; l < k; ++l) op[l] = o1[l].data();
+  auto run = [&](MontBackend backend) {
+    ScopedMontBackend pin(backend);
+    std::vector<std::vector<uint64_t>> o(k, std::vector<uint64_t>(n));
+    std::vector<uint64_t*> op(k);
+    for (size_t l = 0; l < k; ++l) op[l] = o[l].data();
     ctx->MulManyInto(k, ap.data(), bp.data(), op.data(), &scratch);
+    return o;
+  };
+  const auto want = run(MontBackend::kPortable);
+  for (MontBackend backend : AvailableMontBackends()) {
+    EXPECT_EQ(run(backend), want) << MontBackendName(backend);
   }
+}
+
+// The IFMA tier against portable, lane for lane, at every width it has a
+// kernel for (8, 16, 32, 48, 64 limbs): every batch entry point, lane
+// counts around the 8-lane block, and the edge operands 0, 1 and m-1 in
+// every pairing position (MakeLaneOperands cycles random, 0, 1, m-1).
+TEST(MontgomeryBatchTest, IfmaMatchesPortableLaneForLane) {
   {
-    BackendPin pin(MontBackend::kPortable);
-    for (size_t l = 0; l < k; ++l) op[l] = o2[l].data();
-    ctx->MulManyInto(k, ap.data(), bp.data(), op.data(), &scratch);
+    ScopedMontBackend probe(MontBackend::kIfma);
+    if (ActiveMontBackend() != MontBackend::kIfma) {
+      GTEST_SKIP() << "no AVX-512 IFMA on this host";
+    }
   }
-  EXPECT_EQ(o1, o2);
+  SecureRandom rng(uint64_t{29});
+  for (size_t limbs : {8, 16, 32, 48, 64}) {
+    // A full-width modulus and one a few bits short of the limb boundary.
+    for (size_t bits : {64 * limbs, 64 * limbs - 5}) {
+      BigInt m = BigInt::RandomWithBits(bits, &rng);
+      if (!m.IsOdd()) m = m.Add(BigInt(1));
+      auto ctx = MontgomeryCtx::Create(m);
+      ASSERT_TRUE(ctx.ok());
+      ASSERT_EQ(ctx->limbs(), limbs);
+      const size_t n = limbs;
+      MontgomeryCtx::Scratch scratch(*ctx);
+      for (size_t k : {1u, 7u, 8u, 9u, 16u}) {
+        auto as = MakeLaneOperands(*ctx, k, &rng);
+        auto bs = MakeLaneOperands(*ctx, k + 1, &rng);
+        bs.erase(bs.begin());  // shift the edge pattern against as
+        std::vector<const uint64_t*> ap(k), bp(k);
+        for (size_t l = 0; l < k; ++l) {
+          ap[l] = as[l].data();
+          bp[l] = bs[l].data();
+        }
+        const BigInt e = BigInt::RandomWithBits(20 + 20 * k, &rng);
+        auto run = [&](MontBackend backend, int op) {
+          ScopedMontBackend pin(backend);
+          std::vector<std::vector<uint64_t>> o(k, std::vector<uint64_t>(n));
+          std::vector<uint64_t*> outp(k);
+          for (size_t l = 0; l < k; ++l) outp[l] = o[l].data();
+          switch (op) {
+            case 0:
+              ctx->MulManyInto(k, ap.data(), bp.data(), outp.data(),
+                               &scratch);
+              break;
+            case 1:
+              ctx->SqrManyInto(k, ap.data(), outp.data(), &scratch);
+              break;
+            case 2:
+              ctx->CtMulManyInto(k, ap.data(), bp.data(), outp.data(),
+                                 &scratch);
+              break;
+            default:
+              ctx->CtModExpManyInto(k, ap.data(), e, 0, outp.data(),
+                                    &scratch);
+              break;
+          }
+          return o;
+        };
+        for (int op = 0; op < 4; ++op) {
+          const auto want = run(MontBackend::kPortable, op);
+          const auto got = run(MontBackend::kIfma, op);
+          for (size_t l = 0; l < k; ++l) {
+            EXPECT_EQ(got[l], want[l])
+                << "op=" << op << " bits=" << bits << " k=" << k
+                << " lane=" << l;
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -552,39 +625,48 @@ TEST(MontgomeryCtTest, CtModExpMatchesReferenceAcrossWindowBreakpoints) {
 
 // Batched ct exponentiation with a shared exponent: every lane must be
 // bitwise identical to the one-lane CtModExp, for widths spanning lane
-// blocks and ragged tails, on both backends (the ladder itself is
-// pinned to portable; entry/exit conversions may dispatch).
+// blocks and ragged tails, on every backend. 768 bits (12 limbs) has no
+// IFMA kernel; 1024 and 2048 bits run the radix-2^52 ladder on IFMA
+// hosts, at exponent sizes that pick each window width 2 to 5.
 TEST(MontgomeryCtTest, CtModExpManyBitwiseEqualsSingleLane) {
   SecureRandom rng(uint64_t{27});
-  for (MontBackend backend : TestableBackends()) {
-    BackendPin pin(backend);
-    BigInt m = BigInt::RandomWithBits(768, &rng);
+  for (size_t bits : {768, 1024, 2048}) {
+    BigInt m = BigInt::RandomWithBits(bits, &rng);
     if (!m.IsOdd()) m = m.Add(BigInt(1));
     auto ctx = MontgomeryCtx::Create(m);
     ASSERT_TRUE(ctx.ok());
     const size_t n = ctx->limbs();
     MontgomeryCtx::Scratch scratch(*ctx);
-    BigInt e = BigInt::RandomWithBits(384, &rng);
-    for (size_t k : {1u, 3u, 8u, 10u}) {
-      std::vector<BigInt> bases;
-      bases.push_back(BigInt());  // zero base lane
-      bases.push_back(BigInt(1));
-      while (bases.size() < k) bases.push_back(BigInt::RandomBelow(m, &rng));
-      bases.resize(k);
-      std::vector<std::vector<uint64_t>> mont(k, std::vector<uint64_t>(n));
-      std::vector<const uint64_t*> bp(k);
-      std::vector<uint64_t*> op(k);
-      std::vector<std::vector<uint64_t>> got(k, std::vector<uint64_t>(n));
-      for (size_t l = 0; l < k; ++l) {
-        ctx->ToMontInto(bases[l], mont[l].data(), &scratch);
-        bp[l] = mont[l].data();
-        op[l] = got[l].data();
+    for (size_t ebits : {20, 70, 200, 384}) {
+      const BigInt e = BigInt::RandomWithBits(ebits, &rng);
+      const size_t kmax = 10;
+      std::vector<BigInt> bases = {BigInt(), BigInt(1), m.Sub(BigInt(1))};
+      while (bases.size() < kmax) {
+        bases.push_back(BigInt::RandomBelow(m, &rng));
       }
-      ctx->CtModExpManyInto(k, bp.data(), e, 0, op.data(), &scratch);
-      for (size_t l = 0; l < k; ++l) {
-        EXPECT_EQ(ctx->FromMontLimbs(got[l].data(), &scratch),
-                  ctx->CtModExp(bases[l], e))
-            << MontBackendName(backend) << " k=" << k << " lane=" << l;
+      std::vector<BigInt> want(kmax);
+      std::vector<std::vector<uint64_t>> mont(kmax, std::vector<uint64_t>(n));
+      for (size_t l = 0; l < kmax; ++l) {
+        want[l] = ctx->CtModExp(bases[l], e);
+        ctx->ToMontInto(bases[l], mont[l].data(), &scratch);
+      }
+      for (MontBackend backend : AvailableMontBackends()) {
+        ScopedMontBackend pin(backend);
+        for (size_t k : {1u, 3u, 8u, 10u}) {
+          std::vector<const uint64_t*> bp(k);
+          std::vector<uint64_t*> op(k);
+          std::vector<std::vector<uint64_t>> got(k, std::vector<uint64_t>(n));
+          for (size_t l = 0; l < k; ++l) {
+            bp[l] = mont[l].data();
+            op[l] = got[l].data();
+          }
+          ctx->CtModExpManyInto(k, bp.data(), e, 0, op.data(), &scratch);
+          for (size_t l = 0; l < k; ++l) {
+            EXPECT_EQ(ctx->FromMontLimbs(got[l].data(), &scratch), want[l])
+                << MontBackendName(backend) << " bits=" << bits
+                << " ebits=" << ebits << " k=" << k << " lane=" << l;
+          }
+        }
       }
     }
   }

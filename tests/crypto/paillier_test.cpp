@@ -4,6 +4,7 @@
 
 #include <string>
 
+#include "mont_backends.h"
 #include "util/thread_pool.h"
 
 namespace shuffledp {
@@ -33,25 +34,6 @@ class PaillierTest : public ::testing::Test {
 
 SecureRandom* PaillierTest::rng_ = nullptr;
 PaillierKeyPair* PaillierTest::kp_ = nullptr;
-
-// Restores the process-wide Montgomery backend on scope exit, so a
-// failing assertion cannot leak a forced backend into later tests.
-class BackendRestore {
- public:
-  BackendRestore() : prev_(ActiveMontBackend()) {}
-  ~BackendRestore() { SetMontBackend(prev_); }
-
- private:
-  MontBackend prev_;
-};
-
-std::vector<MontBackend> HostMontBackends() {
-  std::vector<MontBackend> backends = {MontBackend::kPortable};
-  if (BestMontBackend() == MontBackend::kAvx2) {
-    backends.push_back(MontBackend::kAvx2);
-  }
-  return backends;
-}
 
 // Checks a kPairwise pool built from `seed` against the serial reference
 // the batched build replaced: one Encrypt(0) per entry, converted with
@@ -203,10 +185,9 @@ TEST_F(PaillierTest, RandomizerPoolPreservesPlaintext) {
 // The batched, fanned-out pool build over full and ragged 8-lane blocks,
 // every worker count and every Montgomery backend the host has.
 TEST_F(PaillierTest, RandomizerPoolBuildMatchesSerialEncrypt) {
-  BackendRestore restore;
   ThreadPool one(1), four(4);
-  for (MontBackend backend : HostMontBackends()) {
-    ASSERT_EQ(SetMontBackend(backend), backend);
+  for (MontBackend backend : AvailableMontBackends()) {
+    ScopedMontBackend scoped(backend);
     uint64_t seed = 500;
     for (size_t size : {2u, 7u, 8u, 9u, 64u, 65u}) {
       for (ThreadPool* fanout :
@@ -457,10 +438,6 @@ TEST_F(PaillierTest, MontResidentRerandomizeChainMatchesPerRoundPath) {
 // group, on every available Montgomery backend.
 TEST_F(PaillierTest, DecryptPackedBatchBitwiseEqualsScalarLoop) {
   SecureRandom data_rng(uint64_t{5150});
-  std::vector<MontBackend> backends = {MontBackend::kPortable};
-  if (BestMontBackend() == MontBackend::kAvx2) {
-    backends.push_back(MontBackend::kAvx2);
-  }
   const unsigned ell = 16;
   const unsigned slot_bits = ell + 3;
   const uint64_t mask = (uint64_t{1} << ell) - 1;
@@ -483,14 +460,12 @@ TEST_F(PaillierTest, DecryptPackedBatchBitwiseEqualsScalarLoop) {
                                           want.data() + at)
                     .ok());
   }
-  for (MontBackend backend : backends) {
-    MontBackend prev = ActiveMontBackend();
-    SetMontBackend(backend);
+  for (MontBackend backend : AvailableMontBackends()) {
+    ScopedMontBackend scoped(backend);
     std::vector<uint64_t> got(count, ~uint64_t{0});
     Status st = kp_->priv.DecryptPackedMod2EllBatch(cs.data(), count,
                                                     slot_bits, ell,
                                                     got.data());
-    SetMontBackend(prev);
     ASSERT_TRUE(st.ok()) << MontBackendName(backend);
     EXPECT_EQ(got, want) << MontBackendName(backend);
   }
@@ -600,10 +575,9 @@ TEST(PaillierKeyGenTest, ProductionSizeKeyWorks) {
   EXPECT_EQ(back->ToU64Saturating(), 123456789u);
 
   // The batched pool build at the production limb width (32-limb N^2).
-  BackendRestore restore;
   ThreadPool four(4);
-  for (MontBackend backend : HostMontBackends()) {
-    ASSERT_EQ(SetMontBackend(backend), backend);
+  for (MontBackend backend : AvailableMontBackends()) {
+    ScopedMontBackend scoped(backend);
     SCOPED_TRACE(MontBackendName(backend));
     ExpectPoolBuildMatchesReference(kp->pub, 9, 901, &four);
   }

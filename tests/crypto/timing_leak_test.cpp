@@ -1,8 +1,9 @@
 // Dudect-style timing-leak smoke test for the constant-time Montgomery
-// kernels (CtMulInto / CtModExp / CtModExpManyInto) and the P-256 scalar
-// multiplies that take secret scalars (the comb behind every ECIES
-// encrypt, ScalarMultBatch behind every ECIES decrypt), on each P-256
-// backend the host has.
+// kernels (CtMulInto / CtMulManyInto / CtModExp / CtModExpManyInto, the
+// batched ones as full 8-lane blocks on each Montgomery backend the host
+// has: portable, avx2, ifma) and the P-256 scalar multiplies that take
+// secret scalars (the comb behind every ECIES encrypt, ScalarMultBatch
+// behind every ECIES decrypt), on each P-256 backend the host has.
 //
 // Method (Reparaz, Balasch, Verbauwhede — "dude, is my code constant
 // time?"): measure the same operation over two input classes that a
@@ -36,6 +37,7 @@
 #include "crypto/ec_p256.h"
 #include "crypto/montgomery.h"
 #include "crypto/secure_random.h"
+#include "mont_backends.h"
 #include "p256_backends.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -159,11 +161,6 @@ void RunRounds(size_t samples_per_class, uint64_t seed, Op&& op,
   }
 }
 
-struct CtFixture {
-  BigInt m;
-  MontgomeryCtx ctx;
-};
-
 // 512-bit modulus / 256-bit exponents: small enough that thousands of
 // exponentiations fit in a CI smoke budget, large enough that a
 // window-count leak spans dozens of multiplies.
@@ -175,30 +172,102 @@ MontgomeryCtx MakeCtx(SecureRandom* rng, size_t bits) {
   return std::move(ctx).value();
 }
 
+// The batched checks run one full 8-lane block, so the vector backends'
+// 8-lane kernels (AVX2, IFMA) are the code measured, not a portable tail.
+constexpr size_t kLanes = MontgomeryCtx::kMaxBatchLanes;
+
+// Runs `check` once per Montgomery backend the host has.
+template <typename Check>
+void ForEachMontBackend(Check&& check) {
+  for (MontBackend backend : AvailableMontBackends()) {
+    ScopedMontBackend scoped(backend);
+    SCOPED_TRACE(MontBackendName(backend));
+    check();
+  }
+}
+
+// `count` random residues in Montgomery form, one limb vector each.
+std::vector<std::vector<uint64_t>> RandomMontLanes(const MontgomeryCtx& ctx,
+                                                   size_t count,
+                                                   SecureRandom* rng) {
+  MontgomeryCtx::Scratch scratch(ctx);
+  std::vector<std::vector<uint64_t>> lanes(
+      count, std::vector<uint64_t>(ctx.limbs()));
+  for (auto& lane : lanes) {
+    ctx.ToMontInto(BigInt::RandomBelow(ctx.modulus(), rng), lane.data(),
+                   &scratch);
+  }
+  return lanes;
+}
+
+// The secret-exponent ladder in its two shapes: the one-lane CtModExp
+// entry point, and one 8-lane CtModExpManyInto block on the active
+// backend.
+class CtLadder {
+ public:
+  CtLadder(const MontgomeryCtx& ctx, SecureRandom* rng)
+      : ctx_(ctx),
+        scratch_(ctx),
+        base_(BigInt::RandomBelow(ctx.modulus(), rng)),
+        lanes_(RandomMontLanes(ctx, kLanes, rng)),
+        out_(kLanes, std::vector<uint64_t>(ctx.limbs())) {
+    for (size_t l = 0; l < kLanes; ++l) {
+      in_[l] = lanes_[l].data();
+      outp_[l] = out_[l].data();
+    }
+  }
+
+  uint64_t Run(size_t k, const BigInt& e, size_t ebits) {
+    if (k == 1) return ctx_.CtModExp(base_, e, ebits).ToU64Saturating();
+    ctx_.CtModExpManyInto(k, in_, e, ebits, outp_, &scratch_);
+    return out_[0][0];
+  }
+
+ private:
+  const MontgomeryCtx& ctx_;
+  MontgomeryCtx::Scratch scratch_;
+  BigInt base_;
+  std::vector<std::vector<uint64_t>> lanes_, out_;
+  const uint64_t* in_[kLanes];
+  uint64_t* outp_[kLanes];
+};
+
+// Runs `check(k, samples)` for the one-lane CtModExp, then for an 8-lane
+// block on every Montgomery backend (fewer samples: each is 8 ladders).
+template <typename Check>
+void ForEachLadderShape(Check&& check) {
+  {
+    SCOPED_TRACE("CtModExp, one lane");
+    check(size_t{1}, size_t{700});
+  }
+  ForEachMontBackend([&] { check(kLanes, size_t{300}); });
+}
+
 // Class 0: one fixed secret exponent. Class 1: a fresh random exponent
 // per sample (pre-generated). A leaky ladder correlates time with the
 // exponent's window pattern; a constant-time one cannot.
 TEST(TimingLeakTest, CtModExpFixedVsRandomExponent) {
   SecureRandom rng(uint64_t{2026'08'08});
   MontgomeryCtx ctx = MakeCtx(&rng, 512);
-  const size_t kSamples = 700;
   const size_t ebits = 256;
-  BigInt base = BigInt::RandomBelow(ctx.modulus(), &rng);
+  CtLadder ladder(ctx, &rng);
   BigInt fixed = BigInt::RandomWithBits(ebits, &rng);
   std::vector<BigInt> fresh;
-  for (size_t i = 0; i < kRounds * kSamples * 2 + 64; ++i) {
+  for (size_t i = 0; i < kRounds * 700 * 2 + 64; ++i) {
     fresh.push_back(BigInt::RandomWithBits(ebits, &rng));
   }
-  size_t next = 0;
-  volatile uint64_t sink = 0;
-  double min_t, max_t;
-  RunRounds(kSamples, uint64_t{11}, [&](int cls) {
-    const BigInt& e = cls == 0 ? fixed : fresh[next++ % fresh.size()];
-    sink += ctx.CtModExp(base, e, ebits).ToU64Saturating();
-  }, &min_t, &max_t);
-  EXPECT_LT(min_t, kThreshold)
-      << "CtModExp timing depends on the secret exponent (max |t|="
-      << max_t << ")";
+  ForEachLadderShape([&](size_t k, size_t samples) {
+    size_t next = 0;
+    volatile uint64_t sink = 0;
+    double min_t, max_t;
+    RunRounds(samples, uint64_t{11}, [&](int cls) {
+      const BigInt& e = cls == 0 ? fixed : fresh[next++ % fresh.size()];
+      sink += ladder.Run(k, e, ebits);
+    }, &min_t, &max_t);
+    EXPECT_LT(min_t, kThreshold)
+        << "CtModExp timing depends on the secret exponent, k=" << k
+        << " (max |t|=" << max_t << ")";
+  });
 }
 
 // Extreme Hamming-weight classes: 2^(ebits-1) (every window digit zero
@@ -208,82 +277,116 @@ TEST(TimingLeakTest, CtModExpFixedVsRandomExponent) {
 TEST(TimingLeakTest, CtModExpLowVsHighWeightExponent) {
   SecureRandom rng(uint64_t{77002});
   MontgomeryCtx ctx = MakeCtx(&rng, 512);
-  const size_t kSamples = 700;
   const size_t ebits = 256;
-  BigInt base = BigInt::RandomBelow(ctx.modulus(), &rng);
+  CtLadder ladder(ctx, &rng);
   BigInt low = BigInt(1).ShiftLeft(ebits - 1);              // weight 1
   BigInt high = BigInt(1).ShiftLeft(ebits).Sub(BigInt(1));  // weight ebits
-  volatile uint64_t sink = 0;
-  double min_t, max_t;
-  RunRounds(kSamples, uint64_t{12}, [&](int cls) {
-    sink += ctx.CtModExp(base, cls == 0 ? low : high, ebits)
-                .ToU64Saturating();
-  }, &min_t, &max_t);
-  EXPECT_LT(min_t, kThreshold)
-      << "CtModExp timing depends on exponent weight (max |t|=" << max_t
-      << ")";
+  ForEachLadderShape([&](size_t k, size_t samples) {
+    volatile uint64_t sink = 0;
+    double min_t, max_t;
+    RunRounds(samples, uint64_t{12}, [&](int cls) {
+      sink += ladder.Run(k, cls == 0 ? low : high, ebits);
+    }, &min_t, &max_t);
+    EXPECT_LT(min_t, kThreshold)
+        << "CtModExp timing depends on exponent weight, k=" << k
+        << " (max |t|=" << max_t << ")";
+  });
 }
 
 // The batched ladder with a shared exponent: lane VALUES differ by
-// class (all-zero bases vs. random bases) — amplified over a lane
-// block. Exercises CtMulManyInto's fixed flow on skewed operands.
+// class (all-zero bases vs. random bases) over one full 8-lane block on
+// every backend. Exercises the vector kernels' fixed flow (and the IFMA
+// ladder's radix conversions) on skewed operands.
 TEST(TimingLeakTest, CtModExpManyOperandClasses) {
   SecureRandom rng(uint64_t{77003});
   MontgomeryCtx ctx = MakeCtx(&rng, 512);
   const size_t n = ctx.limbs();
   const size_t kSamples = 350;
   const size_t ebits = 128;
-  const size_t k = 4;
   BigInt e = BigInt::RandomWithBits(ebits, &rng);
   MontgomeryCtx::Scratch scratch(ctx);
-  std::vector<std::vector<uint64_t>> zero(k, std::vector<uint64_t>(n, 0));
-  std::vector<std::vector<uint64_t>> rand(k, std::vector<uint64_t>(n));
-  for (size_t l = 0; l < k; ++l) {
-    ctx.ToMontInto(BigInt::RandomBelow(ctx.modulus(), &rng),
-                   rand[l].data(), &scratch);
-  }
-  std::vector<std::vector<uint64_t>> out(k, std::vector<uint64_t>(n));
-  std::vector<const uint64_t*> bp(k);
-  std::vector<uint64_t*> op(k);
-  for (size_t l = 0; l < k; ++l) op[l] = out[l].data();
-  volatile uint64_t sink = 0;
-  double min_t, max_t;
-  RunRounds(kSamples, uint64_t{13}, [&](int cls) {
-    auto& src = cls == 0 ? zero : rand;
-    for (size_t l = 0; l < k; ++l) bp[l] = src[l].data();
-    ctx.CtModExpManyInto(k, bp.data(), e, ebits, op.data(), &scratch);
-    sink += out[0][0];
-  }, &min_t, &max_t);
-  EXPECT_LT(min_t, kThreshold)
-      << "CtModExpManyInto timing depends on operand values (max |t|="
-      << max_t << ")";
+  std::vector<std::vector<uint64_t>> zero(kLanes, std::vector<uint64_t>(n));
+  auto rand = RandomMontLanes(ctx, kLanes, &rng);
+  std::vector<std::vector<uint64_t>> out(kLanes, std::vector<uint64_t>(n));
+  std::vector<const uint64_t*> bp(kLanes);
+  std::vector<uint64_t*> op(kLanes);
+  for (size_t l = 0; l < kLanes; ++l) op[l] = out[l].data();
+  ForEachMontBackend([&] {
+    volatile uint64_t sink = 0;
+    double min_t, max_t;
+    RunRounds(kSamples, uint64_t{13}, [&](int cls) {
+      auto& src = cls == 0 ? zero : rand;
+      for (size_t l = 0; l < kLanes; ++l) bp[l] = src[l].data();
+      ctx.CtModExpManyInto(kLanes, bp.data(), e, ebits, op.data(),
+                           &scratch);
+      sink += out[0][0];
+    }, &min_t, &max_t);
+    EXPECT_LT(min_t, kThreshold)
+        << "CtModExpManyInto timing depends on operand values (max |t|="
+        << max_t << ")";
+  });
 }
 
-// Amplified single multiply: 64 back-to-back CtMulInto calls per sample
-// with all-zero vs. random operands. Catches data-dependent final
-// corrections (the early-exit compare the ct tier exists to remove).
+// Amplified multiply with all-zero vs. random operands: 64 back-to-back
+// CtMulInto calls per sample, then 16 back-to-back 8-lane CtMulManyInto
+// calls on every backend. Catches data-dependent final corrections (the
+// early-exit compare the ct tier exists to remove).
 TEST(TimingLeakTest, CtMulOperandClasses) {
   SecureRandom rng(uint64_t{77004});
   MontgomeryCtx ctx = MakeCtx(&rng, 1024);
   const size_t n = ctx.limbs();
   const size_t kSamples = 700;
   MontgomeryCtx::Scratch scratch(ctx);
-  std::vector<uint64_t> zero(n, 0), randa(n), randb(n), out(n);
-  ctx.ToMontInto(BigInt::RandomBelow(ctx.modulus(), &rng), randa.data(),
-                 &scratch);
-  ctx.ToMontInto(BigInt::RandomBelow(ctx.modulus(), &rng), randb.data(),
-                 &scratch);
-  volatile uint64_t sink = 0;
-  double min_t, max_t;
-  RunRounds(kSamples, uint64_t{14}, [&](int cls) {
-    const uint64_t* a = cls == 0 ? zero.data() : randa.data();
-    const uint64_t* b = cls == 0 ? zero.data() : randb.data();
-    for (int i = 0; i < 64; ++i) ctx.CtMulInto(a, b, out.data(), &scratch);
-    sink += out[0];
-  }, &min_t, &max_t);
-  EXPECT_LT(min_t, kThreshold)
-      << "CtMulInto timing depends on operand values (max |t|=" << max_t
-      << ")";
+  // Both classes use the same buffer layout, one buffer per lane and
+  // operand, so only the values differ: the AVX2 tier routes a == b
+  // pointer sets to its squaring kernel, and the pointers are public.
+  std::vector<std::vector<uint64_t>> zeroa(kLanes, std::vector<uint64_t>(n));
+  std::vector<std::vector<uint64_t>> zerob(kLanes, std::vector<uint64_t>(n));
+  auto randa = RandomMontLanes(ctx, kLanes, &rng);
+  auto randb = RandomMontLanes(ctx, kLanes, &rng);
+  std::vector<std::vector<uint64_t>> out(kLanes, std::vector<uint64_t>(n));
+  {
+    SCOPED_TRACE("CtMulInto, one lane");
+    volatile uint64_t sink = 0;
+    double min_t, max_t;
+    RunRounds(kSamples, uint64_t{14}, [&](int cls) {
+      const uint64_t* a = cls == 0 ? zeroa[0].data() : randa[0].data();
+      const uint64_t* b = cls == 0 ? zerob[0].data() : randb[0].data();
+      for (int i = 0; i < 64; ++i) {
+        ctx.CtMulInto(a, b, out[0].data(), &scratch);
+      }
+      sink += out[0][0];
+    }, &min_t, &max_t);
+    EXPECT_LT(min_t, kThreshold)
+        << "CtMulInto timing depends on operand values (max |t|=" << max_t
+        << ")";
+  }
+  const uint64_t* zpa[kLanes];
+  const uint64_t* zpb[kLanes];
+  const uint64_t* ap[kLanes];
+  const uint64_t* bp[kLanes];
+  uint64_t* op[kLanes];
+  for (size_t l = 0; l < kLanes; ++l) {
+    zpa[l] = zeroa[l].data();
+    zpb[l] = zerob[l].data();
+    ap[l] = randa[l].data();
+    bp[l] = randb[l].data();
+    op[l] = out[l].data();
+  }
+  ForEachMontBackend([&] {
+    volatile uint64_t sink = 0;
+    double min_t, max_t;
+    RunRounds(kSamples / 2, uint64_t{16}, [&](int cls) {
+      for (int i = 0; i < 16; ++i) {
+        ctx.CtMulManyInto(kLanes, cls == 0 ? zpa : ap, cls == 0 ? zpb : bp, op,
+                          &scratch);
+      }
+      sink += out[0][0];
+    }, &min_t, &max_t);
+    EXPECT_LT(min_t, kThreshold)
+        << "CtMulManyInto timing depends on operand values (max |t|="
+        << max_t << ")";
+  });
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "crypto/montgomery.h"
+#include "tests/crypto/mont_backends.h"
 #include "ldp/grr.h"
 #include "ldp/local_hash.h"
 
@@ -168,18 +169,9 @@ TEST(PeosTest, EstimatesBitwiseIdenticalAcrossThreadCountsAndBackends) {
   const double kGoldenServerMb = 0.0274658203125;
 
   using crypto::MontBackend;
-  std::vector<MontBackend> backends = {MontBackend::kPortable};
-  if (crypto::BestMontBackend() == MontBackend::kAvx2) {
-    backends.push_back(MontBackend::kAvx2);
-  }
-  // Restores the process-wide backend even when an assertion bails out.
-  struct BackendRestore {
-    MontBackend prev = crypto::ActiveMontBackend();
-    ~BackendRestore() { crypto::SetMontBackend(prev); }
-  } restore;
   ThreadPool one(1), four(4);
-  for (MontBackend backend : backends) {
-    ASSERT_EQ(crypto::SetMontBackend(backend), backend);
+  for (MontBackend backend : crypto::AvailableMontBackends()) {
+    crypto::ScopedMontBackend scoped(backend);
     for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &four}) {
       SCOPED_TRACE(std::string(crypto::MontBackendName(backend)) + " with " +
                    std::to_string(pool == nullptr ? 0 : pool->num_threads()) +

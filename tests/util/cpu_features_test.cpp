@@ -60,8 +60,13 @@ TEST(CpuFeaturesTest, ProbeIsStableAndKernelFeaturesFollowOverride) {
 
 TEST(CpuFeaturesTest, BestBackendsFollowKernelFeatures) {
   const CpuFeatures& cpu = KernelCpuFeatures();
-  EXPECT_EQ(crypto::BestMontBackend() == crypto::MontBackend::kAvx2,
-            cpu.avx2);
+  const crypto::MontBackend mont = crypto::BestMontBackend();
+  if (cpu.avx2 && cpu.avx512f && cpu.avx512ifma) {
+    EXPECT_EQ(mont, crypto::MontBackend::kIfma);
+  } else {
+    EXPECT_EQ(mont, cpu.avx2 ? crypto::MontBackend::kAvx2
+                             : crypto::MontBackend::kPortable);
+  }
   EXPECT_EQ(crypto::BestAesBackend() == crypto::AesBackend::kAesNi, cpu.aes);
   EXPECT_EQ(crypto::BestShaBackend() == crypto::ShaBackend::kShaNi, cpu.sha);
   EXPECT_EQ(crypto::BestP256Backend() == crypto::P256Backend::kIfma,
@@ -118,6 +123,8 @@ TEST(CpuFeaturesTest, ForcePortablePinsAllFiveBackends) {
   EXPECT_EQ(crypto::ActiveP256Backend(), crypto::P256Backend::kPortable);
   // A SIMD request degrades to portable too.
   EXPECT_EQ(crypto::SetMontBackend(crypto::MontBackend::kAvx2),
+            crypto::MontBackend::kPortable);
+  EXPECT_EQ(crypto::SetMontBackend(crypto::MontBackend::kIfma),
             crypto::MontBackend::kPortable);
   EXPECT_EQ(ldp::SetSupportBackend(ldp::SupportBackend::kAvx512),
             ldp::SupportBackend::kPortable);
