@@ -115,8 +115,8 @@ PartitionWorker::PartitionWorker(const ldp::ScalarFrequencyOracle& oracle,
       queue_.Close();
     }
   }
-  track_support_shadow_ =
-      store_ != nullptr && store_->WantsDeltas() && !counter_->value_equality();
+  group_commit_ = store_ != nullptr && store_->WantsDeltas();
+  track_support_shadow_ = group_commit_ && !counter_->value_equality();
   ResetRoundTallies();
   // The consumer spawns lazily on the first Offer (EnsureConsumer), so a
   // constructed-but-unused worker does not park an idle thread.
@@ -148,6 +148,7 @@ void PartitionWorker::ResetRoundTallies() {
   if (track_support_shadow_) {
     persisted_supports_.assign(slice_.hi - slice_.lo, 0);
   }
+  group_batches_ = 0;
   waits_at_round_start_ = queue_.producer_waits();
   queue_.ResetHighWaterMark();
   round_timer_.Reset();
@@ -325,6 +326,9 @@ Result<RoundResult> PartitionWorker::RecoverFinalizedRound(
 void PartitionWorker::ConsumerLoop() {
   WorkItem item;
   while (queue_.Pop(&item)) {
+    // A registration or round close is ordered after every batch before
+    // it, so the open group is written first, never folded with it.
+    if (item.close != nullptr || !item.dummies.empty()) FlushGroup();
     if (item.close != nullptr) {
       ProcessRoundClose(item.close);
     } else if (!item.dummies.empty()) {
@@ -333,8 +337,7 @@ void PartitionWorker::ConsumerLoop() {
         ++dummy_multiset_[entry];
         ++dummies_expected_;
       }
-      if (store_ != nullptr && store_->WantsDeltas() &&
-          !durability_degraded_) {
+      if (group_commit_ && !durability_degraded_) {
         // Registrations mutate the round's dummy multiset between
         // batches, so they are durable state too: one batch-free delta
         // record per registration item (batch_lo == batch_hi).
@@ -356,6 +359,13 @@ void PartitionWorker::ConsumerLoop() {
       ProcessBatch(item.batch);
     }
     item = WorkItem();  // release batch captures before blocking in Pop
+    // Group commit: write the group once nothing else is queued (so the
+    // consumer never idles on an unsynced group) or once it spans a full
+    // queue's worth of batches. The consumer is the only popper, so an
+    // empty queue here stays empty until the next Pop.
+    if (group_batches_ >= queue_.capacity() || queue_.size() == 0) {
+      FlushGroup();
+    }
   }
 }
 
@@ -418,6 +428,13 @@ void PartitionWorker::ProcessBatch(const ReportBatch& batch) {
   WallTimer timer;
   const uint64_t batch_lo = batches_seen_;
   const uint64_t invalid_before = reports_invalid_;
+  const bool fold = group_commit_ && !durability_degraded_;
+  if (fold && group_batches_ == 0) {  // open a new group at this batch
+    group_ = RoundDelta();
+    group_.batch_lo = batch_lo;
+    group_histogram_.clear();
+    group_dummies_.clear();
+  }
   ++batches_seen_;
   rows_seen_ += batch.count;
 
@@ -453,9 +470,6 @@ void PartitionWorker::ProcessBatch(const ReportBatch& batch) {
     return;
   }
 
-  const bool want_deltas = store_ != nullptr && store_->WantsDeltas() &&
-                           !durability_degraded_;
-  std::map<std::pair<uint64_t, uint64_t>, uint64_t> consumed_dummies;
   std::vector<ldp::LdpReport> kept;
   kept.reserve(rows.size());
   for (const DecodedRow& row : rows) {
@@ -469,7 +483,7 @@ void PartitionWorker::ProcessBatch(const ReportBatch& batch) {
       if (it != dummy_multiset_.end() && it->second > 0) {
         --it->second;
         ++dummies_recognized_;
-        if (want_deltas) ++consumed_dummies[it->first];
+        if (fold) ++group_dummies_[it->first];
         continue;  // server-planted dummy: strip before estimation
       }
     }
@@ -488,7 +502,10 @@ void PartitionWorker::ProcessBatch(const ReportBatch& batch) {
   rows_aggregated_ += kept.size();
   busy_seconds_ += batch_done;
 
-  if (store_ != nullptr && !durability_degraded_) {
+  if (store_ == nullptr || durability_degraded_) return;
+  if (!fold) {
+    // Legacy snapshot store: one call per batch keeps its every_batches
+    // cadence (it wants tallies only, never support deltas).
     RoundDelta delta;
     delta.round_id = round_id_.load(std::memory_order_relaxed);
     delta.batch_lo = batch_lo;
@@ -496,39 +513,55 @@ void PartitionWorker::ProcessBatch(const ReportBatch& batch) {
     delta.rows_delta = batch.count;
     delta.decoded_delta = kept.size();
     delta.invalid_delta = reports_invalid_ - invalid_before;
-    if (want_deltas) {
-      if (counter_->value_equality()) {
-        // Equality oracles support exactly the reported value: the
-        // sparse delta is a histogram of the kept in-slice values,
-        // mirroring the counter's own fast path.
-        std::map<uint64_t, uint64_t> histogram;
-        for (const ldp::LdpReport& report : kept) {
-          if (report.value >= slice_.lo && report.value < slice_.hi) {
-            ++histogram[report.value - slice_.lo];
-          }
-        }
-        delta.support_deltas.assign(histogram.begin(), histogram.end());
-      } else {
-        // General oracles (hash-based) support many values per report:
-        // diff the counter's contiguous counts view against the shadow
-        // of what the store has already seen, updating the shadow in
-        // place at the changed slots — no per-batch snapshot allocation.
-        const std::vector<uint64_t>& current = counter_->counts();
-        for (size_t i = 0; i < current.size(); ++i) {
-          if (current[i] != persisted_supports_[i]) {
-            delta.support_deltas.emplace_back(
-                i, current[i] - persisted_supports_[i]);
-            persisted_supports_[i] = current[i];
-          }
-        }
-      }
-      delta.dummies_consumed.reserve(consumed_dummies.size());
-      for (const auto& [key, count] : consumed_dummies) {
-        delta.dummies_consumed.emplace_back(key.first, key.second, count);
+    PersistDelta(delta);
+    return;
+  }
+  ++group_batches_;
+  group_.batch_hi = batches_seen_;
+  group_.rows_delta += batch.count;
+  group_.decoded_delta += kept.size();
+  group_.invalid_delta += reports_invalid_ - invalid_before;
+  if (counter_->value_equality()) {
+    // Equality oracles support exactly the reported value: the sparse
+    // delta is a histogram of the kept in-slice values, mirroring the
+    // counter's own fast path.
+    for (const ldp::LdpReport& report : kept) {
+      if (report.value >= slice_.lo && report.value < slice_.hi) {
+        ++group_histogram_[report.value - slice_.lo];
       }
     }
-    PersistDelta(delta);
   }
+}
+
+void PartitionWorker::FlushGroup() {
+  if (group_batches_ == 0) return;
+  if (round_status_.ok() && !durability_degraded_) {
+    group_.round_id = round_id_.load(std::memory_order_relaxed);
+    if (counter_->value_equality()) {
+      group_.support_deltas.assign(group_histogram_.begin(),
+                                   group_histogram_.end());
+    } else {
+      // General oracles (hash-based) support many values per report:
+      // diff the counter's contiguous counts view against the shadow of
+      // what the store has already seen, updating the shadow in place
+      // at the changed slots — once per group, not once per batch, and
+      // O(slice width) bytes however many batches the group covers.
+      const std::vector<uint64_t>& current = counter_->counts();
+      for (size_t i = 0; i < current.size(); ++i) {
+        if (current[i] != persisted_supports_[i]) {
+          group_.support_deltas.emplace_back(
+              i, current[i] - persisted_supports_[i]);
+          persisted_supports_[i] = current[i];
+        }
+      }
+    }
+    group_.dummies_consumed.reserve(group_dummies_.size());
+    for (const auto& [key, count] : group_dummies_) {
+      group_.dummies_consumed.emplace_back(key.first, key.second, count);
+    }
+    PersistDelta(group_);
+  }
+  group_batches_ = 0;
 }
 
 void PartitionWorker::ProcessRoundClose(

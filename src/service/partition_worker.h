@@ -40,10 +40,26 @@
 //
 // Crash safety: round persistence goes through a RoundStore
 // (round_store.h). With StreamingOptions::round_store.dir set, the
-// consumer appends one incremental delta record per batch group to a
-// per-worker WAL, periodically compacted into immutable segment files —
-// any number of rounds (finalized history + the live one) recover
-// together. With only checkpoint.path set, the LegacyCheckpointStore
+// consumer appends incremental delta records to a per-worker WAL,
+// periodically compacted into immutable segment files — any number of
+// rounds (finalized history + the live one) recover together.
+//
+// Group commit: the consumer does not write one record per batch. Each
+// processed batch folds its effect (tally deltas, the value-equality
+// histogram or, for hash oracles, a diff of the counter against what the
+// store has seen, consumed spot-check dummies) into an open group
+// covering batches [batch_lo, batch_hi). The group is written as one
+// fsynced RoundDelta when
+//   - the queue is empty after a batch (the consumer never blocks in
+//     Pop with an unsynced group),
+//   - a non-batch item (dummy registration, round close) is next, or
+//   - it reaches queue_capacity batches.
+// So a backed-up queue costs one fsync per drained run instead of one
+// per batch, and an idle one still syncs every batch. The durability
+// contract is unchanged: a batch counts toward the durable watermark
+// only once the record covering it is fsynced, and batches still in the
+// queue (or in the open group) are replayed by the feeder after a crash.
+// With only checkpoint.path set, the LegacyCheckpointStore
 // keeps the original behavior: a full CRC-guarded snapshot every
 // `every_batches` batches, plus the finalized-round journal
 // (path + ".result") written before the snapshot is unlinked. Either
@@ -127,7 +143,9 @@ enum class Calibration : uint8_t {
 /// Pipeline knobs.
 struct StreamingOptions {
   size_t batch_size = 4096;     ///< reports per batch (producer helpers)
-  size_t queue_capacity = 64;   ///< buffered batches before backpressure
+  /// Buffered batches before backpressure; also the most batches one
+  /// group-commit WAL record covers.
+  size_t queue_capacity = 64;
   uint32_t num_shards = 0;      ///< domain shards; 0 = min(64, slice width)
   uint64_t decode_chunk = 512;  ///< reports per decode task
   ThreadPool* pool = nullptr;   ///< decode/count fan-out; null = serial
@@ -319,6 +337,9 @@ class PartitionWorker {
 
   void ConsumerLoop();
   void ProcessBatch(const ReportBatch& batch);
+  /// Writes the open group (if any) as one RoundDelta and starts a new
+  /// one. A failed round's group is dropped: the round is abandoned.
+  void FlushGroup();
   void ProcessRoundClose(const std::shared_ptr<RoundClose>& close);
   void ResetRoundTallies();
   void EnsureConsumer();
@@ -373,11 +394,19 @@ class PartitionWorker {
   std::string durability_warning_;
   std::atomic<bool> degraded_flag_{false};
   /// Shadow of the supports the store has seen — only maintained for
-  /// non-value-equality oracles on a delta-wanting store, where per-batch
-  /// deltas come from diffing Finalize() snapshots instead of a kept-row
+  /// non-value-equality oracles on a delta-wanting store, where group
+  /// deltas come from diffing the counter's counts instead of a kept-row
   /// histogram.
   bool track_support_shadow_ = false;
   std::vector<uint64_t> persisted_supports_;
+  // The open group-commit group (delta-wanting stores only): tallies and
+  // batch range in group_, the in-slice value histogram (value-equality
+  // oracles) and consumed dummies folded across its batches.
+  bool group_commit_ = false;
+  uint64_t group_batches_ = 0;
+  RoundDelta group_;
+  std::map<uint64_t, uint64_t> group_histogram_;
+  std::map<std::pair<uint64_t, uint64_t>, uint64_t> group_dummies_;
 };
 
 /// Finalize/calibrate step shared by the live drain path, journal

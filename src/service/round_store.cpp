@@ -577,18 +577,14 @@ void SegmentedRoundStore::ApplyAbandonLocked(uint64_t round_id) {
 }
 
 Status SegmentedRoundStore::AppendRecordLocked(WalRecordType type,
-                                               const Bytes& payload,
-                                               bool force_sync) {
+                                               const Bytes& payload) {
   SHUFFLEDP_RETURN_NOT_OK(wal_->Append(type, next_lsn_, payload));
   ++next_lsn_;
-  ++appended_since_sync_;
   ++appended_since_compact_;
-  const uint64_t sync_every = std::max<uint64_t>(1, options_.sync_every_records);
-  if (force_sync || appended_since_sync_ >= sync_every) {
-    SHUFFLEDP_RETURN_NOT_OK(wal_->Sync());
-    appended_since_sync_ = 0;
-  }
-  return Status::OK();
+  // Every record is an fsync barrier. The worker already folds queued
+  // batches into one record (group commit), so syncing less often would
+  // only weaken durability.
+  return wal_->Sync();
 }
 
 Status SegmentedRoundStore::MaybeCompactLocked() {
@@ -608,8 +604,7 @@ Status SegmentedRoundStore::AppendDelta(const RoundDelta& delta,
   std::lock_guard<std::mutex> lock(mu_);
   const uint64_t lsn = next_lsn_;
   SHUFFLEDP_RETURN_NOT_OK(
-      AppendRecordLocked(WalRecordType::kDelta, SerializeRoundDelta(delta),
-                         /*force_sync=*/false));
+      AppendRecordLocked(WalRecordType::kDelta, SerializeRoundDelta(delta)));
   SHUFFLEDP_RETURN_NOT_OK(ApplyDeltaLocked(delta, lsn));
   return MaybeCompactLocked();
 }
@@ -625,8 +620,7 @@ Status SegmentedRoundStore::FinalizeRound(const RoundJournal& journal,
   // Finalize is always an fsync barrier: the result is handed to the
   // coordinator right after this returns, so it must already be durable.
   SHUFFLEDP_RETURN_NOT_OK(AppendRecordLocked(WalRecordType::kFinalize,
-                                             w.Release(),
-                                             /*force_sync=*/true));
+                                             w.Release()));
   SHUFFLEDP_RETURN_NOT_OK(ApplyFinalizeLocked(journal, batches_consumed, lsn));
   return MaybeCompactLocked();
 }
@@ -646,8 +640,7 @@ Status SegmentedRoundStore::CloseRound(uint64_t round_id) {
     // round whose base state vanished.
     ByteWriter w(10);
     w.PutVarint(round_id);
-    Status st = AppendRecordLocked(WalRecordType::kAbandon, w.Release(),
-                                   /*force_sync=*/true);
+    Status st = AppendRecordLocked(WalRecordType::kAbandon, w.Release());
     if (st.ok()) {
       ApplyAbandonLocked(round_id);
       return MaybeCompactLocked();
@@ -665,8 +658,7 @@ Status SegmentedRoundStore::AbandonRound(uint64_t round_id) {
   if (it == rounds_.end() || it->second.finalized) return Status::OK();
   ByteWriter w(10);
   w.PutVarint(round_id);
-  Status st = AppendRecordLocked(WalRecordType::kAbandon, w.Release(),
-                                 /*force_sync=*/true);
+  Status st = AppendRecordLocked(WalRecordType::kAbandon, w.Release());
   if (st.ok()) {
     // Durable first, then visible: the unlink mirrors what replaying
     // the abandon record would do. On a failed append the disk stays
@@ -735,7 +727,6 @@ Status SegmentedRoundStore::CompactLocked() {
   }
   pending_segment_unlinks_.clear();
   appended_since_compact_ = 0;
-  appended_since_sync_ = 0;
   return Status::OK();
 }
 

@@ -6,10 +6,15 @@
 // crash-consistent engine sized for many concurrent rounds:
 //
 //   ingest      consumer thread appends one incremental RoundDelta per
-//               batch group to a per-worker WAL (wal.h) — sparse slice
-//               deltas + tally deltas + dummy-multiset deltas, O(batch)
-//               bytes instead of O(slice) — with a configurable fsync
-//               barrier cadence;
+//               group of batches to a per-worker WAL (wal.h) — sparse
+//               slice deltas + tally deltas + dummy-multiset deltas,
+//               never more than O(slice) bytes — and fsyncs every
+//               record before its batches count toward the durable
+//               watermark. The worker group-commits (partition_worker.h):
+//               one record covers the run of batches it drained from
+//               its queue, [batch_lo, batch_hi), at most queue_capacity
+//               of them, and is written before the consumer waits for
+//               more input or handles a registration or round close;
 //   compaction  the WAL is periodically folded into immutable
 //               CRC-guarded segment files (one per round, "SDPS"
 //               framing, atomic-rename discipline), then truncated;
@@ -75,11 +80,6 @@ struct RoundStoreOptions {
   uint64_t retain_rounds = 4;
   /// WAL records between compactions (segment rewrite + log truncate).
   uint64_t compact_every_records = 256;
-  /// WAL records between fsync barriers. 1 = every record durable
-  /// before ingest proceeds (the default; the crash-point tests assume
-  /// it). Larger values trade the barrier cost for a bounded window of
-  /// re-replayed batches after a crash.
-  uint64_t sync_every_records = 1;
   /// Slice identity (filled by the worker from its resolved partition).
   uint32_t partition_index = 0;
   uint32_t partition_count = 1;
@@ -154,7 +154,7 @@ class RoundStore {
   virtual ~RoundStore() = default;
 
   /// True when the backend persists incremental deltas — the worker
-  /// only computes sparse per-batch support deltas when it does.
+  /// only computes sparse group support deltas when it does.
   virtual bool WantsDeltas() const = 0;
 
   /// Records one batch group's deltas for the round (consumer thread).
@@ -264,8 +264,8 @@ class SegmentedRoundStore : public RoundStore {
   Status ApplyFinalizeLocked(const RoundJournal& journal,
                              uint64_t batches_consumed, uint64_t lsn);
   void ApplyAbandonLocked(uint64_t round_id);
-  Status AppendRecordLocked(WalRecordType type, const Bytes& payload,
-                            bool force_sync);
+  /// Appends one record and fsyncs it (every record is a barrier).
+  Status AppendRecordLocked(WalRecordType type, const Bytes& payload);
   /// Compacts when the record cadence is due. Must run only after the
   /// just-appended record was applied to the mirror — compaction folds
   /// the mirror into segments and then drops the WAL, so an unapplied
@@ -287,7 +287,6 @@ class SegmentedRoundStore : public RoundStore {
   std::vector<uint64_t> pending_segment_unlinks_;
   std::unique_ptr<WriteAheadLog> wal_;
   uint64_t next_lsn_ = 1;
-  uint64_t appended_since_sync_ = 0;
   uint64_t appended_since_compact_ = 0;
   uint64_t wal_truncated_bytes_ = 0;
 };

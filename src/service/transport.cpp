@@ -670,6 +670,17 @@ class CollectionServer::EventLoop {
                             wheel_.TimeoutMs());
       if (rc < 0 && errno != EINTR) break;
       if (rc < 0) rc = 0;
+      // Drain the wakeup eventfd *before* reading the task list and the
+      // stop flag. A Wake() that lands after the drain stays pending for
+      // the next epoll_wait; draining after the read could swallow a
+      // RequestStop whose flag this iteration already missed, leaving
+      // the loop asleep with Join() waiting on it forever.
+      for (int i = 0; i < rc; ++i) {
+        if (events[i].data.u64 != kWakeupKey) continue;
+        uint64_t drained = 0;
+        while (::read(event_fd_, &drained, sizeof(drained)) > 0) {
+        }
+      }
       bool stop = false;
       tasks.clear();
       {
@@ -682,12 +693,7 @@ class CollectionServer::EventLoop {
       for (int i = 0; i < rc; ++i) {
         const uint64_t key = events[i].data.u64;
         const uint32_t ev = events[i].events;
-        if (key == kWakeupKey) {
-          uint64_t drained = 0;
-          while (::read(event_fd_, &drained, sizeof(drained)) > 0) {
-          }
-          continue;
-        }
+        if (key == kWakeupKey) continue;  // drained above
         if (key == kListenKey) {
           OnAccept();
           continue;

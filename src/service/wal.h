@@ -3,10 +3,14 @@
 // The full-snapshot checkpoint path (checkpoint.h) rewrites the whole
 // counter state every N batches — O(slice) bytes per snapshot, one
 // in-flight round per worker. The WAL inverts that cost model: the
-// consumer appends one small CRC-framed record per ingested batch group
-// (sparse support deltas, tally deltas, dummy-multiset deltas), with
-// explicit fsync barriers, and the round store periodically compacts
-// the log into immutable segment files (round_store.h). Crash recovery
+// consumer appends one small CRC-framed record per group of ingested
+// batches (sparse support deltas, tally deltas, dummy-multiset deltas)
+// and fsyncs every record, and the round store periodically compacts
+// the log into immutable segment files (round_store.h). A group is the
+// run of batches the worker drained from its queue before writing —
+// at most queue_capacity of them, one batch when the queue keeps up —
+// so under load one fsync covers many batches (group commit,
+// partition_worker.h), while a record's bytes stay O(slice width). Crash recovery
 // is a scan: records are validated front-to-back, the first invalid
 // record ends the log (a torn tail from a crash mid-append), and the
 // file is truncated back to the last valid record so the next append

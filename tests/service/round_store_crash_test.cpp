@@ -12,6 +12,13 @@
 // ingest, compaction, finalize, and retention-GC windows because the
 // workload's knobs are chosen so each happens several times within the
 // timeline.
+//
+// The worker group-commits: batches already queued when the consumer
+// finishes one are folded into a single WAL record. Ungated, how many
+// batches a record covers depends on timing; the gated sweep holds each
+// round's first batch until the rest of the round is queued, so every
+// record covers a whole round and every run kills at the write and at
+// the fsync of a multi-batch record.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "batch_gate.h"
 #include "ldp/grr.h"
 #include "service/fault_injection.h"
 #include "service/round_store.h"
@@ -77,14 +85,16 @@ uint64_t BatchCount(uint64_t round) {
 
 // Feeds one round (starting at `from_batch`) into the worker and closes
 // it. Registration only happens at the true round start — recovery
-// skips it when the registration record was already durable.
+// skips it when the registration record was already durable. `gated`
+// holds the first batch until the rest are queued (one group record).
 Result<RoundResult> RunRound(StreamingCollector* w,
                              const ldp::ScalarFrequencyOracle& o,
                              uint64_t round, uint64_t from_batch,
-                             bool register_dummies) {
+                             bool register_dummies, bool gated) {
   if (round == 0 && register_dummies) {
     w->ExpectDummies(RoundDummies(o));
   }
+  BatchGate gate;
   for (uint64_t b = from_batch; b < BatchCount(round); ++b) {
     std::vector<ldp::LdpReport> reports = RoundBatch(o, round, b);
     if (round == 0 && b == 0) {
@@ -92,8 +102,11 @@ Result<RoundResult> RunRound(StreamingCollector* w,
         reports.push_back(report);
       }
     }
-    SHUFFLEDP_RETURN_NOT_OK(w->Offer(MakePlainBatch(std::move(reports))));
+    ReportBatch batch = MakePlainBatch(std::move(reports));
+    if (gated && b == from_batch) batch = gate.Hold(std::move(batch));
+    SHUFFLEDP_RETURN_NOT_OK(w->Offer(std::move(batch)));
   }
+  gate.Open();
   return w->FinishRound(BatchCount(round) * kBatchSize, 0,
                         Calibration::kStandard);
 }
@@ -118,18 +131,17 @@ StreamingOptions DurableOptions(const std::string& dir,
   // Small cadences so the two-round timeline crosses several fsync
   // barriers, several compactions, and at least one retention GC.
   opts.round_store.compact_every_records = 4;
-  opts.round_store.sync_every_records = 1;
   return opts;
 }
 
 // Runs the workload until the first failure (the simulated crash).
 // Returns how far it got; any error is expected once the kill fires.
 void RunWorkloadToCrash(const ldp::ScalarFrequencyOracle& o,
-                        const StreamingOptions& opts) {
+                        const StreamingOptions& opts, bool gated) {
   StreamingCollector w(o, opts);
   for (uint64_t round = 0; round < 2; ++round) {
     Result<RoundResult> r = RunRound(&w, o, round, 0,
-                                     /*register_dummies=*/round == 0);
+                                     /*register_dummies=*/round == 0, gated);
     if (!r.ok()) return;  // crashed mid-round: the worker dies here
   }
 }
@@ -141,7 +153,7 @@ void RecoverAndFinish(const ldp::ScalarFrequencyOracle& o,
                       const StreamingOptions& opts,
                       const RoundResult& expected0,
                       const RoundResult& expected1,
-                      const std::string& tag) {
+                      const std::string& tag, bool gated) {
   StreamingCollector w(o, opts);
   std::shared_ptr<RoundStore> store = w.store();
   ASSERT_NE(store, nullptr) << tag;
@@ -205,7 +217,7 @@ void RecoverAndFinish(const ldp::ScalarFrequencyOracle& o,
     // Re-register the spot-check dummies only when their registration
     // record never became durable.
     const bool reregister = id == 0 && live->state.dummies_expected == 0;
-    auto r = RunRound(&w, o, id, *watermark, reregister);
+    auto r = RunRound(&w, o, id, *watermark, reregister, gated);
     ASSERT_TRUE(r.ok()) << tag << ": " << r.status().ToString();
     if (id == 0) {
       result0 = std::move(*r);
@@ -223,14 +235,14 @@ void RecoverAndFinish(const ldp::ScalarFrequencyOracle& o,
   // the input stream either way.
   if (!have0) {
     if (w.round_id() == 0) {
-      auto r = RunRound(&w, o, 0, 0, /*register_dummies=*/true);
+      auto r = RunRound(&w, o, 0, 0, /*register_dummies=*/true, gated);
       ASSERT_TRUE(r.ok()) << tag << ": " << r.status().ToString();
       result0 = std::move(*r);
     } else {
       StreamingOptions plain;
       plain.batch_size = kBatchSize;
       StreamingCollector fresh(o, plain);
-      auto r = RunRound(&fresh, o, 0, 0, /*register_dummies=*/true);
+      auto r = RunRound(&fresh, o, 0, 0, /*register_dummies=*/true, gated);
       ASSERT_TRUE(r.ok()) << tag << ": " << r.status().ToString();
       result0 = std::move(*r);
     }
@@ -238,7 +250,7 @@ void RecoverAndFinish(const ldp::ScalarFrequencyOracle& o,
   }
   if (!have1) {
     ASSERT_EQ(w.round_id(), 1u) << tag;
-    auto r = RunRound(&w, o, 1, 0, /*register_dummies=*/false);
+    auto r = RunRound(&w, o, 1, 0, /*register_dummies=*/false, gated);
     ASSERT_TRUE(r.ok()) << tag << ": " << r.status().ToString();
     result1 = std::move(*r);
     have1 = true;
@@ -248,7 +260,8 @@ void RecoverAndFinish(const ldp::ScalarFrequencyOracle& o,
   ExpectBitwise(result1, expected1, tag + " round1");
 }
 
-void SweepEveryCrashPoint(uint64_t retain_rounds, const std::string& name) {
+void SweepEveryCrashPoint(uint64_t retain_rounds, const std::string& name,
+                          bool gated) {
   ldp::Grr oracle(3.0, kDomain);
 
   // Ground truth: plain in-memory run, no store at all.
@@ -258,10 +271,10 @@ void SweepEveryCrashPoint(uint64_t retain_rounds, const std::string& name) {
     StreamingOptions plain;
     plain.batch_size = kBatchSize;
     StreamingCollector w(oracle, plain);
-    auto r0 = RunRound(&w, oracle, 0, 0, true);
+    auto r0 = RunRound(&w, oracle, 0, 0, true, gated);
     ASSERT_TRUE(r0.ok()) << r0.status().ToString();
     expected0 = std::move(*r0);
-    auto r1 = RunRound(&w, oracle, 1, 0, false);
+    auto r1 = RunRound(&w, oracle, 1, 0, false, gated);
     ASSERT_TRUE(r1.ok()) << r1.status().ToString();
     expected1 = std::move(*r1);
   }
@@ -277,18 +290,25 @@ void SweepEveryCrashPoint(uint64_t retain_rounds, const std::string& name) {
     ScopedFaultInjector installed(&counting);
     StreamingOptions opts = DurableOptions(base + "_free", retain_rounds);
     StreamingCollector w(oracle, opts);
-    auto r0 = RunRound(&w, oracle, 0, 0, true);
+    auto r0 = RunRound(&w, oracle, 0, 0, true, gated);
     ASSERT_TRUE(r0.ok()) << r0.status().ToString();
     ExpectBitwise(*r0, expected0, "fault-free round0");
-    auto r1 = RunRound(&w, oracle, 1, 0, false);
+    auto r1 = RunRound(&w, oracle, 1, 0, false, gated);
     ASSERT_TRUE(r1.ok()) << r1.status().ToString();
     ExpectBitwise(*r1, expected1, "fault-free round1");
     crash_points = counting.storage_evaluations();
+    if (gated) {
+      // Registration, round 0's six batches, its finalize, round 1's
+      // five batches, its finalize: each round's batches are one record.
+      auto* segmented = dynamic_cast<SegmentedRoundStore*>(w.store().get());
+      ASSERT_NE(segmented, nullptr);
+      EXPECT_EQ(segmented->next_lsn(), 6u);
+    }
   }
   // The timeline must actually cross WAL appends, fsync barriers, and
   // compactions — a tiny count means the store silently stopped
   // persisting and the sweep below proves nothing.
-  ASSERT_GE(crash_points, 20u);
+  ASSERT_GE(crash_points, gated ? 12u : 20u);
 
   for (uint64_t k = 1; k <= crash_points; ++k) {
     const std::string tag = name + " kill@" + std::to_string(k);
@@ -299,25 +319,33 @@ void SweepEveryCrashPoint(uint64_t retain_rounds, const std::string& name) {
       FaultInjector injector;
       injector.ArmStorageKill(k, EIO);
       ScopedFaultInjector installed(&injector);
-      RunWorkloadToCrash(oracle, opts);
+      RunWorkloadToCrash(oracle, opts, gated);
       // Worker destroyed with the kill still armed: nothing after the
       // kill point ever reached disk.
     }
-    RecoverAndFinish(oracle, opts, expected0, expected1, tag);
+    RecoverAndFinish(oracle, opts, expected0, expected1, tag, gated);
     RemoveTree(dir);
   }
   RemoveTree(base + "_free");
 }
 
 TEST(RoundStoreCrash, EveryCrashPointRecoversBitwise) {
-  SweepEveryCrashPoint(/*retain_rounds=*/2, "crash_sweep");
+  SweepEveryCrashPoint(/*retain_rounds=*/2, "crash_sweep", /*gated=*/false);
 }
 
 // retain_rounds = 1 moves the retention GC inside the crash window: the
 // sweep also covers killing between "round 0 expired" and "round 1
 // still live", where recovery must re-run round 0 from scratch.
 TEST(RoundStoreCrash, SweepWithAggressiveRetention) {
-  SweepEveryCrashPoint(/*retain_rounds=*/1, "crash_sweep_gc");
+  SweepEveryCrashPoint(/*retain_rounds=*/1, "crash_sweep_gc",
+                       /*gated=*/false);
+}
+
+// Every round's batches form one multi-batch group record, so each kill
+// point around a record write or fsync lands inside a group commit.
+TEST(RoundStoreCrash, GatedSweepKillsInsideMultiBatchRecords) {
+  SweepEveryCrashPoint(/*retain_rounds=*/2, "crash_sweep_gated",
+                       /*gated=*/true);
 }
 
 }  // namespace

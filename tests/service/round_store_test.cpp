@@ -1,21 +1,27 @@
 // Durable round store units: WAL framing (golden-pinned bytes, torn
 // tail, bit flips, slice identity), the RoundDelta codec, segment
 // goldens, LSN-idempotent replay (duplicate records), retention GC,
-// legacy SDPK/SDPJ migration and the legacy adapter's cadence, and the
-// worker-level ENOSPC degrade path. The crash-point-exhaustive sweep
-// lives in round_store_crash_test.cpp.
+// legacy SDPK/SDPJ migration and the legacy adapter's cadence, the
+// worker-level ENOSPC degrade path, and the worker's group commit (one
+// WAL record per drained run of queued batches). The crash-point-
+// exhaustive sweep lives in round_store_crash_test.cpp.
 
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "batch_gate.h"
 #include "ldp/grr.h"
+#include "ldp/local_hash.h"
 #include "service/checkpoint.h"
 #include "service/fault_injection.h"
 #include "service/round_store.h"
@@ -753,14 +759,28 @@ TEST(WorkerDegrade, EnospcDegradesRoundNotPipeline) {
   durable.round_store.dir = dir;
   StreamingCollector w(oracle, durable);
   {
+    // Batch 0 becomes durable first; then the disk fills at the very
+    // next write. The round degrades mid-round with durable state behind
+    // it however the worker groups batches 1-3 into records.
+    ASSERT_TRUE(w.Offer(MakePlainBatch(batch(0))).ok());
+    uint64_t watermark = 0;
+    for (int spin = 0; spin < 2000 && watermark < 1; ++spin) {
+      auto lookup = w.store()->Query(0);
+      ASSERT_TRUE(lookup.ok()) << lookup.status().ToString();
+      watermark = lookup->watermark;
+      if (watermark < 1) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    ASSERT_GE(watermark, 1u);
     FaultInjector injector;
     FaultRule rule;
     rule.op = FaultOp::kFileWrite;
-    rule.skip = 3;  // header + two appends succeed, then the disk fills
+    rule.skip = 0;  // the next write finds the disk full
     rule.action = FaultAction::FailErrno(ENOSPC);
     injector.AddRule(rule);
     ScopedFaultInjector installed(&injector);
-    for (uint64_t b = 0; b < 4; ++b) {
+    for (uint64_t b = 1; b < 4; ++b) {
       ASSERT_TRUE(w.Offer(MakePlainBatch(batch(b))).ok());
     }
     auto r = w.FinishRound(128, 0, Calibration::kStandard);
@@ -785,6 +805,263 @@ TEST(WorkerDegrade, EnospcDegradesRoundNotPipeline) {
   ASSERT_TRUE(lookup.ok());
   EXPECT_EQ(lookup->status, RoundStatus::kFinalized);
   RemoveTree(dir);
+}
+
+// ---------------------------------------------------------------------------
+// Group commit: batches queued behind a gated batch 0 become one record
+// ---------------------------------------------------------------------------
+
+constexpr uint64_t kGroupBatches = 6;
+constexpr size_t kGroupBatchRows = 32;
+
+std::vector<std::pair<ldp::LdpReport, uint64_t>> GroupDummy(
+    const ldp::ScalarFrequencyOracle& o, uint64_t seed) {
+  Rng rng(0xD0D0ULL + seed);
+  return {{o.Encode(rng.UniformU64(o.domain_size()), &rng), 0}};
+}
+
+// Batch b of the grouped round. Batches 1 and 5 carry the planted
+// dummies, so one is consumed inside each group.
+std::vector<ldp::LdpReport> GroupBatch(const ldp::ScalarFrequencyOracle& o,
+                                       uint64_t b) {
+  Rng rng(0xC0DE00ULL + b);
+  std::vector<ldp::LdpReport> reports;
+  for (size_t i = 0; i < kGroupBatchRows; ++i) {
+    reports.push_back(o.Encode(rng.UniformU64(o.domain_size()), &rng));
+  }
+  if (b == 1) reports.push_back(GroupDummy(o, 1)[0].first);
+  if (b == 5) reports.push_back(GroupDummy(o, 2)[0].first);
+  return reports;
+}
+
+// Queues the whole round behind a gated batch 0 — a registration, batches
+// 0-3, a second registration, batches 4-5 and the round close — then
+// opens the gate. Eight items, well inside the default queue capacity,
+// so no producer call blocks while the gate is shut.
+Result<RoundResult> RunGroupedRound(const ldp::ScalarFrequencyOracle& o,
+                                    const StreamingOptions& options) {
+  StreamingCollector w(o, options);
+  BatchGate gate;
+  w.ExpectDummies(GroupDummy(o, 1));
+  for (uint64_t b = 0; b < kGroupBatches; ++b) {
+    if (b == 4) w.ExpectDummies(GroupDummy(o, 2));
+    ReportBatch batch = MakePlainBatch(GroupBatch(o, b));
+    SHUFFLEDP_RETURN_NOT_OK(
+        w.Offer(b == 0 ? gate.Hold(std::move(batch)) : std::move(batch)));
+  }
+  auto closed = w.CloseRound(kGroupBatches * kGroupBatchRows + 2, 0,
+                             Calibration::kStandard);
+  gate.Open();
+  return closed.get();
+}
+
+// The WAL's records in log order, read back once the worker is gone.
+std::vector<WriteAheadLog::Record> ReadWalRecords(const std::string& dir) {
+  WriteAheadLog::Options options;
+  options.path = dir + "/wal.log";
+  auto wal = WriteAheadLog::Open(options);
+  EXPECT_TRUE(wal.ok()) << wal.status().ToString();
+  if (!wal.ok()) return {};
+  return (*wal)->TakeRecovered();
+}
+
+RoundDelta DeltaOf(const WriteAheadLog::Record& record) {
+  EXPECT_EQ(record.type, WalRecordType::kDelta);
+  auto delta = ParseRoundDelta(record.payload);
+  EXPECT_TRUE(delta.ok()) << delta.status().ToString();
+  return delta.ok() ? *delta : RoundDelta{};
+}
+
+uint64_t DummyCount(
+    const std::vector<std::tuple<uint64_t, uint64_t, uint64_t>>& entries) {
+  uint64_t total = 0;
+  for (const auto& entry : entries) total += std::get<2>(entry);
+  return total;
+}
+
+// (a) one record per drained run, (c) bitwise equal to a store-less run
+// with dummies consumed inside a group, (d) a registration or close
+// queued behind a group is its own record, written after the group's.
+void ExpectGroupedRound(const ldp::ScalarFrequencyOracle& o,
+                        const std::string& name) {
+  const std::string dir = TempPath(name);
+  RemoveTree(dir);
+  StreamingOptions plain;
+  plain.batch_size = kGroupBatchRows;
+  auto expected = RunGroupedRound(o, plain);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  EXPECT_EQ(expected->dummies_recognized, 2u);
+
+  StreamingOptions durable = plain;
+  durable.round_store.dir = dir;
+  auto got = RunGroupedRound(o, durable);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->supports, expected->supports);
+  EXPECT_EQ(got->estimates, expected->estimates);  // exact doubles
+  EXPECT_EQ(got->reports_decoded, expected->reports_decoded);
+  EXPECT_EQ(got->dummies_recognized, expected->dummies_recognized);
+  EXPECT_EQ(got->dummies_expected, expected->dummies_expected);
+  EXPECT_FALSE(got->durability_degraded);
+
+  // registration, group [0, 4), registration, group [4, 6), finalize.
+  std::vector<WriteAheadLog::Record> records = ReadWalRecords(dir);
+  ASSERT_EQ(records.size(), 5u);
+  const RoundDelta reg0 = DeltaOf(records[0]);
+  const RoundDelta group0 = DeltaOf(records[1]);
+  const RoundDelta reg1 = DeltaOf(records[2]);
+  const RoundDelta group1 = DeltaOf(records[3]);
+  EXPECT_EQ(records[4].type, WalRecordType::kFinalize);
+  EXPECT_EQ(reg0.batch_lo, 0u);
+  EXPECT_EQ(reg0.batch_hi, 0u);
+  EXPECT_EQ(DummyCount(reg0.dummies_registered), 1u);
+  EXPECT_EQ(group0.batch_lo, 0u);
+  EXPECT_EQ(group0.batch_hi, 4u);
+  EXPECT_EQ(group0.rows_delta, 4 * kGroupBatchRows + 1);
+  EXPECT_EQ(DummyCount(group0.dummies_consumed), 1u);
+  EXPECT_TRUE(group0.dummies_registered.empty());
+  EXPECT_EQ(reg1.batch_lo, 4u);
+  EXPECT_EQ(reg1.batch_hi, 4u);
+  EXPECT_EQ(DummyCount(reg1.dummies_registered), 1u);
+  EXPECT_EQ(group1.batch_lo, 4u);
+  EXPECT_EQ(group1.batch_hi, kGroupBatches);
+  EXPECT_EQ(DummyCount(group1.dummies_consumed), 1u);
+  EXPECT_EQ(group0.decoded_delta + group1.decoded_delta,
+            expected->reports_decoded);
+
+  // The two groups' sparse deltas add up to the round's supports.
+  std::vector<uint64_t> summed(expected->supports.size(), 0);
+  for (const RoundDelta* group : {&group0, &group1}) {
+    for (const auto& [index, count] : group->support_deltas) {
+      ASSERT_LT(index, summed.size());
+      summed[index] += count;
+    }
+  }
+  EXPECT_EQ(summed, expected->supports);
+
+  // And the store replays them into the finalized round.
+  StreamingCollector reopened(o, durable);
+  auto rounds = reopened.store()->LoadAll();
+  ASSERT_TRUE(rounds.ok()) << rounds.status().ToString();
+  ASSERT_EQ(rounds->size(), 1u);
+  EXPECT_TRUE((*rounds)[0].finalized);
+  EXPECT_EQ((*rounds)[0].batches_consumed, kGroupBatches);
+  EXPECT_EQ((*rounds)[0].journal.supports, expected->supports);
+  RemoveTree(dir);
+}
+
+TEST(GroupCommit, DrainedRunIsOneRecordGrr) {
+  ldp::Grr oracle(3.0, 16);  // value-equality: the histogram path
+  ExpectGroupedRound(oracle, "group_grr");
+}
+
+TEST(GroupCommit, DrainedRunIsOneRecordLocalHash) {
+  // Hash oracle: the group delta is a diff of the counter's counts
+  // against the shadow of what the store has seen.
+  std::unique_ptr<ldp::LocalHash> oracle = ldp::MakeOlh(2.0, 64);
+  ExpectGroupedRound(*oracle, "group_olh");
+}
+
+// (b) a backlog deeper than the queue splits into contiguous records of
+// at most queue_capacity batches each.
+TEST(GroupCommit, RecordsNeverSpanMoreThanQueueCapacity) {
+  const std::string dir = TempPath("group_capacity");
+  RemoveTree(dir);
+  ldp::Grr oracle(3.0, 16);
+  constexpr uint64_t kBatches = 12;
+  StreamingOptions plain;
+  plain.batch_size = kGroupBatchRows;
+  plain.queue_capacity = 4;
+  auto run = [&](const StreamingOptions& options) -> Result<RoundResult> {
+    StreamingCollector w(oracle, options);
+    BatchGate gate;
+    for (uint64_t b = 0; b < kBatches; ++b) {
+      ReportBatch batch = MakePlainBatch(GroupBatch(oracle, b));
+      SHUFFLEDP_RETURN_NOT_OK(
+          w.Offer(b == 0 ? gate.Hold(std::move(batch)) : std::move(batch)));
+      // Batches 1-4 fill the queue behind the held batch 0; from then on
+      // the producer runs into backpressure, so open the gate.
+      if (b == 4) gate.Open();
+    }
+    return w.FinishRound(kBatches * kGroupBatchRows + 2, 0,
+                         Calibration::kStandard);
+  };
+  auto expected = run(plain);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+  StreamingOptions durable = plain;
+  durable.round_store.dir = dir;
+  auto got = run(durable);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->supports, expected->supports);
+  EXPECT_EQ(got->estimates, expected->estimates);
+
+  std::vector<WriteAheadLog::Record> records = ReadWalRecords(dir);
+  ASSERT_GE(records.size(), 4u);  // >= 12 / 4 groups + the finalize
+  EXPECT_EQ(records.back().type, WalRecordType::kFinalize);
+  records.pop_back();
+  uint64_t watermark = 0;
+  for (const WriteAheadLog::Record& record : records) {
+    const RoundDelta delta = DeltaOf(record);
+    EXPECT_EQ(delta.batch_lo, watermark);
+    EXPECT_GT(delta.batch_hi, delta.batch_lo);
+    EXPECT_LE(delta.batch_hi - delta.batch_lo, plain.queue_capacity);
+    watermark = delta.batch_hi;
+  }
+  EXPECT_EQ(watermark, kBatches);
+  // The four batches queued behind the gate fill the first group to the
+  // bound exactly: it is written at the cap, not at an empty queue.
+  EXPECT_EQ(DeltaOf(records.front()).batch_hi, plain.queue_capacity);
+  RemoveTree(dir);
+}
+
+// (e) a worker shut down cleanly mid-round leaves every batch it
+// consumed durable: the consumer never exits with an unsynced group.
+TEST(GroupCommit, CleanShutdownLeavesTheFullWatermark) {
+  ldp::Grr grr(3.0, 16);
+  std::unique_ptr<ldp::LocalHash> olh = ldp::MakeOlh(2.0, 64);
+  for (const ldp::ScalarFrequencyOracle* o :
+       {static_cast<const ldp::ScalarFrequencyOracle*>(&grr),
+        static_cast<const ldp::ScalarFrequencyOracle*>(olh.get())}) {
+    const std::string dir = TempPath("group_shutdown");
+    RemoveTree(dir);
+    StreamingOptions plain;
+    plain.batch_size = kGroupBatchRows;
+    RoundResult expected;
+    {
+      StreamingCollector w(*o, plain);
+      for (uint64_t b = 0; b < kGroupBatches; ++b) {
+        ASSERT_TRUE(w.Offer(MakePlainBatch(GroupBatch(*o, b))).ok());
+      }
+      auto r = w.FinishRound(1, 0, Calibration::kNone);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      expected = std::move(*r);
+    }
+
+    StreamingOptions durable = plain;
+    durable.round_store.dir = dir;
+    {
+      StreamingCollector w(*o, durable);
+      BatchGate gate;
+      for (uint64_t b = 0; b < kGroupBatches; ++b) {
+        ReportBatch batch = MakePlainBatch(GroupBatch(*o, b));
+        ASSERT_TRUE(
+            w.Offer(b == 0 ? gate.Hold(std::move(batch)) : std::move(batch))
+                .ok());
+      }
+      gate.Open();
+    }  // destroyed mid-round: the consumer drains the queue and exits
+
+    StreamingCollector reopened(*o, durable);
+    auto rounds = reopened.store()->LoadAll();
+    ASSERT_TRUE(rounds.ok()) << rounds.status().ToString();
+    ASSERT_EQ(rounds->size(), 1u);
+    EXPECT_FALSE((*rounds)[0].finalized);
+    EXPECT_EQ((*rounds)[0].batches_consumed, kGroupBatches);
+    EXPECT_EQ((*rounds)[0].state.supports, expected.supports);
+    EXPECT_EQ((*rounds)[0].state.reports_decoded, expected.reports_decoded);
+    EXPECT_EQ(ReadWalRecords(dir).size(), 1u) << "one group, one record";
+    RemoveTree(dir);
+  }
 }
 
 }  // namespace
