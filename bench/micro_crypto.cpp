@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "crypto/aes.h"
 #include "crypto/bigint.h"
@@ -17,6 +18,7 @@
 #include "ldp/grr.h"
 #include "ldp/hadamard.h"
 #include "ldp/local_hash.h"
+#include "ldp/support_kernels.h"
 #include "util/hash.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -684,6 +686,58 @@ void BM_Oracle_SupportScan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Oracle_SupportScan);
+
+// --- Bulk support kernel (OLH/SOLH server aggregation) ---------------
+// One 4096-report batch against a 1024-value domain; items are (report,
+// value) pairs. d' = 8, 28, 168 are the d' the peos-eos, fleet-solh and
+// ss-onion perfbench workloads run (8 takes the power-of-two mask path).
+
+void RunSupportAccumulate(benchmark::State& state,
+                          ldp::SupportBackend backend) {
+  const uint32_t d_prime = static_cast<uint32_t>(state.range(0));
+  const ldp::SupportBackend prev = ldp::ActiveSupportBackend();
+  if (ldp::SetSupportBackend(backend) != backend) {
+    ldp::SetSupportBackend(prev);
+    state.SkipWithError("backend unavailable on this host");
+    return;
+  }
+  constexpr size_t kReports = 4096;
+  constexpr uint64_t kDomain = 1024;
+  Rng rng(11);
+  std::vector<ldp::LdpReport> reports(kReports);
+  for (auto& r : reports) {
+    r.seed = static_cast<uint32_t>(rng.NextU64());
+    r.value = static_cast<uint32_t>(rng.UniformU64(d_prime));
+  }
+  std::vector<uint64_t> counts(kDomain, 0);
+  for (auto _ : state) {
+    ldp::AccumulateLocalHashSupports(reports.data(), kReports, 0, kDomain,
+                                     d_prime, counts.data());
+    benchmark::DoNotOptimize(counts.data());
+    benchmark::ClobberMemory();
+  }
+  ldp::SetSupportBackend(prev);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kReports * kDomain));
+}
+
+void BM_SupportKernel_Accumulate(benchmark::State& state) {
+  RunSupportAccumulate(state, ldp::BestSupportBackend());
+}
+BENCHMARK(BM_SupportKernel_Accumulate)
+    ->Arg(8)->Arg(28)->Arg(168)->Unit(benchmark::kMicrosecond);
+
+void BM_SupportKernel_Accumulate_Avx2(benchmark::State& state) {
+  RunSupportAccumulate(state, ldp::SupportBackend::kAvx2);
+}
+BENCHMARK(BM_SupportKernel_Accumulate_Avx2)
+    ->Arg(8)->Arg(28)->Arg(168)->Unit(benchmark::kMicrosecond);
+
+void BM_SupportKernel_Accumulate_Portable(benchmark::State& state) {
+  RunSupportAccumulate(state, ldp::SupportBackend::kPortable);
+}
+BENCHMARK(BM_SupportKernel_Accumulate_Portable)
+    ->Arg(8)->Arg(28)->Arg(168)->Unit(benchmark::kMicrosecond);
 
 void BM_Grr_Encode(benchmark::State& state) {
   Rng rng(9);

@@ -43,9 +43,9 @@ for arg in "$@"; do
 done
 
 # Default filter keeps the hot-path crypto benchmarks (incl. the Paillier
-# and Montgomery-kernel suite behind the PEOS server cost); pass
-# MICRO_FILTER='' for everything.
-MICRO_FILTER="${MICRO_FILTER-P256|Ecies|Aes|Sha256|XxHash|Paillier|RandomizerPool|Mont|BigInt_Mod}"
+# and Montgomery-kernel suite behind the PEOS server cost) and the SOLH
+# support kernel; pass MICRO_FILTER='' for everything.
+MICRO_FILTER="${MICRO_FILTER-P256|Ecies|Aes|Sha256|XxHash|Paillier|RandomizerPool|Mont|BigInt_Mod|SupportKernel}"
 TABLE3_N="${TABLE3_N:-2000}"
 STREAMING_FLAGS=""
 # Generous wall-clock budget for the --smoke table3 run (seconds): a smoke

@@ -277,26 +277,6 @@ Result<BigInt> PaillierPrivateKey::Decrypt(const PaillierCiphertext& c) const {
   return CrtCombine(mp, mq);
 }
 
-Result<BigInt> PaillierPrivateKey::DecryptDirect(
-    const PaillierCiphertext& c) const {
-  if (p_.IsZero()) {
-    return Status::FailedPrecondition("Paillier private key not initialized");
-  }
-  if (c.value >= pub_.n_squared() || c.value.IsZero()) {
-    return Status::CryptoError("Paillier: ciphertext out of range");
-  }
-  // m = L_N(c^lambda mod N^2) * mu mod N with lambda = lcm(p-1, q-1) and
-  // mu = L_N(g^lambda mod N^2)^{-1} mod N. Recomputed per call — this is
-  // the slow reference path for cross-checking CRT decryption.
-  const BigInt& n = pub_.n();
-  const BigInt& n2 = pub_.n_squared();
-  BigInt lambda = BigInt::Lcm(p_minus_1_, q_minus_1_);
-  BigInt g = n.Add(BigInt(1));
-  auto mu = LFunction(g.ModExp(lambda, n2), n).Mod(n).ModInverse(n);
-  if (!mu.ok()) return Status::CryptoError("Paillier: mu not invertible");
-  return LFunction(c.value.ModExp(lambda, n2), n).ModMul(*mu, n);
-}
-
 Result<uint64_t> PaillierPrivateKey::DecryptMod2Ell(
     const PaillierCiphertext& c, unsigned ell) const {
   assert(ell >= 1 && ell <= 64);

@@ -11,8 +11,8 @@
 // Implementation notes:
 //  * g = N + 1, so Enc(m; r) = (1 + m*N) * r^N mod N^2 — one modexp.
 //  * Decryption uses CRT over p^2 and q^2 (≈4x faster than the direct
-//    lambda exponentiation, which survives as DecryptDirect for
-//    cross-checks).
+//    lambda exponentiation, which tests/crypto/paillier_test.cpp keeps
+//    as its cross-check reference).
 //  * Both keys pin Montgomery contexts for their moduli (N^2 on the
 //    public key, p^2/q^2 on the private key), so every Encrypt / Decrypt
 //    / Add / ScalarMult runs division-free on precomputed contexts.
@@ -156,10 +156,6 @@ class PaillierPrivateKey {
 
   /// Decrypts to the full plaintext in [0, N).
   Result<BigInt> Decrypt(const PaillierCiphertext& c) const;
-
-  /// Reference decryption via the direct lambda exponentiation (no CRT);
-  /// slow, kept for cross-checking the CRT path in tests.
-  Result<BigInt> DecryptDirect(const PaillierCiphertext& c) const;
 
   /// Decrypts and reduces mod 2^ell (the Z_{2^ell} share recovery).
   Result<uint64_t> DecryptMod2Ell(const PaillierCiphertext& c,

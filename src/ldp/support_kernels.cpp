@@ -1,6 +1,6 @@
 // Bulk support-evaluation kernels — see support_kernels.h for the design.
 //
-// Layout notes shared by both backends:
+// Layout notes shared by the three tiers:
 //
 //  * The per-pair predicate is
 //      XxHash64Key8(v, seed) % d' == report.value
@@ -14,10 +14,11 @@
 //    k1 cache + the touched counter slice another ~8 KiB. One batch is
 //    streamed once per value tile — all from L1 after the first pass.
 //
-//  * `% d'` must be bitwise the `%` operator (protocol semantics shared
-//    with the client Encode) — powers of two reduce with a mask, general
-//    d' through the branch-free Granlund–Montgomery magic in
-//    SupportModulus. tests/ldp/support_kernel_test.cpp pins Reduce()
+//  * `% d' == value` must be bitwise the `%` operator (protocol semantics
+//    shared with the client Encode). Powers of two compare under a mask;
+//    general d' runs SupportModulus's divisibility predicate, whose
+//    `value < d'` term is hoisted per report in Accumulate* and computed
+//    per lane in Count*. tests/ldp/support_kernel_test.cpp pins Matches()
 //    against `%` and the whole kernel against the per-pair loop.
 //
 // This is a separate translation unit so the target("avx2") functions can
@@ -103,14 +104,19 @@ SupportBackend& BackendOverride() {
 
 // ---------------------------------------------------------------------------
 // Portable backend: scalar straight-line hash, 4-value unroll so the four
-// independent dependency chains fill the scalar multiplier, magic modulo
-// instead of a hardware divide.
+// independent dependency chains fill the scalar multiplier, no divide.
+// The modulus comes by value so its fields stay in registers.
 // ---------------------------------------------------------------------------
+
+template <bool kPow2>
+inline bool Match(const SupportModulus& mod, uint64_t h, uint64_t y) {
+  return kPow2 ? (h & mod.mask) == y : mod.Matches(h, y);
+}
 
 template <bool kPow2>
 void AccumulatePortable(const LdpReport* reports, size_t count,
                         uint64_t value_lo, uint64_t value_hi,
-                        const SupportModulus& mod, uint64_t* counts) {
+                        SupportModulus mod, uint64_t* counts) {
   uint64_t k1[kValueTile];
   for (size_t rlo = 0; rlo < count; rlo += kReportTile) {
     const size_t rhi = rlo + std::min(kReportTile, count - rlo);
@@ -125,23 +131,11 @@ void AccumulatePortable(const LdpReport* reports, size_t count,
         uint64_t c0 = 0, c1 = 0, c2 = 0, c3 = 0;
         for (size_t r = rlo; r < rhi; ++r) {
           const uint64_t h0 = reports[r].seed + kSeedBias;
-          const uint64_t target = reports[r].value;
-          uint64_t m0, m1, m2, m3;
-          if (kPow2) {
-            m0 = FinishHash(h0, k1[j + 0]) & mod.mask;
-            m1 = FinishHash(h0, k1[j + 1]) & mod.mask;
-            m2 = FinishHash(h0, k1[j + 2]) & mod.mask;
-            m3 = FinishHash(h0, k1[j + 3]) & mod.mask;
-          } else {
-            m0 = mod.Reduce(FinishHash(h0, k1[j + 0]));
-            m1 = mod.Reduce(FinishHash(h0, k1[j + 1]));
-            m2 = mod.Reduce(FinishHash(h0, k1[j + 2]));
-            m3 = mod.Reduce(FinishHash(h0, k1[j + 3]));
-          }
-          c0 += m0 == target;
-          c1 += m1 == target;
-          c2 += m2 == target;
-          c3 += m3 == target;
+          const uint64_t y = reports[r].value;
+          c0 += Match<kPow2>(mod, FinishHash(h0, k1[j + 0]), y);
+          c1 += Match<kPow2>(mod, FinishHash(h0, k1[j + 1]), y);
+          c2 += Match<kPow2>(mod, FinishHash(h0, k1[j + 2]), y);
+          c3 += Match<kPow2>(mod, FinishHash(h0, k1[j + 3]), y);
         }
         counts[vlo - value_lo + j + 0] += c0;
         counts[vlo - value_lo + j + 1] += c1;
@@ -152,7 +146,7 @@ void AccumulatePortable(const LdpReport* reports, size_t count,
         uint64_t c = 0;
         for (size_t r = rlo; r < rhi; ++r) {
           const uint64_t h = FinishHash(reports[r].seed + kSeedBias, k1[j]);
-          c += (kPow2 ? (h & mod.mask) : mod.Reduce(h)) == reports[r].value;
+          c += Match<kPow2>(mod, h, reports[r].value);
         }
         counts[vlo - value_lo + j] += c;
       }
@@ -162,30 +156,23 @@ void AccumulatePortable(const LdpReport* reports, size_t count,
 
 template <bool kPow2>
 uint64_t CountPortable(const LdpReport* reports, size_t count, uint64_t value,
-                       const SupportModulus& mod) {
+                       SupportModulus mod) {
   const uint64_t k1 = KeyRound(value);
   uint64_t c0 = 0, c1 = 0, c2 = 0, c3 = 0;
   size_t r = 0;
   for (; r + 4 <= count; r += 4) {
-    uint64_t h0 = FinishHash(reports[r + 0].seed + kSeedBias, k1);
-    uint64_t h1 = FinishHash(reports[r + 1].seed + kSeedBias, k1);
-    uint64_t h2 = FinishHash(reports[r + 2].seed + kSeedBias, k1);
-    uint64_t h3 = FinishHash(reports[r + 3].seed + kSeedBias, k1);
-    if (kPow2) {
-      c0 += (h0 & mod.mask) == reports[r + 0].value;
-      c1 += (h1 & mod.mask) == reports[r + 1].value;
-      c2 += (h2 & mod.mask) == reports[r + 2].value;
-      c3 += (h3 & mod.mask) == reports[r + 3].value;
-    } else {
-      c0 += mod.Reduce(h0) == reports[r + 0].value;
-      c1 += mod.Reduce(h1) == reports[r + 1].value;
-      c2 += mod.Reduce(h2) == reports[r + 2].value;
-      c3 += mod.Reduce(h3) == reports[r + 3].value;
-    }
+    c0 += Match<kPow2>(mod, FinishHash(reports[r + 0].seed + kSeedBias, k1),
+                       reports[r + 0].value);
+    c1 += Match<kPow2>(mod, FinishHash(reports[r + 1].seed + kSeedBias, k1),
+                       reports[r + 1].value);
+    c2 += Match<kPow2>(mod, FinishHash(reports[r + 2].seed + kSeedBias, k1),
+                       reports[r + 2].value);
+    c3 += Match<kPow2>(mod, FinishHash(reports[r + 3].seed + kSeedBias, k1),
+                       reports[r + 3].value);
   }
   for (; r < count; ++r) {
     const uint64_t h = FinishHash(reports[r].seed + kSeedBias, k1);
-    c0 += (kPow2 ? (h & mod.mask) : mod.Reduce(h)) == reports[r].value;
+    c0 += Match<kPow2>(mod, h, reports[r].value);
   }
   return c0 + c1 + c2 + c3;
 }
@@ -208,33 +195,15 @@ __attribute__((target("avx2"))) inline __m256i MulLo64Const(
   return _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32));
 }
 
-// high 64 bits of a · m for a constant multiplier m = (m, m >> 32) splats.
-__attribute__((target("avx2"))) inline __m256i MulHi64Const(
-    __m256i a, __m256i m, __m256i m_hi, __m256i mask32) {
-  __m256i a_hi = _mm256_srli_epi64(a, 32);
-  __m256i lolo = _mm256_mul_epu32(a, m);
-  __m256i hilo = _mm256_mul_epu32(a_hi, m);
-  __m256i lohi = _mm256_mul_epu32(a, m_hi);
-  __m256i hihi = _mm256_mul_epu32(a_hi, m_hi);
-  __m256i cross = _mm256_add_epi64(
-      _mm256_add_epi64(_mm256_srli_epi64(lolo, 32),
-                       _mm256_and_si256(hilo, mask32)),
-      _mm256_and_si256(lohi, mask32));
-  return _mm256_add_epi64(
-      _mm256_add_epi64(hihi, _mm256_srli_epi64(hilo, 32)),
-      _mm256_add_epi64(_mm256_srli_epi64(lohi, 32),
-                       _mm256_srli_epi64(cross, 32)));
-}
-
 /// Vector constants one kernel invocation needs; built once per call.
 struct Avx2Ctx {
   __m256i p1, p1_hi, p2, p2_hi, p3, p3_hi, p4;
   __m256i mask32;
-  // modulo plumbing
   bool pow2;
-  __m256i mod_mask;                  // pow2: d' − 1
-  __m256i magic, magic_hi, d, one;   // general: branch-free magic divide
-  int shift;
+  __m256i mod_mask;             // pow2: d' − 1
+  __m256i inv, inv_hi, d;       // general: the divisibility predicate
+  __m256i sign, limit_x;        // AVX2 compares are signed: flip bit 63
+  __m128i tz, tz_left;          // rotate right by tz = srl tz | sll 64 − tz
 };
 
 __attribute__((target("avx2"))) Avx2Ctx MakeAvx2Ctx(
@@ -250,11 +219,14 @@ __attribute__((target("avx2"))) Avx2Ctx MakeAvx2Ctx(
   c.mask32 = _mm256_set1_epi64x(0xFFFFFFFFll);
   c.pow2 = mod.mask != 0;
   c.mod_mask = _mm256_set1_epi64x(static_cast<long long>(mod.mask));
-  c.magic = _mm256_set1_epi64x(static_cast<long long>(mod.magic));
-  c.magic_hi = _mm256_set1_epi64x(static_cast<long long>(mod.magic >> 32));
+  c.inv = _mm256_set1_epi64x(static_cast<long long>(mod.inv));
+  c.inv_hi = _mm256_set1_epi64x(static_cast<long long>(mod.inv >> 32));
   c.d = _mm256_set1_epi64x(static_cast<long long>(mod.d));
-  c.one = _mm256_set1_epi64x(1);
-  c.shift = static_cast<int>(mod.shift);
+  c.sign = _mm256_set1_epi64x(static_cast<long long>(uint64_t{1} << 63));
+  c.limit_x = _mm256_xor_si256(
+      _mm256_set1_epi64x(static_cast<long long>(mod.limit)), c.sign);
+  c.tz = _mm_cvtsi32_si128(static_cast<int>(mod.tz));
+  c.tz_left = _mm_cvtsi32_si128(static_cast<int>(64 - mod.tz));
   return c;
 }
 
@@ -275,21 +247,23 @@ __attribute__((target("avx2"))) inline __m256i FinishHash4(
   return h;
 }
 
-/// x % d' over 4 lanes (x & mask for powers of two, else the same
-/// branch-free magic sequence as SupportModulus::Reduce).
-__attribute__((target("avx2"))) inline __m256i Mod4(__m256i x,
-                                                    const Avx2Ctx& c) {
-  if (c.pow2) return _mm256_and_si256(x, c.mod_mask);
-  __m256i q = MulHi64Const(x, c.magic, c.magic_hi, c.mask32);
-  __m256i t = _mm256_add_epi64(
-      _mm256_srli_epi64(_mm256_sub_epi64(x, q), 1), q);
-  q = _mm256_srli_epi64(t, c.shift);
-  // q · d with d < 2^32: two VPMULUDQ halves.
-  __m256i prod = _mm256_add_epi64(
-      _mm256_mul_epu32(q, c.d),
-      _mm256_slli_epi64(_mm256_mul_epu32(_mm256_srli_epi64(q, 32), c.d),
-                        32));
-  return _mm256_sub_epi64(x, prod);
+/// −1 in the lanes where h % d' == y, else 0 (SupportModulus::Matches
+/// over 4 lanes). The y-only terms are common subexpressions, so the
+/// Accumulate loop computes them once per report.
+__attribute__((target("avx2"))) inline __m256i Hits4(__m256i h, __m256i y,
+                                                     const Avx2Ctx& c) {
+  if (c.pow2) return _mm256_cmpeq_epi64(_mm256_and_si256(h, c.mod_mask), y);
+  // y < 2^32, so the signed compare is the unsigned one.
+  const __m256i valid = _mm256_cmpgt_epi64(c.d, y);
+  const __m256i x = MulLo64Const(_mm256_sub_epi64(h, y), c.inv, c.inv_hi);
+  // A shift by 64 zeroes the lane, so odd d' (tz = 0) rotates by 0.
+  const __m256i r = _mm256_or_si256(_mm256_srl_epi64(x, c.tz),
+                                    _mm256_sll_epi64(x, c.tz_left));
+  const __m256i over =
+      _mm256_cmpgt_epi64(_mm256_xor_si256(r, c.sign), c.limit_x);
+  const __m256i below = _mm256_cmpgt_epi64(_mm256_xor_si256(y, c.sign),
+                                           _mm256_xor_si256(h, c.sign));
+  return _mm256_andnot_si256(below, _mm256_andnot_si256(over, valid));
 }
 
 __attribute__((target("avx2"))) void AccumulateAvx2(
@@ -320,13 +294,13 @@ __attribute__((target("avx2"))) void AccumulateAvx2(
         for (size_t r = rlo; r < rhi; ++r) {
           const __m256i h0 = _mm256_set1_epi64x(
               static_cast<long long>(reports[r].seed + kSeedBias));
-          const __m256i target = _mm256_set1_epi64x(
+          const __m256i y = _mm256_set1_epi64x(
               static_cast<long long>(reports[r].value));
-          const __m256i ma = Mod4(FinishHash4(h0, k1a, ctx), ctx);
-          const __m256i mb = Mod4(FinishHash4(h0, k1b, ctx), ctx);
-          // cmpeq lanes are 0 / −1: subtracting adds 0 / 1.
-          acc_a = _mm256_sub_epi64(acc_a, _mm256_cmpeq_epi64(ma, target));
-          acc_b = _mm256_sub_epi64(acc_b, _mm256_cmpeq_epi64(mb, target));
+          // Hit lanes are 0 / −1: subtracting adds 0 / 1.
+          acc_a = _mm256_sub_epi64(acc_a,
+                                   Hits4(FinishHash4(h0, k1a, ctx), y, ctx));
+          acc_b = _mm256_sub_epi64(acc_b,
+                                   Hits4(FinishHash4(h0, k1b, ctx), y, ctx));
         }
         uint64_t* out = counts + (vlo - value_lo) + j;
         __m256i cur_a =
@@ -343,7 +317,7 @@ __attribute__((target("avx2"))) void AccumulateAvx2(
         uint64_t c = 0;
         for (size_t r = rlo; r < rhi; ++r) {
           const uint64_t h = FinishHash(reports[r].seed + kSeedBias, k1[j]);
-          c += mod.Reduce(h) == reports[r].value;
+          c += mod.Matches(h, reports[r].value);
         }
         counts[vlo - value_lo + j] += c;
       }
@@ -367,17 +341,16 @@ __attribute__((target("avx2"))) uint64_t CountAvx2(
     const __m256i rep = _mm256_loadu_si256(
         reinterpret_cast<const __m256i*>(reports + r));
     const __m256i seeds = _mm256_and_si256(rep, ctx.mask32);
-    const __m256i targets = _mm256_srli_epi64(rep, 32);
+    const __m256i y = _mm256_srli_epi64(rep, 32);
     const __m256i h0 = _mm256_add_epi64(seeds, bias);
-    const __m256i m = Mod4(FinishHash4(h0, k1v, ctx), ctx);
-    acc = _mm256_sub_epi64(acc, _mm256_cmpeq_epi64(m, targets));
+    acc = _mm256_sub_epi64(acc, Hits4(FinishHash4(h0, k1v, ctx), y, ctx));
   }
   alignas(32) uint64_t lanes[4];
   _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
   uint64_t c = lanes[0] + lanes[1] + lanes[2] + lanes[3];
   for (; r < count; ++r) {
     const uint64_t h = FinishHash(reports[r].seed + kSeedBias, k1);
-    c += mod.Reduce(h) == reports[r].value;
+    c += mod.Matches(h, reports[r].value);
   }
   return c;
 }
@@ -395,8 +368,7 @@ struct Avx512Ctx {
   __m512i mask32;
   bool pow2;
   __m512i mod_mask;
-  __m512i magic, magic_hi, d;
-  int shift;
+  __m512i inv, tz, limit, d;
 };
 
 __attribute__((target("avx512f,avx512dq"))) Avx512Ctx MakeAvx512Ctx(
@@ -409,10 +381,10 @@ __attribute__((target("avx512f,avx512dq"))) Avx512Ctx MakeAvx512Ctx(
   c.mask32 = _mm512_set1_epi64(0xFFFFFFFFll);
   c.pow2 = mod.mask != 0;
   c.mod_mask = _mm512_set1_epi64(static_cast<long long>(mod.mask));
-  c.magic = _mm512_set1_epi64(static_cast<long long>(mod.magic));
-  c.magic_hi = _mm512_set1_epi64(static_cast<long long>(mod.magic >> 32));
+  c.inv = _mm512_set1_epi64(static_cast<long long>(mod.inv));
+  c.tz = _mm512_set1_epi64(mod.tz);
+  c.limit = _mm512_set1_epi64(static_cast<long long>(mod.limit));
   c.d = _mm512_set1_epi64(static_cast<long long>(mod.d));
-  c.shift = static_cast<int>(mod.shift);
   return c;
 }
 
@@ -429,28 +401,18 @@ __attribute__((target("avx512f,avx512dq"))) inline __m512i FinishHash8(
   return h;
 }
 
-/// x % d' over 8 lanes. AVX-512 still has no 64-bit mulhi, so the magic
-/// divide keeps the VPMULUDQ cross-term synthesis.
-__attribute__((target("avx512f,avx512dq"))) inline __m512i Mod8(
-    __m512i x, const Avx512Ctx& c) {
-  if (c.pow2) return _mm512_and_si512(x, c.mod_mask);
-  __m512i x_hi = _mm512_srli_epi64(x, 32);
-  __m512i lolo = _mm512_mul_epu32(x, c.magic);
-  __m512i hilo = _mm512_mul_epu32(x_hi, c.magic);
-  __m512i lohi = _mm512_mul_epu32(x, c.magic_hi);
-  __m512i hihi = _mm512_mul_epu32(x_hi, c.magic_hi);
-  __m512i cross = _mm512_add_epi64(
-      _mm512_add_epi64(_mm512_srli_epi64(lolo, 32),
-                       _mm512_and_si512(hilo, c.mask32)),
-      _mm512_and_si512(lohi, c.mask32));
-  __m512i q = _mm512_add_epi64(
-      _mm512_add_epi64(hihi, _mm512_srli_epi64(hilo, 32)),
-      _mm512_add_epi64(_mm512_srli_epi64(lohi, 32),
-                       _mm512_srli_epi64(cross, 32)));
-  __m512i t = _mm512_add_epi64(
-      _mm512_srli_epi64(_mm512_sub_epi64(x, q), 1), q);
-  q = _mm512_srli_epi64(t, c.shift);
-  return _mm512_sub_epi64(x, _mm512_mullo_epi64(q, c.d));
+/// The lanes where h % d' == y (SupportModulus::Matches over 8 lanes).
+/// `y < d'` is a common subexpression: once per report in Accumulate.
+__attribute__((target("avx512f,avx512dq"))) inline __mmask8 Hits8(
+    __m512i h, __m512i y, const Avx512Ctx& c) {
+  if (c.pow2) {
+    return _mm512_cmpeq_epu64_mask(_mm512_and_si512(h, c.mod_mask), y);
+  }
+  const __m512i r = _mm512_rorv_epi64(
+      _mm512_mullo_epi64(_mm512_sub_epi64(h, y), c.inv), c.tz);
+  const __mmask8 valid = _mm512_cmplt_epu64_mask(y, c.d);
+  return _mm512_mask_cmple_epu64_mask(
+      _mm512_mask_cmpge_epu64_mask(valid, h, y), r, c.limit);
 }
 
 __attribute__((target("avx512f,avx512dq"))) void AccumulateAvx512(
@@ -480,12 +442,10 @@ __attribute__((target("avx512f,avx512dq"))) void AccumulateAvx512(
         for (size_t r = rlo; r < rhi; ++r) {
           const __m512i h0 = _mm512_set1_epi64(
               static_cast<long long>(reports[r].seed + kSeedBias));
-          const __m512i target = _mm512_set1_epi64(
+          const __m512i y = _mm512_set1_epi64(
               static_cast<long long>(reports[r].value));
-          const __mmask8 ma = _mm512_cmpeq_epu64_mask(
-              Mod8(FinishHash8(h0, k1a, ctx), ctx), target);
-          const __mmask8 mb = _mm512_cmpeq_epu64_mask(
-              Mod8(FinishHash8(h0, k1b, ctx), ctx), target);
+          const __mmask8 ma = Hits8(FinishHash8(h0, k1a, ctx), y, ctx);
+          const __mmask8 mb = Hits8(FinishHash8(h0, k1b, ctx), y, ctx);
           acc_a = _mm512_mask_sub_epi64(acc_a, ma, acc_a, neg1);
           acc_b = _mm512_mask_sub_epi64(acc_b, mb, acc_b, neg1);
         }
@@ -501,10 +461,9 @@ __attribute__((target("avx512f,avx512dq"))) void AccumulateAvx512(
         for (size_t r = rlo; r < rhi; ++r) {
           const __m512i h0 = _mm512_set1_epi64(
               static_cast<long long>(reports[r].seed + kSeedBias));
-          const __m512i target = _mm512_set1_epi64(
+          const __m512i y = _mm512_set1_epi64(
               static_cast<long long>(reports[r].value));
-          const __mmask8 m = _mm512_cmpeq_epu64_mask(
-              Mod8(FinishHash8(h0, k1a, ctx), ctx), target);
+          const __mmask8 m = Hits8(FinishHash8(h0, k1a, ctx), y, ctx);
           acc = _mm512_mask_sub_epi64(acc, m, acc, neg1);
         }
         uint64_t* out = counts + (vlo - value_lo) + j;
@@ -516,7 +475,7 @@ __attribute__((target("avx512f,avx512dq"))) void AccumulateAvx512(
         uint64_t c = 0;
         for (size_t r = rlo; r < rhi; ++r) {
           const uint64_t h = FinishHash(reports[r].seed + kSeedBias, k1[j]);
-          c += mod.Reduce(h) == reports[r].value;
+          c += mod.Matches(h, reports[r].value);
         }
         counts[vlo - value_lo + j] += c;
       }
@@ -537,16 +496,15 @@ __attribute__((target("avx512f,avx512dq"))) uint64_t CountAvx512(
   for (; r + 8 <= count; r += 8) {
     const __m512i rep = _mm512_loadu_si512(reports + r);
     const __m512i seeds = _mm512_and_si512(rep, ctx.mask32);
-    const __m512i targets = _mm512_srli_epi64(rep, 32);
+    const __m512i y = _mm512_srli_epi64(rep, 32);
     const __m512i h0 = _mm512_add_epi64(seeds, bias);
-    const __mmask8 m = _mm512_cmpeq_epu64_mask(
-        Mod8(FinishHash8(h0, k1v, ctx), ctx), targets);
+    const __mmask8 m = Hits8(FinishHash8(h0, k1v, ctx), y, ctx);
     acc = _mm512_mask_sub_epi64(acc, m, acc, neg1);
   }
   uint64_t c = _mm512_reduce_add_epi64(acc);
   for (; r < count; ++r) {
     const uint64_t h = FinishHash(reports[r].seed + kSeedBias, k1);
-    c += mod.Reduce(h) == reports[r].value;
+    c += mod.Matches(h, reports[r].value);
   }
   return c;
 }
@@ -582,20 +540,14 @@ uint64_t CountAvx512(const LdpReport*, size_t, uint64_t,
 SupportModulus::SupportModulus(uint32_t d_in) {
   assert(d_in >= 2);
   d = d_in;
-  shift = 63u - static_cast<unsigned>(__builtin_clzll(d));
-  if ((d & (d - 1)) == 0) {
-    mask = d - 1;
-    return;
-  }
-  // Branch-free round-up magic (libdivide's u64 scheme): the true
-  // multiplier M = 2·⌊2^(64+s)/d⌋ + 1 (+1 when 2·rem ≥ d) lives in
-  // (2^64, 2^65); `magic` stores M − 2^64 and Reduce() recovers the
-  // missing high bit with the ((x − q) >> 1) + q step.
-  const unsigned __int128 num = static_cast<unsigned __int128>(1)
-                                << (64 + shift);
-  const uint64_t m0 = static_cast<uint64_t>(num / d);
-  const uint64_t rem = static_cast<uint64_t>(num % d);
-  magic = 2 * m0 + 1 + (2 * rem >= d ? 1 : 0);
+  tz = static_cast<unsigned>(__builtin_ctzll(d));
+  if ((d & (d - 1)) == 0) mask = d - 1;
+  // Newton's iteration doubles the correct low bits of an odd inverse;
+  // odd · odd ≡ 1 (mod 8) seeds 3 bits, so five steps reach 64.
+  const uint64_t odd = d >> tz;
+  inv = odd;
+  for (int i = 0; i < 5; ++i) inv *= 2 - odd * inv;
+  limit = ~uint64_t{0} / d;
 }
 
 SupportBackend BestSupportBackend() {

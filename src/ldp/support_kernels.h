@@ -9,22 +9,21 @@
 //    ~dozen-op sequence for an 8-byte key (util/hash.h XxHash64Key8);
 //  * the per-value first hash round `rotl(v · P2, 31) · P1` is
 //    seed-independent, so a value tile hoists it out of the report loop;
-//  * `% d'` is computed exactly (bitwise identical to the `%` operator —
-//    the hash mapping is protocol semantics shared with the client's
-//    Encode, so no range-map substitution is allowed) via a power-of-two
-//    mask or a precomputed magic-multiply divider (SupportModulus);
+//  * `% d' == value` is decided exactly (bitwise the `%` operator: the
+//    hash mapping is protocol semantics shared with the client's Encode)
+//    by a power-of-two mask or the divisibility test SupportModulus;
 //  * reports × values are tiled so each pass streams cache-resident
-//    blocks, with three backends behind runtime dispatch: a portable
+//    blocks, with three tiers behind runtime dispatch: a portable
 //    4-value-unrolled scalar loop, an AVX2 backend running 4 64-bit
 //    hash lanes per vector (VPMULUDQ-synthesized 64-bit multiplies),
 //    and an AVX-512 backend running 8 lanes with native VPMULLQ/VPROLQ.
 //
-// Both backends are bitwise identical to the per-pair scalar path; the
-// cross-check matrix in tests/ldp/support_kernel_test.cpp pins it.
-// Dispatch mirrors the Montgomery batch kernels (crypto/montgomery.h):
-// auto-detect once, `SHUFFLEDP_FORCE_PORTABLE=1` pins portable,
-// `SHUFFLEDP_SUPPORT_BACKEND=scalar|portable|avx2` overrides explicitly,
-// and SetSupportBackend() is the per-process programmatic switch.
+// All three tiers are bitwise identical to the per-pair scalar reference
+// (kScalar); tests/ldp/support_kernel_test.cpp pins it. Dispatch mirrors
+// the Montgomery batch kernels: auto-detect once,
+// `SHUFFLEDP_FORCE_PORTABLE=1` pins portable,
+// `SHUFFLEDP_SUPPORT_BACKEND=scalar|portable|avx2|avx512` overrides, and
+// SetSupportBackend() is the per-process programmatic switch.
 
 #ifndef SHUFFLEDP_LDP_SUPPORT_KERNELS_H_
 #define SHUFFLEDP_LDP_SUPPORT_KERNELS_H_
@@ -40,7 +39,7 @@ namespace ldp {
 /// Which implementation the bulk support evaluations run on.
 enum class SupportBackend {
   kScalar,    ///< per-pair generic-hash reference loop (cross-check baseline)
-  kPortable,  ///< straight-line 8-byte-key hash, 4-value unroll, magic mod
+  kPortable,  ///< straight-line 8-byte-key hash, 4-value unroll
   kAvx2,      ///< 4 × 64-bit hash lanes per vector (x86-64 AVX2)
   kAvx512,    ///< 8 × 64-bit lanes, native VPMULLQ/VPROLQ (AVX-512F+DQ)
 };
@@ -54,31 +53,32 @@ SupportBackend ActiveSupportBackend();
 
 /// Overrides the backend (tests/benchmarks). A SIMD request on a host
 /// without that instruction set, or under SHUFFLEDP_FORCE_PORTABLE=1,
-/// falls down the chain (avx512 → avx2 → portable). Returns the backend actually installed.
+/// falls down the chain (avx512 → avx2 → portable). Returns the backend
+/// actually installed.
 SupportBackend SetSupportBackend(SupportBackend backend);
 
 const char* SupportBackendName(SupportBackend backend);
 
-/// Exact `x % d` by precomputed multiply-shift (Granlund–Montgomery
-/// branch-free round-up magic, the libdivide u64 scheme): one mulhi, two
-/// shifts, one mullo, one subtract — no hardware divide. `Reduce(x)` is
-/// bitwise equal to `x % d` for every uint64 x (pinned exhaustively-ish
-/// in tests); powers of two reduce with a mask. d must be >= 2.
+/// Exact `h % d == y` without a divide: for y < d it is h ≥ y ∧ d | (h − y),
+/// and with d = 2^tz · odd, d | x iff rotr(x · odd⁻¹ mod 2^64, tz) ≤
+/// ⌊(2^64 − 1)/d⌋ (Granlund & Montgomery 1994; Lemire, Kaser & Kurz 2019).
+/// A y ≥ d never matches; powers of two use a mask. d must be >= 2.
 struct SupportModulus {
   explicit SupportModulus(uint32_t d);
 
-  uint64_t Reduce(uint64_t x) const {
-    if (mask != 0) return x & mask;
-    uint64_t q = static_cast<uint64_t>(
-        (static_cast<unsigned __int128>(x) * magic) >> 64);
-    uint64_t t = ((x - q) >> 1) + q;
-    return x - (t >> shift) * d;
+  bool Matches(uint64_t h, uint64_t y) const {
+    if (mask != 0) return (h & mask) == y;
+    const uint64_t x = (h - y) * inv;
+    // `& 63` keeps odd d (tz = 0) off a shift by 64.
+    const uint64_t r = (x >> tz) | (x << ((64 - tz) & 63));
+    return (y < d) & (h >= y) & (r <= limit);
   }
 
   uint64_t d = 0;
-  uint64_t magic = 0;   ///< branch-free magic multiplier (non-pow2 only)
-  unsigned shift = 0;   ///< floor(log2 d)
-  uint64_t mask = 0;    ///< d − 1 when d is a power of two, else 0
+  uint64_t inv = 0;    ///< inverse of d's odd part mod 2^64
+  unsigned tz = 0;     ///< trailing zero bits of d
+  uint64_t limit = 0;  ///< ⌊(2^64 − 1)/d⌋
+  uint64_t mask = 0;   ///< d − 1 when d is a power of two, else 0
 };
 
 /// Bulk OLH/SOLH support aggregation:

@@ -35,6 +35,49 @@ class PaillierTest : public ::testing::Test {
 SecureRandom* PaillierTest::rng_ = nullptr;
 PaillierKeyPair* PaillierTest::kp_ = nullptr;
 
+/// A 256-bit key pair whose factorization the test keeps for
+/// DecryptDirect (the private key does not expose its primes).
+struct FactoredKey {
+  BigInt p, q;
+  PaillierKeyPair kp;
+};
+
+const FactoredKey& TestFactoredKey() {
+  static const FactoredKey* key = [] {
+    SecureRandom rng(uint64_t{20200803});
+    auto* k = new FactoredKey;
+    k->p = BigInt::GeneratePrime(128, &rng);
+    do {
+      k->q = BigInt::GeneratePrime(128, &rng);
+    } while (k->q == k->p);
+    auto priv = PaillierPrivateKey::FromPrimes(k->p, k->q);
+    EXPECT_TRUE(priv.ok());
+    k->kp.pub = priv->public_key();
+    k->kp.priv = std::move(priv).value();
+    return k;
+  }();
+  return *key;
+}
+
+/// Reference decryption by the direct lambda exponentiation (no CRT,
+/// variable-time): m = L(c^λ mod N²) · μ mod N with λ = lcm(p−1, q−1),
+/// μ = L(g^λ mod N²)⁻¹ mod N and L(x) = (x − 1)/N. Slow; it cross-checks
+/// the CRT decryption paths.
+BigInt DecryptDirect(const FactoredKey& key, const PaillierCiphertext& c) {
+  const BigInt& n = key.kp.pub.n();
+  const BigInt& n2 = key.kp.pub.n_squared();
+  auto l = [&n](const BigInt& x) {
+    BigInt quotient;
+    EXPECT_TRUE(x.Sub(BigInt(1)).DivMod(n, &quotient, nullptr).ok());
+    return quotient;
+  };
+  const BigInt lambda =
+      BigInt::Lcm(key.p.Sub(BigInt(1)), key.q.Sub(BigInt(1)));
+  auto mu = l(n.Add(BigInt(1)).ModExp(lambda, n2)).Mod(n).ModInverse(n);
+  EXPECT_TRUE(mu.ok());
+  return l(c.value.ModExp(lambda, n2)).ModMul(*mu, n);
+}
+
 // Checks a kPairwise pool built from `seed` against the serial reference
 // the batched build replaced: one Encrypt(0) per entry, converted with
 // ToMontInto. Every entry and the caller's next rng draw must be equal.
@@ -241,25 +284,25 @@ TEST_F(PaillierTest, ExtremePlaintextsRoundTrip) {
 }
 
 TEST_F(PaillierTest, CrtMatchesDirectDecryption) {
+  const FactoredKey& key = TestFactoredKey();
   for (int i = 0; i < 4; ++i) {
-    BigInt m = BigInt::RandomBelow(kp_->pub.n(), rng_);
-    auto c = kp_->pub.Encrypt(m, rng_);
+    BigInt m = BigInt::RandomBelow(key.kp.pub.n(), rng_);
+    auto c = key.kp.pub.Encrypt(m, rng_);
     ASSERT_TRUE(c.ok());
-    auto crt = kp_->priv.Decrypt(*c);
-    auto direct = kp_->priv.DecryptDirect(*c);
-    ASSERT_TRUE(crt.ok() && direct.ok());
-    EXPECT_EQ(*crt, *direct);
+    auto crt = key.kp.priv.Decrypt(*c);
+    ASSERT_TRUE(crt.ok());
+    EXPECT_EQ(*crt, DecryptDirect(key, *c));
     EXPECT_EQ(*crt, m);
   }
   // Also after homomorphic combination.
-  auto c1 = kp_->pub.EncryptU64(12345, rng_);
-  auto c2 = kp_->pub.EncryptU64(67890, rng_);
+  auto c1 = key.kp.pub.EncryptU64(12345, rng_);
+  auto c2 = key.kp.pub.EncryptU64(67890, rng_);
   ASSERT_TRUE(c1.ok() && c2.ok());
-  auto combined = kp_->pub.ScalarMult(kp_->pub.Add(*c1, *c2), BigInt(3));
-  auto crt = kp_->priv.Decrypt(combined);
-  auto direct = kp_->priv.DecryptDirect(combined);
-  ASSERT_TRUE(crt.ok() && direct.ok());
-  EXPECT_EQ(*crt, *direct);
+  auto combined =
+      key.kp.pub.ScalarMult(key.kp.pub.Add(*c1, *c2), BigInt(3));
+  auto crt = key.kp.priv.Decrypt(combined);
+  ASSERT_TRUE(crt.ok());
+  EXPECT_EQ(*crt, DecryptDirect(key, combined));
   EXPECT_EQ(crt->ToU64Saturating(), (12345u + 67890u) * 3u);
 }
 
@@ -551,14 +594,14 @@ TEST_F(PaillierTest, AddPlainMontManyBitwiseEqualsScalar) {
 // The constant-time decryption exponentiations compute the same values
 // as the variable-time reference path (DecryptDirect) end to end.
 TEST_F(PaillierTest, CtDecryptionAgreesWithDirectReference) {
+  const FactoredKey& key = TestFactoredKey();
   for (int i = 0; i < 6; ++i) {
-    BigInt m = BigInt::RandomBelow(kp_->pub.n(), rng_);
-    auto c = kp_->pub.Encrypt(m, rng_);
+    BigInt m = BigInt::RandomBelow(key.kp.pub.n(), rng_);
+    auto c = key.kp.pub.Encrypt(m, rng_);
     ASSERT_TRUE(c.ok());
-    auto crt = kp_->priv.Decrypt(*c);      // ct CRT ladders
-    auto direct = kp_->priv.DecryptDirect(*c);  // variable-time lambda path
-    ASSERT_TRUE(crt.ok() && direct.ok());
-    EXPECT_EQ(*crt, *direct);
+    auto crt = key.kp.priv.Decrypt(*c);  // ct CRT ladders
+    ASSERT_TRUE(crt.ok());
+    EXPECT_EQ(*crt, DecryptDirect(key, *c));  // variable-time lambda path
     EXPECT_EQ(*crt, m);
   }
 }

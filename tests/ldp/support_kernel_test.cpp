@@ -7,7 +7,7 @@
 //           × alignment (reports.data() and data()+1)
 //
 // plus the 8-byte-key hash specialization pinned against the generic
-// XxHash64, SupportModulus::Reduce pinned against the `%` operator, and
+// XxHash64, SupportModulus::Matches pinned against the `%` operator, and
 // a seeded replayable fuzz loop (SHUFFLEDP_FUZZ_SEED /
 // SHUFFLEDP_FUZZ_ITERS, same idiom as crypto/montgomery_fuzz_test).
 
@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <vector>
@@ -60,9 +61,14 @@ std::vector<LdpReport> RandomReports(size_t n, uint32_t d_prime, Rng* rng) {
   std::vector<LdpReport> reports(n);
   for (auto& r : reports) {
     r.seed = static_cast<uint32_t>(rng->NextU64());
-    // Mix honestly-hashed and adversarial values so both compare
-    // outcomes are exercised.
-    r.value = static_cast<uint32_t>(rng->UniformU64(d_prime));
+    // Mix honestly-hashed values (< d') with adversarial ones (>= d'),
+    // which must never support anything.
+    const uint64_t d = d_prime;
+    const uint64_t out_of_range[] = {d, d + 1, 2 * d, 0xFFFFFFFFu};
+    const uint64_t v = rng->Bernoulli(0.125)
+                           ? out_of_range[rng->UniformU64(4)]
+                           : rng->UniformU64(d);
+    r.value = static_cast<uint32_t>(std::min<uint64_t>(v, 0xFFFFFFFFu));
   }
   return reports;
 }
@@ -93,13 +99,19 @@ TEST(SupportKernelTest, Key8HashMatchesGenericXxHash64) {
   }
 }
 
-TEST(SupportKernelTest, SupportModulusMatchesHardwareModulo) {
+TEST(SupportKernelTest, SupportPredicateMatchesHardwareModulo) {
   const uint32_t divisors[] = {2,  3,   4,   5,    6,    7,    9,
-                               16, 19,  29,  127,  128,  129,  1024,
-                               3'000'017u, 0x80000000u, 0xFFFFFFFFu};
+                               16, 19,  28,  29,   127,  128,  129,
+                               168, 1024, 3'000'017u, 0x80000000u,
+                               0xFFFFFFFFu};
+  constexpr uint64_t kMax = ~uint64_t{0};
   Rng rng(0xd1f0);
   for (uint32_t d : divisors) {
     SupportModulus mod(d);
+    auto check = [&](uint64_t h, uint64_t y) {
+      ASSERT_EQ(mod.Matches(h, y), h % d == y)
+          << "d=" << d << " h=" << h << " y=" << y;
+    };
     const uint64_t edges[] = {0,
                               1,
                               d - 1,
@@ -109,13 +121,38 @@ TEST(SupportKernelTest, SupportModulusMatchesHardwareModulo) {
                               uint64_t{1} << 32,
                               (uint64_t{1} << 32) - 1,
                               uint64_t{1} << 63,
-                              ~uint64_t{0}};
-    for (uint64_t x : edges) {
-      ASSERT_EQ(mod.Reduce(x), x % d) << "d=" << d << " x=" << x;
+                              kMax};
+    const uint64_t ys[] = {0, d - 1, d, 0xFFFFFFFFu};
+    // 2^64 mod d: h = y − wrap makes h − y wrap to a multiple of d.
+    const uint64_t wrap = (kMax % d + 1) % d;
+    // The one gap below d whose product lands at limit + 1.
+    const uint64_t past_limit = d - 1 - kMax % d;
+    for (uint64_t y : ys) {
+      for (uint64_t h : edges) check(h, y);
+      // h < y (including the wrapping multiple) and h = y.
+      check(y, y);
+      if (y > 0) check(y - 1, y);
+      if (y >= wrap) check(y - wrap, y);
+      // Small gaps, with both sides of the limit + 1 product.
+      for (uint64_t gap = 0; gap < 64; ++gap) check(y + gap, y);
+      for (uint64_t gap : {past_limit - 1, past_limit, past_limit + 1,
+                           uint64_t{2} * d}) {
+        check(y + gap, y);
+      }
+      // h − y = k·d for the largest k that fits, and its neighbours.
+      const uint64_t k = (kMax - y) / d;
+      for (uint64_t kk : {k, k - 1}) {
+        const uint64_t h = y + kk * d;
+        check(h, y);
+        check(h - 1, y);
+        if (h < kMax) check(h + 1, y);
+      }
     }
     for (int i = 0; i < 200000; ++i) {
-      uint64_t x = rng.NextU64();
-      ASSERT_EQ(mod.Reduce(x), x % d) << "d=" << d << " x=" << x;
+      const uint64_t h = rng.NextU64();
+      check(h, h % d);
+      check(h, rng.UniformU64(d));
+      check(h, static_cast<uint32_t>(rng.NextU64()));
     }
   }
 }
@@ -123,7 +160,7 @@ TEST(SupportKernelTest, SupportModulusMatchesHardwareModulo) {
 TEST(SupportKernelTest, BackendDPrimeBatchAlignmentCrossCheck) {
   BackendGuard guard;
   Rng rng(0xacc5);
-  const uint32_t d_primes[] = {2, 3, 16, 19, 29, 1024, 3'000'017u};
+  const uint32_t d_primes[] = {2, 3, 16, 19, 28, 29, 168, 1024, 3'000'017u};
   // Lane width is 4 (AVX2) and the value unroll is 8; cover 0, 1, and
   // the lane boundaries of both, plus odd sizes.
   const size_t batch_sizes[] = {0, 1, 3, 4, 5, 7, 8, 9, 63, 64, 65, 257};
@@ -160,6 +197,55 @@ TEST(SupportKernelTest, BackendDPrimeBatchAlignmentCrossCheck) {
             }
           }
         }
+      }
+    }
+  }
+}
+
+// A report can only have h < y < d' when its hash is below 2^32, which
+// random reports never reach: these (value, seed) pairs come from a
+// brute-force search over the 2^32 seeds of small values. With
+// y = h + (2^64 mod d'), h − y wraps to a multiple of d', so only the
+// `h ≥ y` term rejects the pair, in every lane and every scalar tail.
+TEST(SupportKernelTest, HashBelowReportValueNeverSupports) {
+  BackendGuard guard;
+  struct LowHash {
+    uint64_t value;
+    uint32_t seed;
+    uint64_t hash;
+  };
+  const LowHash lows[] = {{4, 4125953338u, 1753155039u},
+                          {5, 2038146429u, 1353910905u},
+                          {6, 1545825904u, 32220406u}};
+  for (const LowHash& low : lows) {
+    ASSERT_EQ(XxHash64Key8(low.value, low.seed), low.hash);
+  }
+  for (uint32_t d_prime : {0x80000001u, 0xFFFFFFFEu, 0xFFFFFFFFu}) {
+    const uint64_t wrap = (~uint64_t{0} % d_prime + 1) % d_prime;
+    std::vector<LdpReport> crafted;
+    for (const LowHash& low : lows) {
+      ASSERT_LT(low.hash + wrap, d_prime);
+      crafted.push_back({low.seed, static_cast<uint32_t>(low.hash + wrap)});
+      crafted.push_back({low.seed, static_cast<uint32_t>(low.hash)});
+    }
+    // Cycle them past two AVX-512 report lanes and into the scalar tail.
+    std::vector<LdpReport> reports;
+    for (size_t i = 0; i < 19; ++i) reports.push_back(crafted[i % 6]);
+    const auto expected =
+        ReferenceCounts(reports.data(), reports.size(), 0, 48, d_prime);
+    for (SupportBackend backend : KernelBackends()) {
+      SetSupportBackend(backend);
+      std::vector<uint64_t> got(48, 0);
+      AccumulateLocalHashSupports(reports.data(), reports.size(), 0, 48,
+                                  d_prime, got.data());
+      ASSERT_EQ(got, expected)
+          << SupportBackendName(backend) << " d'=" << d_prime;
+      for (const LowHash& low : lows) {
+        ASSERT_EQ(CountLocalHashSupports(reports.data(), reports.size(),
+                                         low.value, d_prime),
+                  expected[low.value])
+            << SupportBackendName(backend) << " d'=" << d_prime
+            << " v=" << low.value;
       }
     }
   }
