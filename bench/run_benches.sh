@@ -42,10 +42,10 @@ for arg in "$@"; do
   esac
 done
 
-# Default filter keeps the hot-path crypto benchmarks (incl. the Paillier
-# and Montgomery-kernel suite behind the PEOS server cost) and the SOLH
-# support kernel; pass MICRO_FILTER='' for everything.
-MICRO_FILTER="${MICRO_FILTER-P256|Ecies|Aes|Sha256|XxHash|Paillier|RandomizerPool|Mont|BigInt_Mod|SupportKernel}"
+# By default every bench_micro_crypto row runs, so a regeneration keeps
+# every row BENCH_micro_crypto.json carries; set MICRO_FILTER to a
+# --benchmark_filter regex to run a subset.
+MICRO_FILTER="${MICRO_FILTER-}"
 TABLE3_N="${TABLE3_N:-2000}"
 STREAMING_FLAGS=""
 # Generous wall-clock budget for the --smoke table3 run (seconds): a smoke

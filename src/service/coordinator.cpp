@@ -231,7 +231,7 @@ Status PartitionRoutingClient::RecoverPartition(uint32_t p,
           "partition " + std::to_string(p) + " endpoint resumed round " +
           std::to_string(server_round) + "; cannot replay round " +
           std::to_string(round_id) +
-          " into it (restarted without its checkpoint?)");
+          " into it (restarted without its round store?)");
       h.last_error = fatal;
       return fatal;
     }

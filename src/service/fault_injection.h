@@ -49,9 +49,9 @@ namespace service {
 
 /// Syscall sites that consult the injector: the four transport sites
 /// plus the four storage sites the durable round store writes through
-/// (WAL appends, checkpoint/segment staging, fsync barriers, atomic
-/// renames, segment unlinks). Storage sites pass port 0; rules
-/// targeting them should leave `port` at 0 (match any).
+/// (WAL appends, segment staging, fsync barriers, atomic renames,
+/// segment unlinks). Storage sites pass port 0; rules targeting them
+/// should leave `port` at 0 (match any).
 enum class FaultOp : uint8_t {
   kConnect = 0,
   kAccept = 1,

@@ -64,6 +64,12 @@ struct PartitionSlice {
   uint64_t hi = 0;     ///< one past the last owned value; 0 = full domain
 
   bool full_domain() const { return lo == 0 && hi == 0; }
+  /// This slice with a full domain resolved to [0, domain_size).
+  PartitionSlice Resolved(uint64_t domain_size) const {
+    PartitionSlice slice = *this;
+    if (slice.full_domain()) slice.hi = domain_size;
+    return slice;
+  }
 };
 
 /// The partition layout every party must agree on. Immutable value type;

@@ -85,11 +85,7 @@ PartitionWorker::PartitionWorker(const ldp::ScalarFrequencyOracle& oracle,
     // processing on the consumer thread, which always makes progress.
     options_.pool = nullptr;
   }
-  slice_ = options_.partition;
-  if (slice_.full_domain()) {
-    slice_.lo = 0;
-    slice_.hi = oracle_.domain_size();
-  }
+  slice_ = options_.partition.Resolved(oracle_.domain_size());
   counter_ = std::make_unique<ShardedSupportCounter>(
       oracle_, options_.num_shards, slice_.lo, slice_.hi);
   drain_counter_ = std::make_unique<ShardedSupportCounter>(
@@ -97,13 +93,8 @@ PartitionWorker::PartitionWorker(const ldp::ScalarFrequencyOracle& oracle,
   if (options_.store != nullptr) {
     store_ = options_.store;
   } else {
-    RoundStoreOptions store_options = options_.round_store;
-    store_options.partition_index = slice_.index;
-    store_options.partition_count = slice_.count;
-    store_options.slice_lo = slice_.lo;
-    store_options.slice_width = slice_.hi - slice_.lo;
     Result<std::shared_ptr<RoundStore>> store =
-        OpenRoundStore(store_options, options_.checkpoint);
+        OpenRoundStore(options_.round_store, slice_);
     if (store.ok()) {
       store_ = std::move(*store);
     } else {
@@ -115,8 +106,7 @@ PartitionWorker::PartitionWorker(const ldp::ScalarFrequencyOracle& oracle,
       queue_.Close();
     }
   }
-  group_commit_ = store_ != nullptr && store_->WantsDeltas();
-  track_support_shadow_ = group_commit_ && !counter_->value_equality();
+  track_support_shadow_ = store_ != nullptr && !counter_->value_equality();
   ResetRoundTallies();
   // The consumer spawns lazily on the first Offer (EnsureConsumer), so a
   // constructed-but-unused worker does not park an idle thread.
@@ -271,7 +261,7 @@ Result<uint64_t> PartitionWorker::RecoverRound(
   if (state.partition_index != slice_.index ||
       state.partition_count != slice_.count || state.slice_lo != slice_.lo) {
     return Status::FailedPrecondition(
-        "checkpoint belongs to partition " +
+        "round state belongs to partition " +
         std::to_string(state.partition_index) + "/" +
         std::to_string(state.partition_count) + " (slice lo " +
         std::to_string(state.slice_lo) + "), not this worker's " +
@@ -337,7 +327,7 @@ void PartitionWorker::ConsumerLoop() {
         ++dummy_multiset_[entry];
         ++dummies_expected_;
       }
-      if (group_commit_ && !durability_degraded_) {
+      if (store_ != nullptr && !durability_degraded_) {
         // Registrations mutate the round's dummy multiset between
         // batches, so they are durable state too: one batch-free delta
         // record per registration item (batch_lo == batch_hi).
@@ -383,25 +373,6 @@ Status PartitionWorker::PipelineError() const {
   return round_status_;
 }
 
-CheckpointState PartitionWorker::BuildCheckpointState() {
-  CheckpointState state;
-  state.round_id = round_id_.load(std::memory_order_relaxed);
-  state.partition_index = slice_.index;
-  state.partition_count = slice_.count;
-  state.slice_lo = slice_.lo;
-  state.batches_consumed = batches_seen_;
-  state.rows_seen = rows_seen_;
-  state.reports_decoded = reports_decoded_;
-  state.reports_invalid = reports_invalid_;
-  state.dummies_recognized = dummies_recognized_;
-  state.dummies_expected = dummies_expected_;
-  state.supports = counter_->Finalize();
-  for (const auto& [key, count] : dummy_multiset_) {
-    if (count > 0) state.dummies_remaining.emplace(key, count);
-  }
-  return state;
-}
-
 void PartitionWorker::DegradeDurability(const Status& status) {
   durability_degraded_ = true;
   durability_warning_ = status.ToString();
@@ -409,8 +380,7 @@ void PartitionWorker::DegradeDurability(const Status& status) {
 }
 
 bool PartitionWorker::PersistDelta(const RoundDelta& delta) {
-  Status st = store_->AppendDelta(
-      delta, [this] { return BuildCheckpointState(); });
+  Status st = store_->AppendDelta(delta, nullptr);
   if (st.ok()) return true;
   if (IsDegradableStorageError(st)) {
     // Out of disk is not a reason to drop the round: finish it in
@@ -428,7 +398,7 @@ void PartitionWorker::ProcessBatch(const ReportBatch& batch) {
   WallTimer timer;
   const uint64_t batch_lo = batches_seen_;
   const uint64_t invalid_before = reports_invalid_;
-  const bool fold = group_commit_ && !durability_degraded_;
+  const bool fold = store_ != nullptr && !durability_degraded_;
   if (fold && group_batches_ == 0) {  // open a new group at this batch
     group_ = RoundDelta();
     group_.batch_lo = batch_lo;
@@ -502,20 +472,7 @@ void PartitionWorker::ProcessBatch(const ReportBatch& batch) {
   rows_aggregated_ += kept.size();
   busy_seconds_ += batch_done;
 
-  if (store_ == nullptr || durability_degraded_) return;
-  if (!fold) {
-    // Legacy snapshot store: one call per batch keeps its every_batches
-    // cadence (it wants tallies only, never support deltas).
-    RoundDelta delta;
-    delta.round_id = round_id_.load(std::memory_order_relaxed);
-    delta.batch_lo = batch_lo;
-    delta.batch_hi = batches_seen_;
-    delta.rows_delta = batch.count;
-    delta.decoded_delta = kept.size();
-    delta.invalid_delta = reports_invalid_ - invalid_before;
-    PersistDelta(delta);
-    return;
-  }
+  if (!fold) return;
   ++group_batches_;
   group_.batch_hi = batches_seen_;
   group_.rows_delta += batch.count;
@@ -635,11 +592,11 @@ void PartitionWorker::ProcessRoundClose(
 
   // This round is fully accumulated (and, when durable, finalized in the
   // store); its mid-round state is stale. The close happens here
-  // (synchronously) rather than in the drain task so retention GC and
-  // the legacy checkpoint unlink can never race the *next* round's
-  // writes. A close failure is deliberately ignored: the result is
-  // already durable (or the round already degraded), and a resurrected
-  // closed round is re-collected at the next compaction.
+  // (synchronously) rather than in the drain task so retention GC can
+  // never race the *next* round's writes. A close failure is
+  // deliberately ignored: the result is already durable (or the round
+  // already degraded), and a resurrected closed round is re-collected at
+  // the next compaction.
   if (store_ != nullptr) {
     (void)store_->CloseRound(closed_round);
   }

@@ -1,11 +1,11 @@
-// Partition-scoped ingest/checkpoint/drain worker — the machinery behind
+// Partition-scoped ingest/persist/drain worker — the machinery behind
 // the streaming collection service.
 //
 // A PartitionWorker owns one slice of a collection round (partition.h):
 // the single-node StreamingCollector is the 1-of-1 full-domain special
 // case, and a distributed deployment runs N workers — in one process or
 // one per endpoint — each with its own queue, consumer thread, counters
-// over its slice, per-partition checkpoints, and per-partition
+// over its slice, a per-partition round store, and per-partition
 // spot-check dummy multiset. Raw per-partition supports flow to a
 // MergeCoordinator (coordinator.h), which merges in partition order and
 // only then calibrates — estimates are a property of the whole shuffled
@@ -59,13 +59,9 @@
 // contract is unchanged: a batch counts toward the durable watermark
 // only once the record covering it is fsynced, and batches still in the
 // queue (or in the open group) are replayed by the feeder after a crash.
-// With only checkpoint.path set, the LegacyCheckpointStore
-// keeps the original behavior: a full CRC-guarded snapshot every
-// `every_batches` batches, plus the finalized-round journal
-// (path + ".result") written before the snapshot is unlinked. Either
-// way, RecoverRound() restores a mid-round state and returns the
+// RecoverRound() restores a stored mid-round state and returns the
 // consumed-batch watermark (the feeder replays from there,
-// bit-identically), and RecoverFinalizedRound() replays a journal
+// bit-identically), and RecoverFinalizedRound() replays a stored journal
 // through the deterministic finalize/calibrate step.
 //
 // Storage failure taxonomy: an out-of-space write (kResourceExhausted —
@@ -92,7 +88,6 @@
 
 #include "ldp/frequency_oracle.h"
 #include "service/bounded_queue.h"
-#include "service/checkpoint.h"
 #include "service/partition.h"
 #include "service/round_store.h"
 #include "service/sharded_counter.h"
@@ -151,13 +146,9 @@ struct StreamingOptions {
   ThreadPool* pool = nullptr;   ///< decode/count fan-out; null = serial
   /// The domain slice this worker owns (default: full domain, 1-of-1).
   PartitionSlice partition;
-  /// Legacy crash-safe persistence (path empty = disabled); selects the
-  /// LegacyCheckpointStore when round_store.dir is unset. See checkpoint.h.
-  CheckpointOptions checkpoint;
   /// Durable round store (round_store.h): `round_store.dir` non-empty
-  /// selects the WAL + segment engine. Slice identity fields are filled
-  /// from the worker's resolved partition; `checkpoint.path` doubles as
-  /// the legacy migration source on first open.
+  /// enables the WAL + segment engine. Slice identity fields are filled
+  /// from the worker's resolved partition.
   RoundStoreOptions round_store;
   /// Pre-opened store (wins over the options above). The transport
   /// server shares its store with the worker through this — a WAL must
@@ -270,11 +261,11 @@ class PartitionWorker {
   Result<RoundResult> FinishRound(uint64_t n, uint64_t n_fake,
                                   Calibration calibration);
 
-  /// Restores a partially drained round from a checkpoint snapshot.
+  /// Restores a partially drained round from its stored mid-round state.
   /// Precondition: a fresh worker (nothing offered yet); fails with
   /// FailedPrecondition otherwise, with InvalidArgument when the
-  /// snapshot's supports do not match the owned slice, and with
-  /// FailedPrecondition when the snapshot belongs to a different
+  /// state's supports do not match the owned slice, and with
+  /// FailedPrecondition when the state belongs to a different
   /// partition. Returns the consumed-batch watermark: the feeder must
   /// replay batches from that batch index (batch boundaries must match
   /// the original run, which fixed-size batch slicing guarantees).
@@ -284,8 +275,8 @@ class PartitionWorker {
   /// window): re-runs the deterministic finalize/calibrate step over the
   /// journaled supports and returns the bitwise-identical RoundResult.
   /// Advances round_id past the journaled round. Same fresh-worker
-  /// precondition as RecoverRound; the two compose (a checkpoint for
-  /// round k+1 may be recovered after replaying round k's journal).
+  /// precondition as RecoverRound; the two compose (round k+1's live
+  /// state may be recovered after replaying round k's journal).
   Result<RoundResult> RecoverFinalizedRound(const RoundJournal& journal);
 
   /// Rebuilds a clean pipeline after a failed round (a CloseRound future
@@ -343,7 +334,6 @@ class PartitionWorker {
   void ProcessRoundClose(const std::shared_ptr<RoundClose>& close);
   void ResetRoundTallies();
   void EnsureConsumer();
-  CheckpointState BuildCheckpointState();
   /// Routes a batch-group delta to the store, downgrading durability on
   /// kResourceExhausted and failing the round on anything else. Returns
   /// false when the round was failed (the caller must stop).
@@ -394,15 +384,13 @@ class PartitionWorker {
   std::string durability_warning_;
   std::atomic<bool> degraded_flag_{false};
   /// Shadow of the supports the store has seen — only maintained for
-  /// non-value-equality oracles on a delta-wanting store, where group
-  /// deltas come from diffing the counter's counts instead of a kept-row
-  /// histogram.
+  /// non-value-equality oracles with a store, where group deltas come
+  /// from diffing the counter's counts instead of a kept-row histogram.
   bool track_support_shadow_ = false;
   std::vector<uint64_t> persisted_supports_;
-  // The open group-commit group (delta-wanting stores only): tallies and
-  // batch range in group_, the in-slice value histogram (value-equality
+  // The open group-commit group (with a store only): tallies and batch
+  // range in group_, the in-slice value histogram (value-equality
   // oracles) and consumed dummies folded across its batches.
-  bool group_commit_ = false;
   uint64_t group_batches_ = 0;
   RoundDelta group_;
   std::map<uint64_t, uint64_t> group_histogram_;

@@ -6,8 +6,12 @@
 #include <cstring>
 
 #include <dirent.h>
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
+
+#include "util/bytes.h"
+#include "util/hash.h"
 
 namespace shuffledp {
 namespace service {
@@ -17,6 +21,14 @@ namespace {
 constexpr char kWalFileName[] = "wal.log";
 constexpr char kSegmentPrefix[] = "round-";
 constexpr char kSegmentSuffix[] = ".seg";
+
+// Segment framing (docs/WIRE_FORMAT.md §7): magic "SDPS", u8 version,
+// 3 reserved zero bytes, u32 payload length, u32 CRC-32 of the payload,
+// then the payload.
+constexpr uint8_t kSegmentMagic[4] = {'S', 'D', 'P', 'S'};
+constexpr uint8_t kFramingVersion = 2;
+constexpr size_t kHeaderBytes = 16;
+constexpr char kWhat[] = "round segment";  // storage error context
 
 /// Parses "round-<digits>.seg" into the round id; anything else (tmp
 /// staging files, the WAL, stray entries) is not a segment.
@@ -82,6 +94,210 @@ int MakeDirs(const std::string& dir, std::string* failed) {
     }
     if (pos == std::string::npos) return 0;
   }
+}
+
+// Payload codecs for CheckpointState and RoundJournal (byte layouts:
+// docs/WIRE_FORMAT.md §7), and the atomic segment-file write/read.
+
+Bytes SerializeCheckpointPayload(const CheckpointState& state) {
+  ByteWriter w(64 + state.supports.size() * 4 +
+               state.dummies_remaining.size() * 20);
+  w.PutU64(state.round_id);
+  w.PutVarint(state.partition_index);
+  w.PutVarint(state.partition_count);
+  w.PutVarint(state.slice_lo);
+  w.PutVarint(state.batches_consumed);
+  w.PutVarint(state.rows_seen);
+  w.PutVarint(state.reports_decoded);
+  w.PutVarint(state.reports_invalid);
+  w.PutVarint(state.dummies_recognized);
+  w.PutVarint(state.dummies_expected);
+  w.PutVarint(state.supports.size());
+  for (uint64_t s : state.supports) w.PutVarint(s);
+  w.PutVarint(state.dummies_remaining.size());
+  for (const auto& [key, count] : state.dummies_remaining) {
+    w.PutU64(key.first);
+    w.PutU64(key.second);
+    w.PutVarint(count);
+  }
+  return w.Release();
+}
+
+Result<CheckpointState> ParseCheckpointPayload(const Bytes& payload) {
+  ByteReader r(payload);
+  CheckpointState state;
+  SHUFFLEDP_ASSIGN_OR_RETURN(state.round_id, r.GetU64());
+  SHUFFLEDP_ASSIGN_OR_RETURN(uint64_t part_index, r.GetVarint());
+  SHUFFLEDP_ASSIGN_OR_RETURN(uint64_t part_count, r.GetVarint());
+  SHUFFLEDP_ASSIGN_OR_RETURN(state.slice_lo, r.GetVarint());
+  if (part_count == 0 || part_count > 0xFFFF || part_index >= part_count) {
+    return Status::DataLoss("round state partition fields out of range");
+  }
+  state.partition_index = static_cast<uint32_t>(part_index);
+  state.partition_count = static_cast<uint32_t>(part_count);
+  SHUFFLEDP_ASSIGN_OR_RETURN(state.batches_consumed, r.GetVarint());
+  SHUFFLEDP_ASSIGN_OR_RETURN(state.rows_seen, r.GetVarint());
+  SHUFFLEDP_ASSIGN_OR_RETURN(state.reports_decoded, r.GetVarint());
+  SHUFFLEDP_ASSIGN_OR_RETURN(state.reports_invalid, r.GetVarint());
+  SHUFFLEDP_ASSIGN_OR_RETURN(state.dummies_recognized, r.GetVarint());
+  SHUFFLEDP_ASSIGN_OR_RETURN(state.dummies_expected, r.GetVarint());
+  SHUFFLEDP_ASSIGN_OR_RETURN(uint64_t d, r.GetVarint());
+  // Each support needs at least one payload byte; a hostile length field
+  // cannot drive the reserve below past the file size.
+  if (d > r.Remaining()) {
+    return Status::DataLoss("round state supports length exceeds payload");
+  }
+  state.supports.reserve(d);
+  for (uint64_t i = 0; i < d; ++i) {
+    SHUFFLEDP_ASSIGN_OR_RETURN(uint64_t s, r.GetVarint());
+    state.supports.push_back(s);
+  }
+  SHUFFLEDP_ASSIGN_OR_RETURN(uint64_t n_dummies, r.GetVarint());
+  if (n_dummies > r.Remaining() / 17) {  // 8 + 8 + >=1 bytes per entry
+    return Status::DataLoss("round state dummy count exceeds payload");
+  }
+  for (uint64_t i = 0; i < n_dummies; ++i) {
+    SHUFFLEDP_ASSIGN_OR_RETURN(uint64_t packed, r.GetU64());
+    SHUFFLEDP_ASSIGN_OR_RETURN(uint64_t tag, r.GetU64());
+    SHUFFLEDP_ASSIGN_OR_RETURN(uint64_t count, r.GetVarint());
+    state.dummies_remaining[{packed, tag}] = count;
+  }
+  if (!r.AtEnd()) {
+    return Status::DataLoss("round state payload has trailing bytes");
+  }
+  return state;
+}
+
+Bytes SerializeJournalPayload(const RoundJournal& journal) {
+  ByteWriter w(64 + journal.supports.size() * 4);
+  w.PutU64(journal.round_id);
+  w.PutVarint(journal.partition_index);
+  w.PutVarint(journal.partition_count);
+  w.PutVarint(journal.slice_lo);
+  w.PutVarint(journal.n);
+  w.PutVarint(journal.n_fake);
+  w.PutU8(journal.calibration);
+  w.PutVarint(journal.reports_decoded);
+  w.PutVarint(journal.reports_invalid);
+  w.PutVarint(journal.dummies_recognized);
+  w.PutVarint(journal.dummies_expected);
+  w.PutVarint(journal.supports.size());
+  for (uint64_t s : journal.supports) w.PutVarint(s);
+  return w.Release();
+}
+
+Result<RoundJournal> ParseJournalPayload(const Bytes& payload) {
+  ByteReader r(payload);
+  RoundJournal journal;
+  SHUFFLEDP_ASSIGN_OR_RETURN(journal.round_id, r.GetU64());
+  SHUFFLEDP_ASSIGN_OR_RETURN(uint64_t part_index, r.GetVarint());
+  SHUFFLEDP_ASSIGN_OR_RETURN(uint64_t part_count, r.GetVarint());
+  SHUFFLEDP_ASSIGN_OR_RETURN(journal.slice_lo, r.GetVarint());
+  if (part_count == 0 || part_count > 0xFFFF || part_index >= part_count) {
+    return Status::DataLoss("journal partition fields out of range");
+  }
+  journal.partition_index = static_cast<uint32_t>(part_index);
+  journal.partition_count = static_cast<uint32_t>(part_count);
+  SHUFFLEDP_ASSIGN_OR_RETURN(journal.n, r.GetVarint());
+  SHUFFLEDP_ASSIGN_OR_RETURN(journal.n_fake, r.GetVarint());
+  SHUFFLEDP_ASSIGN_OR_RETURN(journal.calibration, r.GetU8());
+  SHUFFLEDP_ASSIGN_OR_RETURN(journal.reports_decoded, r.GetVarint());
+  SHUFFLEDP_ASSIGN_OR_RETURN(journal.reports_invalid, r.GetVarint());
+  SHUFFLEDP_ASSIGN_OR_RETURN(journal.dummies_recognized, r.GetVarint());
+  SHUFFLEDP_ASSIGN_OR_RETURN(journal.dummies_expected, r.GetVarint());
+  SHUFFLEDP_ASSIGN_OR_RETURN(uint64_t d, r.GetVarint());
+  if (d > r.Remaining()) {
+    return Status::DataLoss("journal supports length exceeds payload");
+  }
+  journal.supports.reserve(d);
+  for (uint64_t i = 0; i < d; ++i) {
+    SHUFFLEDP_ASSIGN_OR_RETURN(uint64_t s, r.GetVarint());
+    journal.supports.push_back(s);
+  }
+  if (!r.AtEnd()) {
+    return Status::DataLoss("journal payload has trailing bytes");
+  }
+  return journal;
+}
+
+/// Stage + fsync + rename a framed segment: a crash at any point leaves
+/// either the old file or the new one at `path`, never a torn mix. All
+/// storage syscalls go through the fault-injectable wrappers in wal.h,
+/// so ENOSPC surfaces as kResourceExhausted.
+Status WriteSegmentFile(const std::string& path, const Bytes& payload) {
+  ByteWriter file(kHeaderBytes + payload.size());
+  file.PutBytes(kSegmentMagic, 4);
+  file.PutU8(kFramingVersion);
+  file.PutU8(0);
+  file.PutU8(0);
+  file.PutU8(0);
+  file.PutU32(static_cast<uint32_t>(payload.size()));
+  file.PutU32(Crc32(payload.data(), payload.size()));
+  file.PutBytes(payload);
+  const Bytes& bytes = file.data();
+
+  const std::string tmp = path + ".tmp";
+  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) {
+    return MapStorageErrno(kWhat, tmp, "open", errno);
+  }
+  Status st = StorageWriteAll(fd, bytes.data(), bytes.size(), kWhat, tmp);
+  if (st.ok()) st = StorageFsync(fd, kWhat, tmp);
+  ::close(fd);
+  if (st.ok()) st = StorageRename(tmp, path, kWhat);
+  if (!st.ok()) {
+    ::unlink(tmp.c_str());
+    return st;
+  }
+  return Status::OK();
+}
+
+/// Reads and validates a segment file: magic, version, reserved bytes,
+/// length and CRC must all match, or the read fails (DataLoss) without
+/// returning a partial payload.
+Result<Bytes> ReadSegmentFile(const std::string& path) {
+  const std::string what = kWhat;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    return Status::NotFound("no " + what + " at " + path);
+  }
+  Bytes bytes;
+  uint8_t buf[4096];
+  size_t got;
+  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    bytes.insert(bytes.end(), buf, buf + got);
+  }
+  std::fclose(f);
+
+  if (bytes.size() < kHeaderBytes) {
+    return Status::DataLoss(what + " file shorter than header");
+  }
+  ByteReader r(bytes);
+  SHUFFLEDP_ASSIGN_OR_RETURN(Bytes file_magic, r.GetBytes(4));
+  if (std::memcmp(file_magic.data(), kSegmentMagic, 4) != 0) {
+    return Status::DataLoss(what + " magic mismatch");
+  }
+  SHUFFLEDP_ASSIGN_OR_RETURN(uint8_t version, r.GetU8());
+  if (version != kFramingVersion) {
+    return Status::DataLoss("unsupported " + what + " version " +
+                            std::to_string(version));
+  }
+  for (int i = 0; i < 3; ++i) {
+    SHUFFLEDP_ASSIGN_OR_RETURN(uint8_t reserved, r.GetU8());
+    if (reserved != 0) {
+      return Status::DataLoss(what + " reserved bytes are nonzero");
+    }
+  }
+  SHUFFLEDP_ASSIGN_OR_RETURN(uint32_t payload_len, r.GetU32());
+  SHUFFLEDP_ASSIGN_OR_RETURN(uint32_t expected_crc, r.GetU32());
+  if (payload_len != r.Remaining()) {
+    return Status::DataLoss(what + " length field does not match file");
+  }
+  SHUFFLEDP_ASSIGN_OR_RETURN(Bytes payload, r.GetBytes(payload_len));
+  if (Crc32(payload.data(), payload.size()) != expected_crc) {
+    return Status::DataLoss(what + " CRC mismatch (torn or corrupt)");
+  }
+  return payload;
 }
 
 }  // namespace
@@ -151,113 +367,6 @@ Result<RoundDelta> ParseRoundDelta(const Bytes& payload) {
 }
 
 // ---------------------------------------------------------------------------
-// LegacyCheckpointStore
-// ---------------------------------------------------------------------------
-
-Status LegacyCheckpointStore::AppendDelta(const RoundDelta& delta,
-                                          const SnapshotFn& snapshot) {
-  // Preserve the exact legacy cadence: one full snapshot whenever a real
-  // batch lands on the every_batches boundary (delta.batch_hi equals the
-  // worker's consumed-batch count). Registration-only deltas never wrote
-  // a checkpoint before and still do not.
-  const uint64_t every = std::max<uint64_t>(1, options_.every_batches);
-  const bool snapshot_due =
-      delta.batch_hi > delta.batch_lo && delta.batch_hi % every == 0;
-  if (snapshot_due) {
-    SHUFFLEDP_RETURN_NOT_OK(WriteCheckpoint(options_.path, snapshot()));
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  live_ = true;
-  live_round_ = delta.round_id;
-  if (snapshot_due) live_watermark_ = delta.batch_hi;
-  return Status::OK();
-}
-
-Status LegacyCheckpointStore::FinalizeRound(const RoundJournal& journal,
-                                            uint64_t batches_consumed) {
-  SHUFFLEDP_RETURN_NOT_OK(
-      WriteRoundJournal(RoundJournalPath(options_.path), journal));
-  std::lock_guard<std::mutex> lock(mu_);
-  have_journal_ = true;
-  journal_ = journal;
-  journal_batches_ = batches_consumed;
-  if (live_ && live_round_ == journal.round_id) live_ = false;
-  return Status::OK();
-}
-
-Status LegacyCheckpointStore::CloseRound(uint64_t round_id) {
-  RemoveCheckpoint(options_.path);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (live_ && live_round_ == round_id) {
-    live_ = false;
-    live_watermark_ = 0;
-  }
-  return Status::OK();
-}
-
-Status LegacyCheckpointStore::AbandonRound(uint64_t round_id) {
-  return CloseRound(round_id);
-}
-
-Result<std::vector<StoredRound>> LegacyCheckpointStore::LoadAll() {
-  std::vector<StoredRound> rounds;
-  Result<RoundJournal> journal = ReadRoundJournal(RoundJournalPath(
-      options_.path));
-  if (journal.ok()) {
-    StoredRound round;
-    round.finalized = true;
-    round.journal = *journal;
-    rounds.push_back(std::move(round));
-  } else if (journal.status().code() != StatusCode::kNotFound) {
-    return journal.status();
-  }
-  Result<CheckpointState> state = ReadCheckpoint(options_.path);
-  if (state.ok()) {
-    StoredRound round;
-    round.finalized = false;
-    round.batches_consumed = state->batches_consumed;
-    round.state = std::move(*state);
-    rounds.push_back(std::move(round));
-  } else if (state.status().code() != StatusCode::kNotFound) {
-    return state.status();
-  }
-  std::sort(rounds.begin(), rounds.end(),
-            [](const StoredRound& a, const StoredRound& b) {
-              return a.round_id() < b.round_id();
-            });
-  {
-    // Seed the Query mirror so history works after recovery too.
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const StoredRound& round : rounds) {
-      if (round.finalized) {
-        have_journal_ = true;
-        journal_ = round.journal;
-        journal_batches_ = 0;  // the legacy journal carries no watermark
-      } else {
-        live_ = true;
-        live_round_ = round.state.round_id;
-        live_watermark_ = round.state.batches_consumed;
-      }
-    }
-  }
-  return rounds;
-}
-
-Result<RoundLookup> LegacyCheckpointStore::Query(uint64_t round_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  RoundLookup lookup;
-  if (have_journal_ && journal_.round_id == round_id) {
-    lookup.status = RoundStatus::kFinalized;
-    lookup.watermark = journal_batches_;
-    lookup.journal = journal_;
-  } else if (live_ && live_round_ == round_id) {
-    lookup.status = RoundStatus::kActive;
-    lookup.watermark = live_watermark_;
-  }
-  return lookup;
-}
-
-// ---------------------------------------------------------------------------
 // SegmentedRoundStore
 // ---------------------------------------------------------------------------
 
@@ -295,21 +404,7 @@ Result<std::unique_ptr<SegmentedRoundStore>> SegmentedRoundStore::Open(
 
   std::lock_guard<std::mutex> lock(store->mu_);
   SHUFFLEDP_RETURN_NOT_OK(store->LoadSegmentsLocked());
-  std::vector<WriteAheadLog::Record> records =
-      store->wal_->TakeRecovered();
-  if (store->rounds_.empty() && records.empty()) {
-    SHUFFLEDP_RETURN_NOT_OK(store->ImportLegacyLocked());
-    if (!store->rounds_.empty()) {
-      // Make the imported base durable as segments *now*: the worker's
-      // next deltas continue from the legacy watermark, so a crash
-      // before the first cadence compaction would otherwise leave a WAL
-      // whose first delta has batch_lo > 0 and no base to chain to —
-      // replay would fail the continuity check forever. (The legacy
-      // files themselves stay untouched: import is read-only.)
-      SHUFFLEDP_RETURN_NOT_OK(store->CompactLocked());
-    }
-  }
-  SHUFFLEDP_RETURN_NOT_OK(store->ReplayLocked(std::move(records)));
+  SHUFFLEDP_RETURN_NOT_OK(store->ReplayLocked(store->wal_->TakeRecovered()));
   return store;
 }
 
@@ -334,8 +429,7 @@ Status SegmentedRoundStore::LoadSegmentsLocked() {
     // refuse to guess rather than silently drop a round.
     SHUFFLEDP_ASSIGN_OR_RETURN(
         Bytes payload,
-        ReadFramedFile(SegmentPath(round_id), kSegmentMagic,
-                       "round segment"));
+        ReadSegmentFile(SegmentPath(round_id)));
     ByteReader r(payload);
     RoundEntry entry;
     SHUFFLEDP_ASSIGN_OR_RETURN(uint64_t stored_id, r.GetU64());
@@ -375,45 +469,6 @@ Status SegmentedRoundStore::LoadSegmentsLocked() {
     }
     next_lsn_ = std::max(next_lsn_, entry.last_lsn + 1);
     rounds_.emplace(round_id, std::move(entry));
-  }
-  return Status::OK();
-}
-
-Status SegmentedRoundStore::ImportLegacyLocked() {
-  if (options_.legacy_checkpoint_path.empty()) return Status::OK();
-
-  Result<CheckpointState> state =
-      ReadCheckpoint(options_.legacy_checkpoint_path);
-  if (state.ok()) {
-    if (state->partition_index != options_.partition_index ||
-        state->partition_count != options_.partition_count ||
-        state->slice_lo != options_.slice_lo ||
-        state->supports.size() != options_.slice_width) {
-      return Status::FailedPrecondition(
-          "legacy checkpoint belongs to a different slice: " +
-          options_.legacy_checkpoint_path);
-    }
-    RoundEntry entry;
-    entry.finalized = false;
-    entry.batches_consumed = state->batches_consumed;
-    entry.state = std::move(*state);
-    entry.dirty = true;  // next compaction converts it into a segment
-    rounds_.emplace(entry.state.round_id, std::move(entry));
-  } else if (state.status().code() != StatusCode::kNotFound) {
-    return state.status();
-  }
-
-  Result<RoundJournal> journal = ReadRoundJournal(
-      RoundJournalPath(options_.legacy_checkpoint_path));
-  if (journal.ok()) {
-    RoundEntry entry;
-    entry.finalized = true;
-    entry.closed = true;
-    entry.journal = std::move(*journal);
-    entry.dirty = true;
-    rounds_.emplace(entry.journal.round_id, std::move(entry));
-  } else if (journal.status().code() != StatusCode::kNotFound) {
-    return journal.status();
   }
   return Status::OK();
 }
@@ -573,7 +628,7 @@ void SegmentedRoundStore::ApplyAbandonLocked(uint64_t round_id) {
   // unlink is covered: ReplayLocked skips deltas a later abandon
   // supersedes, whether or not their base segment still exists.
   // Best-effort — a surviving segment is re-unlinked on abandon replay.
-  (void)StorageUnlink(SegmentPath(round_id), "round segment");
+  (void)StorageUnlink(SegmentPath(round_id), kWhat);
 }
 
 Status SegmentedRoundStore::AppendRecordLocked(WalRecordType type,
@@ -599,8 +654,7 @@ Status SegmentedRoundStore::MaybeCompactLocked() {
 }
 
 Status SegmentedRoundStore::AppendDelta(const RoundDelta& delta,
-                                        const SnapshotFn& snapshot) {
-  (void)snapshot;  // deltas make the full-snapshot path unnecessary
+                                        const SnapshotFn& /*snapshot*/) {
   std::lock_guard<std::mutex> lock(mu_);
   const uint64_t lsn = next_lsn_;
   SHUFFLEDP_RETURN_NOT_OK(
@@ -711,9 +765,8 @@ Status SegmentedRoundStore::CompactLocked() {
       Bytes inner = SerializeCheckpointPayload(entry.state);
       w.PutBytes(inner);
     }
-    SHUFFLEDP_RETURN_NOT_OK(WriteFramedFile(SegmentPath(round_id),
-                                            kSegmentMagic, w.Release(),
-                                            "round segment"));
+    SHUFFLEDP_RETURN_NOT_OK(
+        WriteSegmentFile(SegmentPath(round_id), w.Release()));
     entry.dirty = false;
   }
   SHUFFLEDP_RETURN_NOT_OK(wal_->TruncateAll());
@@ -723,7 +776,7 @@ Status SegmentedRoundStore::CompactLocked() {
   // a crash mid-unlink leaves orphan segments the next GC re-collects.
   for (uint64_t round_id : pending_segment_unlinks_) {
     if (rounds_.count(round_id) != 0) continue;  // round id re-appeared
-    (void)StorageUnlink(SegmentPath(round_id), "round segment");
+    (void)StorageUnlink(SegmentPath(round_id), kWhat);
   }
   pending_segment_unlinks_.clear();
   appended_since_compact_ = 0;
@@ -778,21 +831,15 @@ uint64_t SegmentedRoundStore::next_lsn() const {
 // ---------------------------------------------------------------------------
 
 Result<std::shared_ptr<RoundStore>> OpenRoundStore(
-    const RoundStoreOptions& options, const CheckpointOptions& legacy) {
-  if (!options.dir.empty()) {
-    RoundStoreOptions resolved = options;
-    if (resolved.legacy_checkpoint_path.empty()) {
-      resolved.legacy_checkpoint_path = legacy.path;
-    }
-    SHUFFLEDP_ASSIGN_OR_RETURN(std::unique_ptr<SegmentedRoundStore> store,
-                               SegmentedRoundStore::Open(resolved));
-    return std::shared_ptr<RoundStore>(std::move(store));
-  }
-  if (!legacy.path.empty()) {
-    return std::shared_ptr<RoundStore>(
-        std::make_shared<LegacyCheckpointStore>(legacy));
-  }
-  return std::shared_ptr<RoundStore>();
+    RoundStoreOptions options, const PartitionSlice& slice) {
+  if (options.dir.empty()) return std::shared_ptr<RoundStore>();
+  options.partition_index = slice.index;
+  options.partition_count = slice.count;
+  options.slice_lo = slice.lo;
+  options.slice_width = slice.hi - slice.lo;
+  SHUFFLEDP_ASSIGN_OR_RETURN(std::unique_ptr<SegmentedRoundStore> store,
+                             SegmentedRoundStore::Open(options));
+  return std::shared_ptr<RoundStore>(std::move(store));
 }
 
 }  // namespace service

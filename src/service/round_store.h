@@ -1,9 +1,7 @@
 // Durable multi-round storage engine for partition workers.
 //
-// The one-file-per-round checkpoint path (checkpoint.h) rewrites the
-// entire counter snapshot every N batches and protects exactly one
-// in-flight round. The RoundStore interface replaces it with a
-// crash-consistent engine sized for many concurrent rounds:
+// The RoundStore interface is a crash-consistent engine sized for many
+// concurrent rounds:
 //
 //   ingest      consumer thread appends one incremental RoundDelta per
 //               group of batches to a per-worker WAL (wal.h) — sparse
@@ -17,7 +15,9 @@
 //               more input or handles a registration or round close;
 //   compaction  the WAL is periodically folded into immutable
 //               CRC-guarded segment files (one per round, "SDPS"
-//               framing, atomic-rename discipline), then truncated;
+//               framing, atomic-rename discipline), then truncated. A
+//               live round's segment carries its mid-round state
+//               (CheckpointState), a finalized round's its RoundJournal;
 //   recovery    segments load first, then the WAL suffix replays on
 //               top. Records carry monotonic LSNs and each segment
 //               records the last LSN folded into it, so replay is
@@ -31,16 +31,12 @@
 //   retention   CloseRound() garbage-collects finalized rounds beyond
 //               the keep-last-K knob.
 //
-// Two backends sit behind the interface: SegmentedRoundStore (the WAL +
-// segment engine above) and LegacyCheckpointStore, which adapts the
-// existing SDPK/SDPJ one-file-per-round format — same write cadence,
-// same files — so existing deployments recover through the same
-// interface unchanged, and the segmented store imports those files as a
-// read-only migration source on first open.
+// SegmentedRoundStore is the one backend. Segment, WAL and delta bytes
+// are specified (with worked examples) in docs/WIRE_FORMAT.md §6–7.
 //
 // Concurrency: the worker's consumer thread is the only writer
 // (AppendDelta / FinalizeRound / CloseRound / AbandonRound); Query and
-// LoadAll may run from any thread. Both backends serialize internally.
+// LoadAll may run from any thread. The store serializes internally.
 
 #ifndef SHUFFLEDP_SERVICE_ROUND_STORE_H_
 #define SHUFFLEDP_SERVICE_ROUND_STORE_H_
@@ -55,20 +51,15 @@
 #include <utility>
 #include <vector>
 
-#include "service/checkpoint.h"
+#include "service/partition.h"
 #include "service/wal.h"
 #include "util/status.h"
 
 namespace shuffledp {
 namespace service {
 
-/// Segment file magic ("SDPS"); framing is checkpoint.h's 16-byte
-/// header via WriteFramedFile/ReadFramedFile.
-inline constexpr uint8_t kSegmentMagic[4] = {'S', 'D', 'P', 'S'};
-
 /// Round store knobs (part of StreamingOptions). `dir` empty disables
-/// the segmented engine; the worker then falls back to the legacy
-/// checkpoint path when that is configured.
+/// durable persistence.
 struct RoundStoreOptions {
   /// Store directory (created if missing): holds `wal.log` and one
   /// `round-<id>.seg` segment per stored round.
@@ -80,14 +71,57 @@ struct RoundStoreOptions {
   uint64_t retain_rounds = 4;
   /// WAL records between compactions (segment rewrite + log truncate).
   uint64_t compact_every_records = 256;
-  /// Slice identity (filled by the worker from its resolved partition).
+  /// Slice identity (OpenRoundStore fills it from the resolved slice).
   uint32_t partition_index = 0;
   uint32_t partition_count = 1;
   uint64_t slice_lo = 0;
   uint64_t slice_width = 0;  ///< supports length; required when dir set
-  /// Legacy SDPK checkpoint path imported (read-only, together with its
-  /// `.result` journal) when the store directory holds no state yet.
-  std::string legacy_checkpoint_path;
+};
+
+/// One consistent snapshot of a partially drained round, as of the
+/// moment `batches_consumed` batches had been fully accumulated — the
+/// payload of a live round's segment (byte layout: docs/WIRE_FORMAT.md
+/// §7, round-state payload).
+struct CheckpointState {
+  uint64_t round_id = 0;
+  /// Partition identity of the worker that wrote the state. A recovered
+  /// worker refuses state for a different partition — a misrouted
+  /// segment must not resurrect another slice's counts.
+  uint32_t partition_index = 0;
+  uint32_t partition_count = 1;
+  uint64_t slice_lo = 0;          ///< first owned value (0 for full domain)
+  uint64_t batches_consumed = 0;  ///< replay watermark
+  uint64_t rows_seen = 0;
+  uint64_t reports_decoded = 0;
+  uint64_t reports_invalid = 0;
+  uint64_t dummies_recognized = 0;
+  uint64_t dummies_expected = 0;
+  /// Merged shard aggregates over the owned slice (length = slice size;
+  /// the full domain for single-node / kByClient workers).
+  std::vector<uint64_t> supports;
+  /// Spot-check dummies not yet matched: (packed report, tag) -> count.
+  std::map<std::pair<uint64_t, uint64_t>, uint64_t> dummies_remaining;
+};
+
+/// Finalized state of a *closed* round — the payload of a finalized
+/// round's segment and of the WAL kFinalize record (byte layout:
+/// docs/WIRE_FORMAT.md §7, journal payload). Everything downstream of
+/// these fields — Finalize-order merge and estimator calibration — is a
+/// deterministic pure function, so replaying the journal reproduces the
+/// RoundResult bitwise.
+struct RoundJournal {
+  uint64_t round_id = 0;
+  uint32_t partition_index = 0;
+  uint32_t partition_count = 1;
+  uint64_t slice_lo = 0;
+  uint64_t n = 0;
+  uint64_t n_fake = 0;
+  uint8_t calibration = 0;  ///< service::Calibration wire value
+  uint64_t reports_decoded = 0;
+  uint64_t reports_invalid = 0;
+  uint64_t dummies_recognized = 0;
+  uint64_t dummies_expected = 0;
+  std::vector<uint64_t> supports;  ///< finalized, length = slice size
 };
 
 /// One batch group's incremental effect on round state — what the WAL
@@ -143,21 +177,21 @@ struct RoundLookup {
 };
 
 /// Crash-consistent round persistence. See the file comment for the
-/// engine; LegacyCheckpointStore for the SDPK/SDPJ adapter.
+/// engine.
 class RoundStore {
  public:
-  /// Lazily materializes a full CheckpointState snapshot — only the
-  /// legacy backend calls it (on its checkpoint cadence), so the
-  /// segmented engine never pays the O(slice) Finalize cost per batch.
+  /// Unused by SegmentedRoundStore. Kept, with WantsDeltas(), only
+  /// because perfbench's TracingRoundStore overrides both; they go when
+  /// that wrapper does.
   using SnapshotFn = std::function<CheckpointState()>;
 
   virtual ~RoundStore() = default;
 
-  /// True when the backend persists incremental deltas — the worker
-  /// only computes sparse group support deltas when it does.
+  /// Always true for SegmentedRoundStore (see SnapshotFn).
   virtual bool WantsDeltas() const = 0;
 
   /// Records one batch group's deltas for the round (consumer thread).
+  /// `snapshot` may be null (see SnapshotFn).
   virtual Status AppendDelta(const RoundDelta& delta,
                              const SnapshotFn& snapshot) = 0;
 
@@ -182,46 +216,13 @@ class RoundStore {
   virtual Result<RoundLookup> Query(uint64_t round_id) = 0;
 };
 
-/// Adapter keeping the existing one-file-per-round SDPK checkpoint +
-/// SDPJ journal behind the RoundStore interface: identical write
-/// cadence (full snapshot every `every_batches` consumed batches),
-/// identical files, identical recovery semantics — the journal is a
-/// keep-exactly-1 overwrite, so retention does not apply.
-class LegacyCheckpointStore : public RoundStore {
- public:
-  explicit LegacyCheckpointStore(CheckpointOptions options)
-      : options_(std::move(options)) {}
-
-  bool WantsDeltas() const override { return false; }
-  Status AppendDelta(const RoundDelta& delta,
-                     const SnapshotFn& snapshot) override;
-  Status FinalizeRound(const RoundJournal& journal,
-                       uint64_t batches_consumed) override;
-  Status CloseRound(uint64_t round_id) override;
-  Status AbandonRound(uint64_t round_id) override;
-  Result<std::vector<StoredRound>> LoadAll() override;
-  Result<RoundLookup> Query(uint64_t round_id) override;
-
- private:
-  CheckpointOptions options_;
-  std::mutex mu_;
-  // In-memory mirror for Query (the files stay authoritative).
-  bool live_ = false;
-  uint64_t live_round_ = 0;
-  uint64_t live_watermark_ = 0;  ///< durable (checkpointed) watermark
-  bool have_journal_ = false;
-  RoundJournal journal_;
-  uint64_t journal_batches_ = 0;
-};
-
 /// The WAL + segment engine (file comment above).
 class SegmentedRoundStore : public RoundStore {
  public:
-  /// Opens the store: creates `options.dir` if missing, validates and
-  /// scans the WAL (truncating a torn tail), loads every segment,
-  /// replays the WAL suffix, and — when the directory holds no state —
-  /// imports `options.legacy_checkpoint_path` (+ `.result`). A corrupt
-  /// segment or WAL header is a hard error: refuse to guess.
+  /// Opens the store: creates `options.dir` (and missing parents),
+  /// validates and scans the WAL (truncating a torn tail), loads every
+  /// segment and replays the WAL suffix. A corrupt segment or WAL
+  /// header is a hard error: refuse to guess.
   static Result<std::unique_ptr<SegmentedRoundStore>> Open(
       const RoundStoreOptions& options);
 
@@ -274,7 +275,6 @@ class SegmentedRoundStore : public RoundStore {
   Status CompactLocked();
   void RetentionGcLocked();
   Status LoadSegmentsLocked();
-  Status ImportLegacyLocked();
   Status ReplayLocked(std::vector<WriteAheadLog::Record> records);
 
   RoundStoreOptions options_;
@@ -291,13 +291,12 @@ class SegmentedRoundStore : public RoundStore {
   uint64_t wal_truncated_bytes_ = 0;
 };
 
-/// Opens the configured backend: SegmentedRoundStore when
-/// `options.dir` is set (importing `legacy.path` as migration source if
-/// the directory is empty), LegacyCheckpointStore when only
-/// `legacy.path` is set, and a null store when neither (durability
-/// disabled — the returned shared_ptr is empty but the Result is OK).
+/// Opens a SegmentedRoundStore for the worker owning `slice` (resolved:
+/// lo/hi set), filling the options' slice identity from it. An empty
+/// `options.dir` means durability is off: the Result is OK and the
+/// shared_ptr empty.
 Result<std::shared_ptr<RoundStore>> OpenRoundStore(
-    const RoundStoreOptions& options, const CheckpointOptions& legacy);
+    RoundStoreOptions options, const PartitionSlice& slice);
 
 }  // namespace service
 }  // namespace shuffledp

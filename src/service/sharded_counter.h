@@ -79,7 +79,7 @@ class ShardedSupportCounter {
   /// range_lo()).
   std::vector<uint64_t> Finalize() const;
 
-  /// Inverse of Finalize for checkpoint recovery: restores a merged
+  /// Inverse of Finalize for crash recovery: restores a merged
   /// supports vector (length = counted range). The layout depends only
   /// on the counted range, so a snapshot taken by Finalize restores
   /// exactly (num_shards may even differ).

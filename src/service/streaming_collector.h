@@ -1,6 +1,6 @@
 // Single-node streaming collection — the 1-of-1 partition special case.
 //
-// All of the ingest/checkpoint/drain machinery lives in
+// All of the ingest/persist/drain machinery lives in
 // partition_worker.h (PartitionWorker): a worker owns one slice of a
 // collection round, and a distributed deployment runs many of them
 // behind a MergeCoordinator (coordinator.h). StreamingCollector is the
@@ -8,6 +8,11 @@
 // domain, calibrating its own estimates at round close. Every type the
 // pipeline speaks (ReportBatch, StreamingOptions, RoundResult, …) is
 // defined in partition_worker.h and re-exported through this header.
+//
+// New code should build a full-domain PartitionWorker instead. The shim
+// stays only because perfbench/src/workloads.cpp includes this header
+// and builds one; it goes with the benchmark change that drops it
+// (ROADMAP item 1).
 
 #ifndef SHUFFLEDP_SERVICE_STREAMING_COLLECTOR_H_
 #define SHUFFLEDP_SERVICE_STREAMING_COLLECTOR_H_

@@ -1058,24 +1058,15 @@ Result<std::unique_ptr<CollectionServer>> CollectionServer::Start(
   // server needs the store itself for recovery and kQuery. A store that
   // refuses to open (corrupt WAL, wrong slice identity) fails Start —
   // refusing traffic beats silently dropping durability.
-  if (server->options_.streaming.store == nullptr) {
-    PartitionSlice slice = server->options_.streaming.partition;
-    if (slice.full_domain()) {
-      slice.lo = 0;
-      slice.hi = oracle.domain_size();
-    }
-    RoundStoreOptions store_options = server->options_.streaming.round_store;
-    store_options.partition_index = slice.index;
-    store_options.partition_count = slice.count;
-    store_options.slice_lo = slice.lo;
-    store_options.slice_width = slice.hi - slice.lo;
+  StreamingOptions& streaming = server->options_.streaming;
+  if (streaming.store == nullptr) {
     SHUFFLEDP_ASSIGN_OR_RETURN(
-        server->options_.streaming.store,
-        OpenRoundStore(store_options, server->options_.streaming.checkpoint));
+        streaming.store,
+        OpenRoundStore(streaming.round_store,
+                       streaming.partition.Resolved(oracle.domain_size())));
   }
-  server->store_ = server->options_.streaming.store;
-  server->collector_ = std::make_unique<PartitionWorker>(
-      oracle, server->options_.streaming);
+  server->store_ = streaming.store;
+  server->collector_ = std::make_unique<PartitionWorker>(oracle, streaming);
 
   // Crash recovery before the first byte of traffic: every stored round
   // loads through the store — the newest finalized round replays into
@@ -1679,10 +1670,9 @@ Status CollectionServer::EventLoop::HandleFrameEvent(Conn* c, Frame frame) {
       }
       if (!answered) {
         // Stash fallback: a round finalized this process lifetime but
-        // already garbage-collected from the store (or served by a
-        // legacy store that only journals the newest round) still
-        // answers from the in-memory stash. Watermark 0 — the durable
-        // consumed count is gone with the segment.
+        // already garbage-collected from the store still answers from
+        // the in-memory stash. Watermark 0 — the durable consumed count
+        // is gone with the segment.
         std::lock_guard<std::mutex> lock(server_->result_mu_);
         if (server_->have_last_result_ &&
             server_->last_round_ == frame.round_id) {
@@ -1838,7 +1828,7 @@ Result<Frame> CollectorClient::ReadFrame() {
 Status CollectorClient::SendOrdinals(
     uint64_t round_id, const ldp::ScalarFrequencyOracle& oracle,
     const std::vector<uint64_t>& ordinals) {
-  // One producer batch must stay one frame: the server's checkpoint
+  // One producer batch must stay one frame: the server's consumed-batch
   // watermark counts consumed frames, and crash recovery replays by
   // *producer* batch index — silently splitting an oversized batch here
   // would desynchronize those units and corrupt a recovered round. So a

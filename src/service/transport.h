@@ -63,7 +63,7 @@
 //                             the ingesting round's batch frames this
 //                             endpoint has accepted into its collector
 //                             queue (crash recovery seeds it from the
-//                             restored checkpoint), with the header
+//                             restored round state), with the header
 //                             round id naming the round it counts; the
 //                             pair is read atomically under the ingest
 //                             gate, so a reply can never pair one
@@ -277,7 +277,7 @@ struct CollectionServerOptions {
   /// cleartext, so exposure beyond the host belongs behind the gRPC/TLS
   /// front end tracked in ROADMAP.md.
   uint16_t port = 0;
-  /// Ingestion pipeline knobs, including checkpoint persistence.
+  /// Ingestion pipeline knobs, including the durable round store.
   StreamingOptions streaming;
   /// The partition layout this endpoint participates in and the slice it
   /// owns. Defaults to the single-node 1-of-1 layout (partition id 0),
@@ -286,15 +286,13 @@ struct CollectionServerOptions {
   /// `streaming.partition` is overridden.
   PartitionMap partition_map;
   uint32_t partition_id = 0;
-  /// When true and the configured round store (streaming.round_store /
-  /// streaming.checkpoint) holds state, Start() recovers before
-  /// accepting traffic: every stored round loads through
-  /// RoundStore::LoadAll — a live mid-round state restores into the
-  /// collector (clients query the consumed-batch watermark and resume
-  /// from it), and the newest finalized round replays into the result
-  /// stash, so a kFinish re-request for it is answered instead of
-  /// rejected. Legacy SDPK/SDPJ files recover through the same
-  /// interface unchanged.
+  /// When true and the configured round store (streaming.round_store)
+  /// holds state, Start() recovers before accepting traffic: every
+  /// stored round loads through RoundStore::LoadAll — a live mid-round
+  /// state restores into the collector (clients query the consumed-batch
+  /// watermark and resume from it), and the newest finalized round
+  /// replays into the result stash, so a kFinish re-request for it is
+  /// answered instead of rejected.
   bool recover = false;
   int listen_backlog = 16;
   /// Event-loop threads multiplexing the accepted connections. <= 0 (the
@@ -381,8 +379,8 @@ class CollectionServer {
   CollectionServerStats stats() const;
 
   /// Stops accepting, drops every connection, and joins all threads.
-  /// Idempotent; the destructor calls it. In-flight checkpoint state on
-  /// disk is left untouched (that is the crash-recovery artifact).
+  /// Idempotent; the destructor calls it. The round store on disk is
+  /// left untouched (that is the crash-recovery artifact).
   void Shutdown();
 
  private:
@@ -497,7 +495,7 @@ class CollectionServer {
   // the watermark a reconnecting sender resumes from, and the next
   // batch index the kBatchIndexed gate admits. Advances under
   // ingest_mu_ with each accepted batch, resets when the round closes,
-  // and is seeded from the restored checkpoint at recovery.
+  // and is seeded from the restored round state at recovery.
   std::atomic<uint64_t> ingest_offered_{0};
 };
 
@@ -579,7 +577,7 @@ class CollectorClient {
   /// the batch index a resuming (crash recovery) or reconnecting
   /// (endpoint recovery) sender replays from — 0 means "send from the
   /// beginning". The count resets when a round closes and is seeded
-  /// from the restored checkpoint after a crash. `round_id_out`, when
+  /// from the restored round state after a crash. `round_id_out`, when
   /// non-null, receives the round id the server is currently ingesting;
   /// the (round, watermark) pair is consistent — the server reads both
   /// under its ingest gate. As a replay floor the watermark assumes the

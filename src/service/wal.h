@@ -1,20 +1,19 @@
 // Per-worker write-ahead log for the durable round store.
 //
-// The full-snapshot checkpoint path (checkpoint.h) rewrites the whole
-// counter state every N batches — O(slice) bytes per snapshot, one
-// in-flight round per worker. The WAL inverts that cost model: the
-// consumer appends one small CRC-framed record per group of ingested
-// batches (sparse support deltas, tally deltas, dummy-multiset deltas)
-// and fsyncs every record, and the round store periodically compacts
-// the log into immutable segment files (round_store.h). A group is the
-// run of batches the worker drained from its queue before writing —
-// at most queue_capacity of them, one batch when the queue keeps up —
-// so under load one fsync covers many batches (group commit,
-// partition_worker.h), while a record's bytes stay O(slice width). Crash recovery
-// is a scan: records are validated front-to-back, the first invalid
-// record ends the log (a torn tail from a crash mid-append), and the
-// file is truncated back to the last valid record so the next append
-// starts from a clean boundary.
+// Rather than rewriting the whole counter state every few batches —
+// O(slice) bytes per snapshot — the consumer appends one small
+// CRC-framed record per group of ingested batches (sparse support
+// deltas, tally deltas, dummy-multiset deltas) and fsyncs every record,
+// and the round store periodically compacts the log into immutable
+// segment files (round_store.h). A group is the run of batches the
+// worker drained from its queue before writing — at most queue_capacity
+// of them, one batch when the queue keeps up — so under load one fsync
+// covers many batches (group commit, partition_worker.h), while a
+// record's bytes stay O(slice width). Crash recovery is a scan: records
+// are validated front-to-back, the first invalid record ends the log (a
+// torn tail from a crash mid-append), and the file is truncated back to
+// the last valid record so the next append starts from a clean
+// boundary.
 //
 // On-disk layout (all integers little-endian; see docs/WIRE_FORMAT.md
 // §6 for the golden-pinned worked example):
@@ -43,10 +42,10 @@
 // already applied.
 //
 // This header also exports the storage syscall wrappers shared with the
-// legacy checkpoint writer: write / fsync / rename / ftruncate with the
-// storage fault-injection hooks (fault_injection.h kFileWrite/kFileSync/
-// kFileRename) and the ENOSPC → kResourceExhausted taxonomy mapping
-// that lets the worker degrade instead of poisoning a round.
+// segment writer (round_store.cpp): write / fsync / rename / ftruncate
+// with the storage fault-injection hooks (fault_injection.h kFileWrite/
+// kFileSync/kFileRename) and the ENOSPC → kResourceExhausted taxonomy
+// mapping that lets the worker degrade instead of poisoning a round.
 
 #ifndef SHUFFLEDP_SERVICE_WAL_H_
 #define SHUFFLEDP_SERVICE_WAL_H_
@@ -78,7 +77,7 @@ enum class WalRecordType : uint8_t {
 };
 
 // ---------------------------------------------------------------------------
-// Fault-injectable storage syscall wrappers (shared with checkpoint.cpp)
+// Fault-injectable storage syscall wrappers (shared with round_store.cpp)
 // ---------------------------------------------------------------------------
 
 /// Maps a storage errno to the retry taxonomy: ENOSPC/EDQUOT become

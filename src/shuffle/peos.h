@@ -63,9 +63,9 @@ struct PeosConfig {
   std::vector<PeosShufflerBehaviour> behaviours;  ///< default: honest
   uint64_t poison_target_packed = 0;    ///< payload for biased shares
   ThreadPool* pool = nullptr;
-  /// Server-side ingestion pipeline knobs, including crash-safe
-  /// `streaming.checkpoint` persistence; `streaming.pool` is ignored
-  /// (the server pipeline shares `pool`).
+  /// Server-side ingestion pipeline knobs, including the crash-safe
+  /// `streaming.round_store`; `streaming.pool` is ignored (the server
+  /// pipeline shares `pool`).
   service::StreamingOptions streaming;
 };
 

@@ -45,7 +45,7 @@ struct SequentialShuffleConfig {
   std::vector<ShufflerBehaviour> behaviours;  ///< per shuffler; default honest
   ThreadPool* pool = nullptr;            ///< parallel user encryption
   /// Server-side ingestion pipeline knobs (batch size, queue capacity,
-  /// shard count, crash-safe `streaming.checkpoint` persistence).
+  /// shard count, the crash-safe `streaming.round_store`).
   /// `streaming.pool` is ignored — the server pipeline shares `pool`.
   service::StreamingOptions streaming;
 };

@@ -24,9 +24,10 @@ uint64_t XxHash64(const void* data, size_t len, uint64_t seed);
 uint32_t XxHash32(const void* data, size_t len, uint32_t seed);
 
 /// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) of
-/// `data[0..len)`. Guards the transport frames and checkpoint files in
-/// src/service/ against torn writes and corruption; matches zlib's
-/// crc32() so payloads can be cross-checked with standard tooling.
+/// `data[0..len)`. Guards the transport frames, WAL records and round
+/// store segments in src/service/ against torn writes and corruption;
+/// matches zlib's crc32() so payloads can be cross-checked with
+/// standard tooling.
 /// `seed` chains incremental computations (pass the previous return
 /// value); 0 starts a fresh checksum.
 uint32_t Crc32(const void* data, size_t len, uint32_t seed = 0);

@@ -12,13 +12,13 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "ldp/grr.h"
-#include "service/checkpoint.h"
 #include "service/coordinator.h"
 #include "service/fault_injection.h"
 #include "service/transport.h"
@@ -91,9 +91,8 @@ TEST(ChaosE2e, KillRestartTornWritesAndDelaysRecoverBitwise) {
   const uint64_t kBatches = 60;
   const size_t kBatchSize = 512;
   const uint64_t n = kBatches * kBatchSize;
-  const std::string ckpt = ::testing::TempDir() + "shuffledp_chaos_p1.ckpt";
-  RemoveCheckpoint(ckpt);
-  RemoveCheckpoint(RoundJournalPath(ckpt));
+  const std::string dir = ::testing::TempDir() + "shuffledp_chaos_p1_store";
+  ASSERT_EQ(std::system(("rm -rf '" + dir + "'").c_str()), 0);
 
   CollectionServerOptions base;
   base.streaming.batch_size = kBatchSize;
@@ -116,10 +115,9 @@ TEST(ChaosE2e, KillRestartTornWritesAndDelaysRecoverBitwise) {
     expected = std::move(*result);
   }
 
-  // Chaos run: partition 1 checkpoints (so its restart can recover).
+  // Chaos run: partition 1 persists (so its restart can recover).
   CollectionServerOptions p1_options = base;
-  p1_options.streaming.checkpoint.path = ckpt;
-  p1_options.streaming.checkpoint.every_batches = 8;
+  p1_options.streaming.round_store.dir = dir;
   Fleet fleet = StartFleet(grr, *map, base, &p1_options, 1);
   auto routing = PartitionRoutingClient::Connect(grr, *map, fleet.endpoints,
                                                  FastRetry());
@@ -158,15 +156,17 @@ TEST(ChaosE2e, KillRestartTornWritesAndDelaysRecoverBitwise) {
   const uint64_t kKillAfter = 35;
   for (uint64_t b = 0; b < kBatches; ++b) {
     if (b == kKillAfter) {
-      // Let the doomed endpoint snapshot at least once, then kill it —
+      // Let the doomed endpoint make some batches durable, then kill it —
       // destroy the object, not just Shutdown(), so nothing keeps
       // draining — and restart it on the same port with recovery. No
       // routing-client surgery: the next failed send triggers the
       // automatic reconnect → handshake → watermark → replay dance.
-      for (int spin = 0; spin < 2000 && !ReadCheckpoint(ckpt).ok(); ++spin) {
+      uint64_t durable = 0;
+      for (int spin = 0; spin < 2000 && durable == 0; ++spin) {
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        durable = fleet.servers[1]->store()->Query(0)->watermark;
       }
-      ASSERT_TRUE(ReadCheckpoint(ckpt).ok());
+      ASSERT_GT(durable, 0u);
       const uint16_t port = fleet.endpoints[1].port;
       fleet.servers[1].reset();
       CollectionServerOptions restart = p1_options;
@@ -203,8 +203,7 @@ TEST(ChaosE2e, KillRestartTornWritesAndDelaysRecoverBitwise) {
   EXPECT_EQ(health.round_id, 0u);
   EXPECT_TRUE(health.all_healthy()) << health.ToString();
 
-  RemoveCheckpoint(ckpt);
-  RemoveCheckpoint(RoundJournalPath(ckpt));
+  ASSERT_EQ(std::system(("rm -rf '" + dir + "'").c_str()), 0);
 }
 
 TEST(ChaosE2e, DeadEndpointFailsSendWithinBudgetNamingPartition) {

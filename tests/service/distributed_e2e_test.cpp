@@ -2,13 +2,14 @@
 // merge-of-supports coordinator must be indistinguishable — bitwise —
 // from the single-node streaming path, for both partition modes and both
 // oracles, at n >= 10^5; a single endpoint killed mid-round must recover
-// from its checkpoint without disturbing the others; and misrouted
+// from its round store without disturbing the others; and misrouted
 // traffic (wrong partition header, wrong value slice) must be rejected,
 // never miscounted.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -16,7 +17,6 @@
 
 #include "core/shuffle_dp.h"
 #include "ldp/grr.h"
-#include "service/checkpoint.h"
 #include "service/coordinator.h"
 #include "service/transport.h"
 #include "util/rng.h"
@@ -171,10 +171,9 @@ TEST(DistributedE2e, KillOneEndpointMidRoundRecoversBitwise) {
   const uint64_t kBatches = 60;
   const size_t kBatchSize = 512;
   const uint64_t n = kBatches * kBatchSize;
-  const std::string ckpt =
-      ::testing::TempDir() + "shuffledp_distributed_p1.ckpt";
-  RemoveCheckpoint(ckpt);
-  RemoveCheckpoint(RoundJournalPath(ckpt));
+  const std::string dir =
+      ::testing::TempDir() + "shuffledp_distributed_p1_store";
+  ASSERT_EQ(std::system(("rm -rf '" + dir + "'").c_str()), 0);
 
   CollectionServerOptions base;
   base.streaming.batch_size = kBatchSize;
@@ -196,10 +195,9 @@ TEST(DistributedE2e, KillOneEndpointMidRoundRecoversBitwise) {
     expected = std::move(*result);
   }
 
-  // Interrupted run: partition 1 checkpoints, gets 35 batches, dies.
+  // Interrupted run: partition 1 persists, gets 35 batches, dies.
   CollectionServerOptions p1_options = base;
-  p1_options.streaming.checkpoint.path = ckpt;
-  p1_options.streaming.checkpoint.every_batches = 8;
+  p1_options.streaming.round_store.dir = dir;
   Fleet fleet;
   for (uint32_t p = 0; p < 3; ++p) {
     CollectionServerOptions options = p == 1 ? p1_options : base;
@@ -218,23 +216,18 @@ TEST(DistributedE2e, KillOneEndpointMidRoundRecoversBitwise) {
     ASSERT_TRUE(
         (*routing)->SendBatch(0, b, BatchOrdinals(grr, b, kBatchSize)).ok());
   }
-  // TCP delivery is asynchronous: wait until partition 1 snapshotted at
-  // least once so the "crash" reliably has something to recover from.
-  for (int spin = 0; spin < 2000 && !ReadCheckpoint(ckpt).ok(); ++spin) {
+  // TCP delivery is asynchronous: wait until partition 1 made some
+  // batches durable so the "crash" reliably has something to recover
+  // from.
+  uint64_t durable = 0;
+  for (int spin = 0; spin < 2000 && durable == 0; ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    durable = fleet.servers[1]->store()->Query(0)->watermark;
   }
-  ASSERT_TRUE(ReadCheckpoint(ckpt).ok());
+  ASSERT_GT(durable, 0u);
   // Kill exactly one endpoint mid-round. Destroy the object, not just
-  // Shutdown(): a merely-shut-down server's consumer keeps draining
-  // already-queued batches and snapshotting past what we read below.
+  // Shutdown(), so nothing keeps draining.
   fleet.servers[1].reset();
-
-  auto snapshot = ReadCheckpoint(ckpt);
-  ASSERT_TRUE(snapshot.ok());
-  ASSERT_GT(snapshot->batches_consumed, 0u);
-  ASSERT_LE(snapshot->batches_consumed, kSent);
-  EXPECT_EQ(snapshot->partition_index, 1u);
-  EXPECT_EQ(snapshot->partition_count, 3u);
 
   // Restart partition 1 with recovery and re-dial only that endpoint.
   {
@@ -247,6 +240,15 @@ TEST(DistributedE2e, KillOneEndpointMidRoundRecoversBitwise) {
     fleet.endpoints[1] = {"127.0.0.1", (*server)->port()};
     fleet.servers[1] = std::move(*server);
   }
+  auto stored = fleet.servers[1]->store()->LoadAll();
+  ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+  ASSERT_EQ(stored->size(), 1u);
+  const CheckpointState& live = (*stored)[0].state;
+  ASSERT_FALSE((*stored)[0].finalized);
+  ASSERT_GT(live.batches_consumed, 0u);
+  ASSERT_LE(live.batches_consumed, kSent);
+  EXPECT_EQ(live.partition_index, 1u);
+  EXPECT_EQ(live.partition_count, 3u);
   // Rebuild the routing client against the updated address: the
   // surviving endpoints' connections carry no round state (their batches
   // are already in the collectors), so reconnecting them is safe.
@@ -256,7 +258,7 @@ TEST(DistributedE2e, KillOneEndpointMidRoundRecoversBitwise) {
   uint64_t recovered_round = 99;
   auto watermark = (*routing)->QueryWatermark(1, &recovered_round);
   ASSERT_TRUE(watermark.ok()) << watermark.status().ToString();
-  EXPECT_EQ(*watermark, snapshot->batches_consumed);
+  EXPECT_EQ(*watermark, live.batches_consumed);
   EXPECT_EQ(recovered_round, 0u);
 
   // Replay: partition 1 resumes at its watermark; the survivors already
@@ -274,8 +276,7 @@ TEST(DistributedE2e, KillOneEndpointMidRoundRecoversBitwise) {
   EXPECT_EQ(result->supports, expected.supports);
   EXPECT_EQ(result->estimates, expected.estimates);
   EXPECT_EQ(result->reports_decoded, expected.reports_decoded);
-  RemoveCheckpoint(ckpt);
-  RemoveCheckpoint(RoundJournalPath(ckpt));
+  ASSERT_EQ(std::system(("rm -rf '" + dir + "'").c_str()), 0);
 }
 
 TEST(DistributedE2e, WrongPartitionTrafficIsRejected) {

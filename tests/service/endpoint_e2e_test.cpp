@@ -1,7 +1,7 @@
 // Loopback endpoint end-to-end: the networked collection path must be
 // indistinguishable — bitwise — from the in-process streaming path, at
-// n >= 10^5, and a server killed mid-round must recover from its
-// checkpoint and converge to the identical result.
+// n >= 10^5, and a server killed mid-round must recover from its round
+// store and converge to the identical result.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 
 #include "core/shuffle_dp.h"
 #include "ldp/grr.h"
-#include "service/checkpoint.h"
 #include "service/transport.h"
 #include "util/rng.h"
 
@@ -117,21 +116,18 @@ TEST(EndpointE2e, ServerRestartMidRoundConvergesToUninterruptedResult) {
   const uint64_t kBatches = 60;
   const size_t kBatchSize = 256;
   const uint64_t n = kBatches * kBatchSize;
-  const std::string ckpt = ::testing::TempDir() + "shuffledp_endpoint.ckpt";
-  RemoveCheckpoint(ckpt);
-  RemoveCheckpoint(RoundJournalPath(ckpt));
+  const std::string dir = ::testing::TempDir() + "shuffledp_endpoint_store";
+  ASSERT_EQ(std::system(("rm -rf '" + dir + "'").c_str()), 0);
 
   CollectionServerOptions options;
   options.streaming.batch_size = kBatchSize;
-  options.streaming.checkpoint.path = ckpt;
-  options.streaming.checkpoint.every_batches = 8;
+  options.streaming.round_store.dir = dir;
 
   // Ground truth: one uninterrupted server round.
   RemoteRoundResult expected;
   {
     CollectionServerOptions plain = options;
-    plain.streaming.checkpoint.path =
-        ::testing::TempDir() + "shuffledp_endpoint_plain.ckpt";
+    plain.streaming.round_store.dir = dir + "_plain";
     auto server = CollectionServer::Start(grr, plain);
     ASSERT_TRUE(server.ok());
     auto client = CollectorClient::Connect("127.0.0.1", (*server)->port());
@@ -147,11 +143,11 @@ TEST(EndpointE2e, ServerRestartMidRoundConvergesToUninterruptedResult) {
         (*client)->FinishRound(round, n, 0, Calibration::kStandard);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     expected = std::move(*result);
-    RemoveCheckpoint(plain.streaming.checkpoint.path);
+    ASSERT_EQ(std::system(("rm -rf '" + dir + "_plain'").c_str()), 0);
   }
 
-  // Interrupted run: send 35 batches, wait until at least one snapshot
-  // hit disk, then kill the server.
+  // Interrupted run: send 35 batches, wait until some are durable, then
+  // kill the server.
   {
     auto server = CollectionServer::Start(grr, options);
     ASSERT_TRUE(server.ok());
@@ -165,22 +161,18 @@ TEST(EndpointE2e, ServerRestartMidRoundConvergesToUninterruptedResult) {
                                      BatchOrdinals(grr, b, kBatchSize))
                       .ok());
     }
-    // TCP delivery is asynchronous: wait until at least one snapshot is
-    // on disk (i.e. >= every_batches batches were consumed) so the
-    // "crash" below reliably has something to recover from. The
-    // destructor's drain then consumes whatever else the kernel
-    // delivered; the snapshot interval means the watermark is <= 32.
-    for (int spin = 0; spin < 2000 && !ReadCheckpoint(ckpt).ok(); ++spin) {
+    // TCP delivery is asynchronous: wait until the store holds a
+    // durable watermark so the "crash" below reliably has something to
+    // recover from. The shutdown drain then consumes whatever else the
+    // kernel delivered.
+    uint64_t durable = 0;
+    for (int spin = 0; spin < 2000 && durable == 0; ++spin) {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      durable = (*server)->store()->Query(round)->watermark;
     }
-    ASSERT_TRUE(ReadCheckpoint(ckpt).ok());
+    ASSERT_GT(durable, 0u);
     (*server)->Shutdown();
   }
-
-  auto snapshot = ReadCheckpoint(ckpt);
-  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-  ASSERT_GT(snapshot->batches_consumed, 0u);
-  ASSERT_LE(snapshot->batches_consumed, 35u);
 
   // Recovered server: the client asks where to resume and replays the
   // suffix (batch self-seeding makes the replay bit-identical).
@@ -192,11 +184,16 @@ TEST(EndpointE2e, ServerRestartMidRoundConvergesToUninterruptedResult) {
     auto client = CollectorClient::Connect("127.0.0.1", (*server)->port());
     ASSERT_TRUE(client.ok());
 
-    uint64_t round = 0;
+    uint64_t round = 99;
     auto watermark = (*client)->QueryWatermark(&round);
     ASSERT_TRUE(watermark.ok()) << watermark.status().ToString();
-    EXPECT_EQ(*watermark, snapshot->batches_consumed);
-    EXPECT_EQ(round, snapshot->round_id);
+    EXPECT_EQ(round, 0u);
+    auto stored = (*server)->store()->Query(round);
+    ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+    EXPECT_EQ(stored->status, RoundStatus::kActive);
+    EXPECT_EQ(*watermark, stored->watermark);
+    ASSERT_GT(*watermark, 0u);
+    ASSERT_LE(*watermark, 35u);
 
     for (uint64_t b = *watermark; b < kBatches; ++b) {
       ASSERT_TRUE((*client)
@@ -211,24 +208,20 @@ TEST(EndpointE2e, ServerRestartMidRoundConvergesToUninterruptedResult) {
     EXPECT_EQ(result->estimates, expected.estimates);
     EXPECT_EQ(result->reports_decoded, expected.reports_decoded);
   }
-  RemoveCheckpoint(ckpt);
-  RemoveCheckpoint(RoundJournalPath(ckpt));
+  ASSERT_EQ(std::system(("rm -rf '" + dir + "'").c_str()), 0);
 }
 
 // The post-close crash window: the server finalized the round (journal
-// written, checkpoint unlinked) and died before the client read the
-// result. The restarted server must serve the journaled result for that
+// durable in the store) and died before the client read the result. The restarted server must serve the journaled result for that
 // round — bitwise — and still run new rounds afterwards.
 TEST(EndpointE2e, RestartAfterRoundCloseServesJournaledResult) {
   ldp::Grr grr(2.0, 32);
-  const std::string ckpt = ::testing::TempDir() + "shuffledp_journal.ckpt";
-  RemoveCheckpoint(ckpt);
-  RemoveCheckpoint(RoundJournalPath(ckpt));
+  const std::string dir = ::testing::TempDir() + "shuffledp_journal_store";
+  ASSERT_EQ(std::system(("rm -rf '" + dir + "'").c_str()), 0);
 
   CollectionServerOptions options;
   options.streaming.batch_size = 128;
-  options.streaming.checkpoint.path = ckpt;
-  options.streaming.checkpoint.every_batches = 4;
+  options.streaming.round_store.dir = dir;
 
   RemoteRoundResult original;
   {
@@ -244,10 +237,12 @@ TEST(EndpointE2e, RestartAfterRoundCloseServesJournaledResult) {
     auto result = (*client)->FinishRound(0, 1280, 0, Calibration::kStandard);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     original = std::move(*result);
+    auto stored = (*server)->store()->Query(0);
+    ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+    EXPECT_EQ(stored->status, RoundStatus::kFinalized);
     (*server)->Shutdown();  // "crash" after close; client got the result,
                             // but a real crash may race the read
   }
-  ASSERT_TRUE(ReadRoundJournal(RoundJournalPath(ckpt)).ok());
 
   {
     CollectionServerOptions recover_options = options;
@@ -282,8 +277,7 @@ TEST(EndpointE2e, RestartAfterRoundCloseServesJournaledResult) {
     ASSERT_TRUE(next.ok()) << next.status().ToString();
     EXPECT_EQ(next->reports_decoded, 3u);
   }
-  RemoveCheckpoint(ckpt);
-  RemoveCheckpoint(RoundJournalPath(ckpt));
+  ASSERT_EQ(std::system(("rm -rf '" + dir + "'").c_str()), 0);
 }
 
 // Segmented-store e2e: two rounds over one endpoint, the server killed
@@ -457,6 +451,24 @@ TEST(EndpointE2e, WatermarkIsZeroOutsideTheRecoveredRound) {
   ASSERT_TRUE(watermark.ok());
   EXPECT_EQ(*watermark, 0u);
   EXPECT_EQ(round, 1u);
+}
+
+// A round store that cannot open (its directory would sit under a
+// regular file: ENOTDIR) refuses the endpoint instead of serving traffic
+// without the durability it was configured for.
+TEST(EndpointE2e, UnopenableStoreRefusesToStart) {
+  ldp::Grr grr(2.0, 16);
+  const std::string root = ::testing::TempDir() + "shuffledp_e2e_unopenable";
+  ASSERT_EQ(std::system(("rm -rf '" + root + "' && mkdir -p '" + root +
+                         "' && touch '" + root + "/file'")
+                            .c_str()),
+            0);
+  CollectionServerOptions options;
+  options.streaming.round_store.dir = root + "/file/store";
+  auto server = CollectionServer::Start(grr, options);
+  ASSERT_FALSE(server.ok());
+  EXPECT_EQ(server.status().code(), StatusCode::kInternal);
+  ASSERT_EQ(std::system(("rm -rf '" + root + "'").c_str()), 0);
 }
 
 TEST(EndpointE2e, WrongRoundIdIsRejected) {

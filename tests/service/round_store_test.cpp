@@ -1,10 +1,10 @@
 // Durable round store units: WAL framing (golden-pinned bytes, torn
-// tail, bit flips, slice identity), the RoundDelta codec, segment
-// goldens, LSN-idempotent replay (duplicate records), retention GC,
-// legacy SDPK/SDPJ migration and the legacy adapter's cadence, the
-// worker-level ENOSPC degrade path, and the worker's group commit (one
-// WAL record per drained run of queued batches). The crash-point-
-// exhaustive sweep lives in round_store_crash_test.cpp.
+// tail, bit flips, slice identity), the RoundDelta codec, live and
+// finalized segment goldens and their corruption matrix, LSN-idempotent
+// replay (duplicate records), retention GC, the worker-level ENOSPC
+// degrade path, the worker's group commit (one WAL record per drained
+// run of queued batches), and worker recovery through the store. The
+// crash-point-exhaustive sweep lives in round_store_crash_test.cpp.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +22,6 @@
 #include "batch_gate.h"
 #include "ldp/grr.h"
 #include "ldp/local_hash.h"
-#include "service/checkpoint.h"
 #include "service/fault_injection.h"
 #include "service/round_store.h"
 #include "service/streaming_collector.h"
@@ -392,7 +391,7 @@ TEST(SegmentedStore, SegmentGoldenBytesMatchDoc) {
       0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // last LSN 2
       0x01,                                            // finalized
       0x01,                                            // watermark 1
-      // journal payload (checkpoint.h codec)
+      // journal payload (round_store.h codec)
       0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // round_id 3
       0x00, 0x01, 0x00,                                // partition 0/1, lo 0
       0x02, 0x00, 0x01,                                // n 2, n_fake 0, cal 1
@@ -402,6 +401,152 @@ TEST(SegmentedStore, SegmentGoldenBytesMatchDoc) {
   EXPECT_EQ(ReadRaw((*store)->SegmentPath(3)), expected);
   // The WAL was truncated back to its bare header by the compaction.
   EXPECT_EQ(ReadRaw(dir + "/wal.log").size(), kWalHeaderBytes);
+  RemoveTree(dir);
+}
+
+// Live round 5 over a width-4 slice, compacted into its segment: three
+// spot-check dummies registered, then one batch of three rows (one kept,
+// one dummy, one invalid). Two dummies stay outstanding.
+void WriteLiveSample(SegmentedRoundStore& store) {
+  RoundDelta registration;
+  registration.round_id = 5;
+  registration.dummies_registered = {{0x11, 7, 2}, {0x22, 0, 1}};
+  ASSERT_TRUE(store.AppendDelta(registration, nullptr).ok());
+  RoundDelta batch;
+  batch.round_id = 5;
+  batch.batch_lo = 0;
+  batch.batch_hi = 1;
+  batch.rows_delta = 3;
+  batch.decoded_delta = 1;
+  batch.invalid_delta = 1;
+  batch.support_deltas = {{2, 1}};
+  batch.dummies_consumed = {{0x22, 0, 1}};
+  ASSERT_TRUE(store.AppendDelta(batch, nullptr).ok());
+  ASSERT_TRUE(store.CompactNow().ok());
+}
+
+// The live-segment worked example in docs/WIRE_FORMAT.md §7, byte for
+// byte: the mid-round state payload, including the outstanding dummy.
+TEST(SegmentedStore, LiveSegmentGoldenBytesMatchDoc) {
+  const std::string dir = TempPath("store_live_golden");
+  RemoveTree(dir);
+  RoundStoreOptions options = StoreOptions(dir, 4);
+  options.compact_every_records = 1000;  // compact only on demand
+  auto store = SegmentedRoundStore::Open(options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  WriteLiveSample(**store);
+  const std::vector<uint8_t> expected = {
+      0x53, 0x44, 0x50, 0x53,  // magic "SDPS"
+      0x02, 0x00, 0x00, 0x00,  // framing version, reserved
+      0x3A, 0x00, 0x00, 0x00,  // payload length 58
+      0xD5, 0xE1, 0x7E, 0xB3,  // CRC-32(payload)
+      0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // round_id 5
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // last LSN 2
+      0x00,                                            // live
+      0x01,                                            // watermark 1
+      // mid-round state payload
+      0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // round_id 5
+      0x00, 0x01, 0x00,                                // partition 0/1, lo 0
+      0x01, 0x03, 0x01, 0x01, 0x01, 0x03,              // tallies
+      0x04, 0x00, 0x00, 0x01, 0x00,                    // supports
+      0x01,                                            // 1 dummy entry
+      0x11, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // packed 0x11
+      0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // tag 7
+      0x02,                                            // remaining 2
+  };
+  EXPECT_EQ(ReadRaw((*store)->SegmentPath(5)), expected);
+  RemoveTree(dir);
+}
+
+// Every single-bit flip and every truncation of a published segment
+// makes Open fail loudly — DataLoss, or FailedPrecondition should the
+// damage read as another slice's state — and never yields a store with
+// the round silently missing.
+void ExpectEveryCorruptionRefused(const RoundStoreOptions& options,
+                                  uint64_t round_id) {
+  std::string segment;
+  {
+    auto store = SegmentedRoundStore::Open(options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    segment = (*store)->SegmentPath(round_id);
+  }
+  const std::vector<uint8_t> bytes = ReadRaw(segment);
+  ASSERT_GT(bytes.size(), 16u);
+  auto expect_refused = [&](const std::vector<uint8_t>& damaged,
+                            const std::string& what) {
+    WriteRaw(segment, damaged);
+    auto store = SegmentedRoundStore::Open(options);
+    ASSERT_FALSE(store.ok()) << what << " opened";
+    const StatusCode code = store.status().code();
+    EXPECT_TRUE(code == StatusCode::kDataLoss ||
+                code == StatusCode::kFailedPrecondition)
+        << what << ": " << store.status().ToString();
+    if (what == "byte 4 bit 0") {  // framing version 2 -> 3
+      EXPECT_NE(store.status().message().find("version"), std::string::npos)
+          << store.status().ToString();
+    }
+  };
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<uint8_t> flipped = bytes;
+      flipped[i] ^= static_cast<uint8_t>(1u << bit);
+      expect_refused(flipped, "byte " + std::to_string(i) + " bit " +
+                                  std::to_string(bit));
+    }
+  }
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    expect_refused({bytes.begin(), bytes.begin() + len},
+                   "truncated to " + std::to_string(len));
+  }
+  // The undamaged segment still opens with its round.
+  WriteRaw(segment, bytes);
+  auto store = SegmentedRoundStore::Open(options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_NE((*store)->Query(round_id)->status, RoundStatus::kUnknown);
+}
+
+TEST(SegmentedStore, EveryLiveSegmentCorruptionIsRefused) {
+  const std::string dir = TempPath("store_live_corrupt");
+  RemoveTree(dir);
+  RoundStoreOptions options = StoreOptions(dir, 4);
+  options.compact_every_records = 1000;
+  {
+    auto store = SegmentedRoundStore::Open(options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    WriteLiveSample(**store);
+  }
+  ExpectEveryCorruptionRefused(options, 5);
+  RemoveTree(dir);
+}
+
+TEST(SegmentedStore, EveryFinalizedSegmentCorruptionIsRefused) {
+  const std::string dir = TempPath("store_final_corrupt");
+  RemoveTree(dir);
+  RoundStoreOptions options = StoreOptions(dir, 4);
+  options.partition_index = 2;
+  options.partition_count = 4;
+  options.slice_lo = 96;
+  options.compact_every_records = 1000;
+  {
+    auto store = SegmentedRoundStore::Open(options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    RoundJournal journal;
+    journal.round_id = 5;
+    journal.partition_index = 2;
+    journal.partition_count = 4;
+    journal.slice_lo = 96;
+    journal.n = 120000;
+    journal.n_fake = 7500;
+    journal.calibration = 1;
+    journal.reports_decoded = 123456;
+    journal.reports_invalid = 77;
+    journal.dummies_recognized = 3;
+    journal.dummies_expected = 3;
+    journal.supports = {9, 0, 12345, 2};
+    ASSERT_TRUE((*store)->FinalizeRound(journal, 12).ok());
+    ASSERT_TRUE((*store)->CompactNow().ok());
+  }
+  ExpectEveryCorruptionRefused(options, 5);
   RemoveTree(dir);
 }
 
@@ -561,169 +706,54 @@ TEST(SegmentedStore, RetentionKeepsNewestK) {
   RemoveTree(dir);
 }
 
-TEST(SegmentedStore, ImportsLegacyCheckpointAndJournal) {
-  const std::string dir = TempPath("store_migrate");
-  const std::string legacy = TempPath("store_migrate_legacy.ckpt");
+// OpenRoundStore stamps the resolved slice into the store (WAL header
+// and segments), and an empty directory means no store at all.
+TEST(OpenRoundStoreFactory, FillsSliceIdentityAndEmptyDirMeansNoStore) {
+  auto none = OpenRoundStore(RoundStoreOptions{}, PartitionSlice{});
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  EXPECT_EQ(*none, nullptr);
+
+  const std::string dir = TempPath("store_factory");
   RemoveTree(dir);
-  std::remove(legacy.c_str());
-  std::remove((legacy + ".result").c_str());
-
-  CheckpointState state;
-  state.round_id = 9;
-  state.batches_consumed = 5;
-  state.rows_seen = 5;
-  state.reports_decoded = 5;
-  state.supports = {1, 2, 0, 2};
-  ASSERT_TRUE(WriteCheckpoint(legacy, state).ok());
-  RoundJournal journal;
-  journal.round_id = 8;
-  journal.n = 10;
-  journal.supports = {3, 3, 2, 2};
-  ASSERT_TRUE(WriteRoundJournal(RoundJournalPath(legacy), journal).ok());
-
-  RoundStoreOptions options = StoreOptions(dir, 4);
-  options.legacy_checkpoint_path = legacy;
+  PartitionSlice slice;
+  slice.index = 1;
+  slice.count = 2;
+  slice.lo = 8;
+  slice.hi = 16;
+  RoundStoreOptions options;
+  options.dir = dir;
   {
-    auto store = SegmentedRoundStore::Open(options);
+    auto store = OpenRoundStore(options, slice);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
-    auto rounds = (*store)->LoadAll();
-    ASSERT_TRUE(rounds.ok());
-    ASSERT_EQ(rounds->size(), 2u);
-    EXPECT_TRUE((*rounds)[0].finalized);
-    EXPECT_EQ((*rounds)[0].round_id(), 8u);
-    EXPECT_EQ((*rounds)[0].journal.supports, journal.supports);
-    EXPECT_FALSE((*rounds)[1].finalized);
-    EXPECT_EQ((*rounds)[1].round_id(), 9u);
-    EXPECT_EQ((*rounds)[1].batches_consumed, 5u);
-    EXPECT_EQ((*rounds)[1].state.supports, state.supports);
-    ASSERT_TRUE((*store)->CompactNow().ok());
-  }
-  // Migration is read-only: the legacy files are untouched...
-  EXPECT_TRUE(ReadCheckpoint(legacy).ok());
-  EXPECT_TRUE(ReadRoundJournal(RoundJournalPath(legacy)).ok());
-  // ...and once the store holds its own state, it no longer re-imports
-  // (the legacy round would otherwise resurrect forever).
-  {
-    auto store = SegmentedRoundStore::Open(options);
-    ASSERT_TRUE(store.ok());
-    ASSERT_TRUE((*store)->AbandonRound(9).ok());
-  }
-  auto store = SegmentedRoundStore::Open(options);
-  ASSERT_TRUE(store.ok());
-  auto rounds = (*store)->LoadAll();
-  ASSERT_TRUE(rounds.ok());
-  ASSERT_EQ(rounds->size(), 1u);
-  EXPECT_EQ((*rounds)[0].round_id(), 8u);
-  std::remove(legacy.c_str());
-  std::remove((legacy + ".result").c_str());
-  RemoveTree(dir);
-}
-
-// The imported legacy base is compacted into segments at open: the
-// worker's next deltas continue from the legacy watermark, so a crash
-// before the first cadence compaction must still find a base to chain
-// to on reopen.
-TEST(SegmentedStore, LegacyImportSurvivesCrashBeforeFirstCompaction) {
-  const std::string dir = TempPath("store_migrate_crash");
-  const std::string legacy = TempPath("store_migrate_crash.ckpt");
-  RemoveTree(dir);
-  std::remove(legacy.c_str());
-  std::remove((legacy + ".result").c_str());
-  CheckpointState state;
-  state.round_id = 9;
-  state.batches_consumed = 5;
-  state.rows_seen = 5;
-  state.reports_decoded = 5;
-  state.supports = {1, 2, 0, 2};
-  ASSERT_TRUE(WriteCheckpoint(legacy, state).ok());
-
-  RoundStoreOptions options = StoreOptions(dir, 4);
-  options.legacy_checkpoint_path = legacy;
-  options.compact_every_records = 1000;  // no cadence compaction
-  {
-    auto store = SegmentedRoundStore::Open(options);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    // The import became a segment during Open itself.
-    EXPECT_FALSE(ReadRaw((*store)->SegmentPath(9)).empty());
+    auto* segmented = dynamic_cast<SegmentedRoundStore*>(store->get());
+    ASSERT_NE(segmented, nullptr);
     RoundDelta d;
-    d.round_id = 9;
-    d.batch_lo = 5;  // continues the legacy watermark
-    d.batch_hi = 6;
-    d.support_deltas = {{0, 1}};
-    ASSERT_TRUE((*store)->AppendDelta(d, nullptr).ok());
-  }  // crash before the first cadence compaction
-  auto store = SegmentedRoundStore::Open(options);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  auto rounds = (*store)->LoadAll();
+    d.round_id = 1;
+    d.batch_hi = 1;
+    d.support_deltas = {{7, 1}};
+    ASSERT_TRUE(segmented->AppendDelta(d, nullptr).ok());
+    ASSERT_TRUE(segmented->CompactNow().ok());
+  }
+  RoundStoreOptions same = options;
+  same.partition_index = 1;
+  same.partition_count = 2;
+  same.slice_lo = 8;
+  same.slice_width = 8;
+  auto reopened = SegmentedRoundStore::Open(same);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  auto rounds = (*reopened)->LoadAll();
   ASSERT_TRUE(rounds.ok());
   ASSERT_EQ(rounds->size(), 1u);
-  EXPECT_FALSE((*rounds)[0].finalized);
-  EXPECT_EQ((*rounds)[0].round_id(), 9u);
-  EXPECT_EQ((*rounds)[0].batches_consumed, 6u);
-  EXPECT_EQ((*rounds)[0].state.supports,
-            (std::vector<uint64_t>{2, 2, 0, 2}));
-  std::remove(legacy.c_str());
-  std::remove((legacy + ".result").c_str());
+  EXPECT_EQ((*rounds)[0].state.partition_index, 1u);
+  EXPECT_EQ((*rounds)[0].state.slice_lo, 8u);
+  EXPECT_EQ((*rounds)[0].state.supports.size(), 8u);
+  reopened->reset();
+
+  RoundStoreOptions other_lo = same;
+  other_lo.slice_lo = 0;
+  EXPECT_EQ(SegmentedRoundStore::Open(other_lo).status().code(),
+            StatusCode::kFailedPrecondition);
   RemoveTree(dir);
-}
-
-// The legacy adapter writes the exact files on the exact cadence the
-// pre-store worker did: one full snapshot every `every_batches`, a
-// keep-exactly-1 journal, checkpoint removed at close.
-TEST(LegacyStore, PreservesSnapshotCadenceAndFiles) {
-  const std::string path = TempPath("legacy_cadence.ckpt");
-  std::remove(path.c_str());
-  std::remove((path + ".result").c_str());
-  CheckpointOptions legacy;
-  legacy.path = path;
-  legacy.every_batches = 2;
-  auto store = OpenRoundStore(RoundStoreOptions{}, legacy);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  ASSERT_NE(*store, nullptr);
-  EXPECT_FALSE((*store)->WantsDeltas());
-
-  CheckpointState snap;
-  snap.round_id = 1;
-  snap.supports = {0, 0};
-  auto snapshot = [&snap] { return snap; };
-  RoundDelta d;
-  d.round_id = 1;
-  d.batch_lo = 0;
-  d.batch_hi = 1;
-  snap.batches_consumed = 1;
-  ASSERT_TRUE((*store)->AppendDelta(d, snapshot).ok());
-  EXPECT_EQ(ReadCheckpoint(path).status().code(), StatusCode::kNotFound)
-      << "snapshot before the cadence boundary";
-  d.batch_lo = 1;
-  d.batch_hi = 2;
-  snap.batches_consumed = 2;
-  ASSERT_TRUE((*store)->AppendDelta(d, snapshot).ok());
-  auto on_disk = ReadCheckpoint(path);
-  ASSERT_TRUE(on_disk.ok()) << "snapshot due at batch 2";
-  EXPECT_EQ(on_disk->batches_consumed, 2u);
-  auto live = (*store)->Query(1);
-  ASSERT_TRUE(live.ok());
-  EXPECT_EQ(live->status, RoundStatus::kActive);
-  EXPECT_EQ(live->watermark, 2u);  // durable watermark, not ingest
-
-  RoundJournal journal;
-  journal.round_id = 1;
-  journal.n = 4;
-  journal.supports = {1, 1};
-  ASSERT_TRUE((*store)->FinalizeRound(journal, 2).ok());
-  ASSERT_TRUE(ReadRoundJournal(RoundJournalPath(path)).ok());
-  ASSERT_TRUE((*store)->CloseRound(1).ok());
-  EXPECT_EQ(ReadCheckpoint(path).status().code(), StatusCode::kNotFound)
-      << "close removes the mid-round snapshot";
-  EXPECT_EQ((*store)->Query(1)->status, RoundStatus::kFinalized);
-  std::remove(path.c_str());
-  std::remove((path + ".result").c_str());
-}
-
-TEST(OpenRoundStoreFactory, NeitherConfiguredMeansNoStore) {
-  auto store = OpenRoundStore(RoundStoreOptions{}, CheckpointOptions{});
-  ASSERT_TRUE(store.ok());
-  EXPECT_EQ(*store, nullptr);
 }
 
 // ENOSPC mid-round: the worker sheds durability instead of failing the
@@ -1062,6 +1092,140 @@ TEST(GroupCommit, CleanShutdownLeavesTheFullWatermark) {
     EXPECT_EQ(ReadWalRecords(dir).size(), 1u) << "one group, one record";
     RemoveTree(dir);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Worker recovery through the store
+// ---------------------------------------------------------------------------
+
+// Batch b of a self-seeded round: any suffix replays bit-identically,
+// as the protocols' fixed-chunk encode phases do.
+std::vector<ldp::LdpReport> SeededBatch(const ldp::ScalarFrequencyOracle& o,
+                                        uint64_t b) {
+  Rng rng(0xC0FFEE + b);
+  std::vector<ldp::LdpReport> reports;
+  for (size_t i = 0; i < 128; ++i) {
+    reports.push_back(o.Encode(rng.UniformU64(o.domain_size()), &rng));
+  }
+  return reports;
+}
+
+// A hash oracle supports many values per report, so its deltas are
+// diffs against the store's shadow: a worker killed mid-round and
+// recovered from the store's live state finishes bitwise identical to
+// an uninterrupted run.
+TEST(WorkerRecovery, KillMidRoundRecoversBitwiseLocalHash) {
+  const std::string dir = TempPath("worker_recover_solh");
+  RemoveTree(dir);
+  ldp::LocalHash solh(2.0, 300, 8, "SOLH");
+  constexpr uint64_t kBatches = 40;
+  const uint64_t n = kBatches * 128;
+  StreamingOptions plain;
+  plain.batch_size = 128;
+  RoundResult expected;
+  {
+    StreamingCollector w(solh, plain);
+    for (uint64_t b = 0; b < kBatches; ++b) {
+      ASSERT_TRUE(w.Offer(MakePlainBatch(SeededBatch(solh, b))).ok());
+    }
+    auto r = w.FinishRound(n, 0, Calibration::kStandard);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    expected = std::move(*r);
+  }
+
+  StreamingOptions durable = plain;
+  durable.round_store.dir = dir;
+  {
+    StreamingCollector w(solh, durable);
+    for (uint64_t b = 0; b < 23; ++b) {
+      ASSERT_TRUE(w.Offer(MakePlainBatch(SeededBatch(solh, b))).ok());
+    }
+  }  // killed mid-round
+
+  StreamingCollector w(solh, durable);
+  auto rounds = w.store()->LoadAll();
+  ASSERT_TRUE(rounds.ok()) << rounds.status().ToString();
+  ASSERT_EQ(rounds->size(), 1u);
+  ASSERT_FALSE((*rounds)[0].finalized);
+  auto watermark = w.RecoverRound((*rounds)[0].state);
+  ASSERT_TRUE(watermark.ok()) << watermark.status().ToString();
+  EXPECT_GT(*watermark, 0u);
+  EXPECT_LE(*watermark, 23u);
+  for (uint64_t b = *watermark; b < kBatches; ++b) {
+    ASSERT_TRUE(w.Offer(MakePlainBatch(SeededBatch(solh, b))).ok());
+  }
+  auto r = w.FinishRound(n, 0, Calibration::kStandard);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->supports, expected.supports);
+  EXPECT_EQ(r->estimates, expected.estimates);  // exact doubles
+  EXPECT_EQ(r->reports_decoded, expected.reports_decoded);
+  EXPECT_EQ(r->reports_invalid, expected.reports_invalid);
+  RemoveTree(dir);
+}
+
+// Recovery restores into a fresh worker only, and only state written
+// for the worker's own slice.
+TEST(WorkerRecovery, RefusesAfterIngestAndForeignSlices) {
+  const std::string dir = TempPath("worker_recover_refuse");
+  RemoveTree(dir);
+  ldp::Grr grr(2.0, 16);
+  StreamingOptions durable;
+  durable.batch_size = 128;
+  durable.round_store.dir = dir;
+  {
+    StreamingCollector w(grr, durable);
+    ASSERT_TRUE(w.Offer(MakePlainBatch(SeededBatch(grr, 0))).ok());
+  }
+  StreamingCollector w(grr, durable);
+  auto rounds = w.store()->LoadAll();
+  ASSERT_TRUE(rounds.ok()) << rounds.status().ToString();
+  ASSERT_EQ(rounds->size(), 1u);
+  const CheckpointState state = (*rounds)[0].state;
+
+  CheckpointState foreign = state;
+  foreign.partition_index = 1;
+  foreign.partition_count = 2;
+  EXPECT_EQ(w.RecoverRound(foreign).status().code(),
+            StatusCode::kFailedPrecondition);
+  RoundJournal journal;
+  journal.partition_index = 1;
+  journal.partition_count = 2;
+  journal.supports.assign(16, 0);
+  EXPECT_EQ(w.RecoverFinalizedRound(journal).status().code(),
+            StatusCode::kFailedPrecondition);
+
+  ASSERT_TRUE(w.Offer(MakePlainBatch(SeededBatch(grr, 1))).ok());
+  EXPECT_EQ(w.RecoverRound(state).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(w.RecoverFinalizedRound(RoundJournal{}).status().code(),
+            StatusCode::kFailedPrecondition);
+  RemoveTree(dir);
+}
+
+// A store directory that cannot be created (a parent is a regular file:
+// ENOTDIR, whoever runs the test) poisons the worker at construction, so
+// its first Offer and its round close report the error instead of
+// ingesting a round that cannot persist.
+TEST(WorkerRecovery, UnopenableStoreFailsTheFirstOffer) {
+  const std::string root = TempPath("worker_unopenable");
+  RemoveTree(root);
+  ASSERT_EQ(std::system(("mkdir -p '" + root + "'").c_str()), 0);
+  WriteRaw(root + "/file", {1});
+  ldp::Grr grr(2.0, 16);
+  StreamingOptions options;
+  options.batch_size = 8;
+  options.round_store.dir = root + "/file/store";
+  StreamingCollector w(grr, options);
+  EXPECT_EQ(w.store(), nullptr);
+  Status offered = w.Offer(MakePlainBatch(SeededBatch(grr, 0)));
+  ASSERT_FALSE(offered.ok());
+  EXPECT_EQ(offered.code(), StatusCode::kInternal);
+  EXPECT_NE(offered.message().find(root + "/file/store"), std::string::npos)
+      << offered.ToString();
+  auto result = w.FinishRound(8, 0, Calibration::kStandard);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+  RemoveTree(root);
 }
 
 }  // namespace
