@@ -909,11 +909,16 @@ uint64_t DummyCount(
   return total;
 }
 
+using SupportDeltas = std::vector<std::pair<uint64_t, uint64_t>>;
+
 // (a) one record per drained run, (c) bitwise equal to a store-less run
 // with dummies consumed inside a group, (d) a registration or close
 // queued behind a group is its own record, written after the group's.
+// `pinned`, when given, holds both groups' exact sparse support deltas.
 void ExpectGroupedRound(const ldp::ScalarFrequencyOracle& o,
-                        const std::string& name) {
+                        const std::string& name,
+                        const std::pair<SupportDeltas, SupportDeltas>*
+                            pinned = nullptr) {
   const std::string dir = TempPath(name);
   RemoveTree(dir);
   StreamingOptions plain;
@@ -957,6 +962,10 @@ void ExpectGroupedRound(const ldp::ScalarFrequencyOracle& o,
   EXPECT_EQ(DummyCount(group1.dummies_consumed), 1u);
   EXPECT_EQ(group0.decoded_delta + group1.decoded_delta,
             expected->reports_decoded);
+  if (pinned != nullptr) {
+    EXPECT_EQ(group0.support_deltas, pinned->first);
+    EXPECT_EQ(group1.support_deltas, pinned->second);
+  }
 
   // The two groups' sparse deltas add up to the round's supports.
   std::vector<uint64_t> summed(expected->supports.size(), 0);
@@ -980,8 +989,20 @@ void ExpectGroupedRound(const ldp::ScalarFrequencyOracle& o,
 }
 
 TEST(GroupCommit, DrainedRunIsOneRecordGrr) {
-  ldp::Grr oracle(3.0, 16);  // value-equality: the histogram path
-  ExpectGroupedRound(oracle, "group_grr");
+  // The group delta is a diff of the counter's counts against the shadow
+  // of what the store has seen, for GRR as for every oracle. The sparse
+  // deltas below are the bytes an earlier kept-row histogram wrote; the
+  // two captures must stay indistinguishable on disk.
+  ldp::Grr oracle(3.0, 16);
+  const std::pair<SupportDeltas, SupportDeltas> pinned = {
+      {{0, 8}, {1, 9}, {2, 11}, {3, 15}, {4, 8}, {5, 11}, {6, 8}, {7, 6},
+       {8, 7}, {9, 7}, {10, 4}, {11, 11}, {12, 5}, {13, 5}, {14, 7},
+       {15, 6}},
+      {{0, 6}, {1, 1}, {2, 3}, {3, 3}, {4, 5}, {5, 2}, {6, 7}, {7, 6},
+       {8, 7}, {9, 5}, {10, 6}, {11, 4}, {12, 2}, {13, 3}, {14, 2},
+       {15, 2}},
+  };
+  ExpectGroupedRound(oracle, "group_grr", &pinned);
 }
 
 TEST(GroupCommit, DrainedRunIsOneRecordLocalHash) {
@@ -1110,57 +1131,64 @@ std::vector<ldp::LdpReport> SeededBatch(const ldp::ScalarFrequencyOracle& o,
   return reports;
 }
 
-// A hash oracle supports many values per report, so its deltas are
-// diffs against the store's shadow: a worker killed mid-round and
-// recovered from the store's live state finishes bitwise identical to
-// an uninterrupted run.
+// Group deltas are diffs against the store's shadow of the supports for
+// every oracle: a worker killed mid-round and recovered from the store's
+// live state restores that shadow and finishes bitwise identical to an
+// uninterrupted run. SOLH supports many values per report; GRR exactly
+// one.
 TEST(WorkerRecovery, KillMidRoundRecoversBitwiseLocalHash) {
-  const std::string dir = TempPath("worker_recover_solh");
-  RemoveTree(dir);
   ldp::LocalHash solh(2.0, 300, 8, "SOLH");
-  constexpr uint64_t kBatches = 40;
-  const uint64_t n = kBatches * 128;
-  StreamingOptions plain;
-  plain.batch_size = 128;
-  RoundResult expected;
-  {
-    StreamingCollector w(solh, plain);
-    for (uint64_t b = 0; b < kBatches; ++b) {
-      ASSERT_TRUE(w.Offer(MakePlainBatch(SeededBatch(solh, b))).ok());
+  ldp::Grr grr(2.0, 300);
+  for (const ldp::ScalarFrequencyOracle* o :
+       {static_cast<const ldp::ScalarFrequencyOracle*>(&solh),
+        static_cast<const ldp::ScalarFrequencyOracle*>(&grr)}) {
+    SCOPED_TRACE(o->Name());
+    const std::string dir = TempPath("worker_recover_" + o->Name());
+    RemoveTree(dir);
+    constexpr uint64_t kBatches = 40;
+    const uint64_t n = kBatches * 128;
+    StreamingOptions plain;
+    plain.batch_size = 128;
+    RoundResult expected;
+    {
+      StreamingCollector w(*o, plain);
+      for (uint64_t b = 0; b < kBatches; ++b) {
+        ASSERT_TRUE(w.Offer(MakePlainBatch(SeededBatch(*o, b))).ok());
+      }
+      auto r = w.FinishRound(n, 0, Calibration::kStandard);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      expected = std::move(*r);
+    }
+
+    StreamingOptions durable = plain;
+    durable.round_store.dir = dir;
+    {
+      StreamingCollector w(*o, durable);
+      for (uint64_t b = 0; b < 23; ++b) {
+        ASSERT_TRUE(w.Offer(MakePlainBatch(SeededBatch(*o, b))).ok());
+      }
+    }  // killed mid-round
+
+    StreamingCollector w(*o, durable);
+    auto rounds = w.store()->LoadAll();
+    ASSERT_TRUE(rounds.ok()) << rounds.status().ToString();
+    ASSERT_EQ(rounds->size(), 1u);
+    ASSERT_FALSE((*rounds)[0].finalized);
+    auto watermark = w.RecoverRound((*rounds)[0].state);
+    ASSERT_TRUE(watermark.ok()) << watermark.status().ToString();
+    EXPECT_GT(*watermark, 0u);
+    EXPECT_LE(*watermark, 23u);
+    for (uint64_t b = *watermark; b < kBatches; ++b) {
+      ASSERT_TRUE(w.Offer(MakePlainBatch(SeededBatch(*o, b))).ok());
     }
     auto r = w.FinishRound(n, 0, Calibration::kStandard);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    expected = std::move(*r);
+    EXPECT_EQ(r->supports, expected.supports);
+    EXPECT_EQ(r->estimates, expected.estimates);  // exact doubles
+    EXPECT_EQ(r->reports_decoded, expected.reports_decoded);
+    EXPECT_EQ(r->reports_invalid, expected.reports_invalid);
+    RemoveTree(dir);
   }
-
-  StreamingOptions durable = plain;
-  durable.round_store.dir = dir;
-  {
-    StreamingCollector w(solh, durable);
-    for (uint64_t b = 0; b < 23; ++b) {
-      ASSERT_TRUE(w.Offer(MakePlainBatch(SeededBatch(solh, b))).ok());
-    }
-  }  // killed mid-round
-
-  StreamingCollector w(solh, durable);
-  auto rounds = w.store()->LoadAll();
-  ASSERT_TRUE(rounds.ok()) << rounds.status().ToString();
-  ASSERT_EQ(rounds->size(), 1u);
-  ASSERT_FALSE((*rounds)[0].finalized);
-  auto watermark = w.RecoverRound((*rounds)[0].state);
-  ASSERT_TRUE(watermark.ok()) << watermark.status().ToString();
-  EXPECT_GT(*watermark, 0u);
-  EXPECT_LE(*watermark, 23u);
-  for (uint64_t b = *watermark; b < kBatches; ++b) {
-    ASSERT_TRUE(w.Offer(MakePlainBatch(SeededBatch(solh, b))).ok());
-  }
-  auto r = w.FinishRound(n, 0, Calibration::kStandard);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->supports, expected.supports);
-  EXPECT_EQ(r->estimates, expected.estimates);  // exact doubles
-  EXPECT_EQ(r->reports_decoded, expected.reports_decoded);
-  EXPECT_EQ(r->reports_invalid, expected.reports_invalid);
-  RemoveTree(dir);
 }
 
 // Recovery restores into a fresh worker only, and only state written

@@ -96,6 +96,59 @@ TEST(TransportFraming, QueryFrameGoldenVectorMatchesWireFormatDoc) {
   EXPECT_TRUE(decoded.payload.empty());
 }
 
+// Reads exactly `len` bytes from a blocking socket.
+bool RecvExactly(int fd, uint8_t* out, size_t len) {
+  size_t got = 0;
+  while (got < len) {
+    ssize_t n = ::recv(fd, out + got, len - got, 0);
+    if (n <= 0) return false;
+    got += static_cast<size_t>(n);
+  }
+  return true;
+}
+
+// What CollectorClient's indexed SendOrdinals puts on the socket for one
+// producer batch, byte for byte: header, CRC, varint batch index, varint
+// count and the big-endian two-byte ordinals (padding 1000 and 1023
+// included).
+TEST(TransportFraming, IndexedBatchFrameBytesArePinned) {
+  ldp::Grr grr(2.0, 1000);
+  ASSERT_EQ(grr.PackedBits(), 10u);
+  int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = 0;
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr),
+                   sizeof(addr)), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  socklen_t addr_len = sizeof(addr);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr),
+                          &addr_len), 0);
+
+  auto client = CollectorClient::Connect("127.0.0.1", ntohs(addr.sin_port));
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  const int fd = ::accept(listener, nullptr, nullptr);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE((*client)
+                  ->SendOrdinals(/*round_id=*/9, /*batch_index=*/300, grr,
+                                 {0, 5, 256, 999, 1000, 1023})
+                  .ok());
+  Bytes wire(kFrameHeaderBytes);
+  ASSERT_TRUE(RecvExactly(fd, wire.data(), wire.size()));
+  const size_t payload_len = wire[16] | (wire[17] << 8);
+  wire.resize(kFrameHeaderBytes + payload_len);
+  ASSERT_TRUE(RecvExactly(fd, wire.data() + kFrameHeaderBytes, payload_len));
+  ::close(fd);
+  ::close(listener);
+  EXPECT_EQ(ToHex(wire),
+            "534450430207000009000000000000000f000000994b9135"  // header
+            "ac02"                                  // batch index 300
+            "06"                                    // count 6
+            "00000005010003e703e803ff");            // ordinals
+}
+
 TEST(TransportFraming, PartitionFieldRoundTrips) {
   Frame frame = MakeBatchFrame(7, Bytes{1, 2, 3});
   frame.partition = 0xBEEF;

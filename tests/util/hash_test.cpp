@@ -46,6 +46,54 @@ TEST(XxHash64Test, AllLengthPathsConsistent) {
   }
 }
 
+// Byte-at-a-time reflected CRC-32 (IEEE polynomial 0xEDB88320), the
+// textbook form every faster Crc32 must reproduce bit for bit.
+uint32_t ReferenceCrc32(const uint8_t* data, size_t len, uint32_t seed) {
+  uint32_t c = seed ^ 0xFFFFFFFFU;
+  for (size_t i = 0; i < len; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320U ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFU;
+}
+
+TEST(Crc32Test, CheckValue) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926U);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+}
+
+// Every length 0-257 at every start offset 0-7 walks the word loop's
+// head, body and tail at each alignment.
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  std::vector<uint8_t> buf(257 + 8);
+  for (size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<uint8_t>(i * 131 + 17);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 257; ++len) {
+      const uint8_t* p = buf.data() + offset;
+      ASSERT_EQ(Crc32(p, len), ReferenceCrc32(p, len, 0))
+          << "offset=" << offset << " len=" << len;
+      ASSERT_EQ(Crc32(p, len, 0x12345678U),
+                ReferenceCrc32(p, len, 0x12345678U))
+          << "offset=" << offset << " len=" << len;
+    }
+  }
+}
+
+TEST(Crc32Test, SeedChainsAtEverySplit) {
+  std::vector<uint8_t> buf(257);
+  for (size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<uint8_t>(i * 7 + 3);
+  }
+  const uint32_t whole = Crc32(buf.data(), buf.size());
+  for (size_t split = 0; split <= buf.size(); ++split) {
+    const uint32_t head = Crc32(buf.data(), split);
+    EXPECT_EQ(Crc32(buf.data() + split, buf.size() - split, head), whole)
+        << "split=" << split;
+  }
+}
+
 TEST(UniversalHashTest, OutputInRange) {
   for (uint32_t range : {2u, 3u, 16u, 1000u}) {
     for (uint64_t v = 0; v < 200; ++v) {
