@@ -96,24 +96,10 @@ Result<service::RoundResult> ShuffleDpCollector::CollectStreaming(
       options_.pool != nullptr ? options_.pool : &GlobalThreadPool();
   service::StreamingCollector collector(*oracle_, stream_opts);
 
-  const ldp::ScalarFrequencyOracle* oracle_ptr = oracle_.get();
   SHUFFLEDP_RETURN_NOT_OK(StreamEncodedBatches(
       values, rng, /*skip_batches=*/0,
-      [&collector, oracle_ptr](std::vector<uint64_t>&& batch) {
-        auto ordinals =
-            std::make_shared<std::vector<uint64_t>>(std::move(batch));
-        service::ReportBatch report_batch;
-        report_batch.count = ordinals->size();
-        report_batch.decode =
-            [ordinals, oracle_ptr](uint64_t i) -> Result<service::DecodedRow> {
-          service::DecodedRow row;
-          auto rep = oracle_ptr->UnpackOrdinal((*ordinals)[i]);
-          if (!rep.ok()) return row;  // padding ordinal: dropped as invalid
-          row.report = *rep;
-          row.valid = true;
-          return row;
-        };
-        return collector.Offer(std::move(report_batch));
+      [&collector](std::vector<uint64_t>&& batch) {
+        return collector.Offer(service::MakeOrdinalBatch(std::move(batch)));
       }));
 
   return collector.FinishRound(n, plan_.n_r, service::Calibration::kOrdinal);

@@ -7,61 +7,121 @@ size_t WireReportBytes(const ScalarFrequencyOracle& oracle) {
   return (oracle.PackedBits() + 7) / 8;
 }
 
+namespace {
+
+size_t VarintBytes(uint64_t v) {
+  size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
+uint8_t* PutVarint(uint8_t* out, uint64_t v) {
+  for (; v >= 0x80; v >>= 7) *out++ = static_cast<uint8_t>(v) | 0x80;
+  *out++ = static_cast<uint8_t>(v);
+  return out;
+}
+
+// Fixed-width big-endian ordinals, one width per instantiation so the
+// byte loops unroll into shifts and stores.
+template <size_t W>
+void PutOrdinalsBigEndian(const uint64_t* in, size_t count, uint8_t* out) {
+  for (size_t i = 0; i < count; ++i, out += W) {
+    uint64_t v = in[i];
+    for (size_t b = W; b-- > 0; v >>= 8) out[b] = static_cast<uint8_t>(v);
+  }
+}
+
+// Returns the OR of every ordinal read, so the caller range-checks the
+// batch with one test.
+template <size_t W>
+uint64_t GetOrdinalsBigEndian(const uint8_t* in, size_t count,
+                              uint64_t* out) {
+  uint64_t seen = 0;
+  for (size_t i = 0; i < count; ++i, in += W) {
+    uint64_t v = 0;
+    for (size_t b = 0; b < W; ++b) v = (v << 8) | in[b];
+    out[i] = v;
+    seen |= v;
+  }
+  return seen;
+}
+
+// varint(prefix) when `indexed`, varint(count), then the ordinals — all
+// written once into a buffer sized up front.
+Bytes WriteOrdinals(const ScalarFrequencyOracle& oracle, bool indexed,
+                    uint64_t prefix, const std::vector<uint64_t>& ordinals) {
+  const size_t width = WireReportBytes(oracle);
+  const size_t count = ordinals.size();
+  Bytes out((indexed ? VarintBytes(prefix) : 0) + VarintBytes(count) +
+            count * width);
+  uint8_t* p = out.data();
+  if (indexed) p = PutVarint(p, prefix);
+  p = PutVarint(p, count);
+  const uint64_t* in = ordinals.data();
+  switch (width) {
+    case 1: PutOrdinalsBigEndian<1>(in, count, p); break;
+    case 2: PutOrdinalsBigEndian<2>(in, count, p); break;
+    case 3: PutOrdinalsBigEndian<3>(in, count, p); break;
+    case 4: PutOrdinalsBigEndian<4>(in, count, p); break;
+    case 5: PutOrdinalsBigEndian<5>(in, count, p); break;
+    case 6: PutOrdinalsBigEndian<6>(in, count, p); break;
+    case 7: PutOrdinalsBigEndian<7>(in, count, p); break;
+    default: PutOrdinalsBigEndian<8>(in, count, p); break;
+  }
+  return out;
+}
+
+}  // namespace
+
 Bytes SerializeOrdinals(const ScalarFrequencyOracle& oracle,
                         const std::vector<uint64_t>& ordinals) {
-  const size_t width = WireReportBytes(oracle);
-  ByteWriter w(ordinals.size() * width + 10);
-  w.PutVarint(ordinals.size());
-  for (uint64_t ordinal : ordinals) {
-    for (size_t b = width; b-- > 0;) {
-      w.PutU8(static_cast<uint8_t>(ordinal >> (8 * b)));
-    }
-  }
-  return w.Release();
+  return WriteOrdinals(oracle, /*indexed=*/false, 0, ordinals);
+}
+
+Bytes SerializeIndexedOrdinals(const ScalarFrequencyOracle& oracle,
+                               uint64_t batch_index,
+                               const std::vector<uint64_t>& ordinals) {
+  return WriteOrdinals(oracle, /*indexed=*/true, batch_index, ordinals);
 }
 
 Result<std::vector<uint64_t>> ParseOrdinals(
     const ScalarFrequencyOracle& oracle, const Bytes& wire) {
-  return ParseOrdinalsValidated(oracle, wire, nullptr);
+  return ParseOrdinals(oracle, wire.data(), wire.size());
 }
 
-Result<std::vector<uint64_t>> ParseOrdinalsValidated(
-    const ScalarFrequencyOracle& oracle, const Bytes& wire,
-    const std::function<Status(uint64_t ordinal)>& check) {
-  return ParseOrdinalsValidated(oracle, wire.data(), wire.size(), check);
-}
-
-Result<std::vector<uint64_t>> ParseOrdinalsValidated(
-    const ScalarFrequencyOracle& oracle, const uint8_t* data, size_t len,
-    const std::function<Status(uint64_t ordinal)>& check) {
+Result<std::vector<uint64_t>> ParseOrdinals(
+    const ScalarFrequencyOracle& oracle, const uint8_t* data, size_t len) {
   const size_t width = WireReportBytes(oracle);
   const unsigned bits = oracle.PackedBits();
   ByteReader reader(data, len);
   SHUFFLEDP_ASSIGN_OR_RETURN(uint64_t count, reader.GetVarint());
   // Divide instead of multiplying: a hostile count (e.g. 2^61 with an
   // 8-byte width) would overflow count * width to a small value, slip
-  // past the length check, and drive a huge reserve() below.
+  // past the length check, and drive a huge allocation below.
   if (count > reader.Remaining() / width ||
       count * width != reader.Remaining()) {
     return Status::DataLoss("report payload has wrong length");
   }
-  std::vector<uint64_t> out;
-  out.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t ordinal = 0;
-    for (size_t b = 0; b < width; ++b) {
-      SHUFFLEDP_ASSIGN_OR_RETURN(uint8_t byte, reader.GetU8());
-      ordinal = (ordinal << 8) | byte;
-    }
-    // The width rounds PackedBits up to whole bytes; bits smuggled into
-    // the rounding slack are rejected, padding-region ordinals are not.
-    if (bits < 64 && ordinal >= (uint64_t{1} << bits)) {
-      return Status::DataLoss("ordinal exceeds the packed report space");
-    }
-    if (check) {
-      SHUFFLEDP_RETURN_NOT_OK(check(ordinal));
-    }
-    out.push_back(ordinal);
+  // The check above proved the block is exactly count * width bytes, so
+  // the decode reads by pointer without further bounds checks.
+  const uint8_t* in = data + (len - reader.Remaining());
+  std::vector<uint64_t> out(count);
+  uint64_t* dst = out.data();
+  uint64_t seen = 0;
+  switch (width) {
+    case 1: seen = GetOrdinalsBigEndian<1>(in, count, dst); break;
+    case 2: seen = GetOrdinalsBigEndian<2>(in, count, dst); break;
+    case 3: seen = GetOrdinalsBigEndian<3>(in, count, dst); break;
+    case 4: seen = GetOrdinalsBigEndian<4>(in, count, dst); break;
+    case 5: seen = GetOrdinalsBigEndian<5>(in, count, dst); break;
+    case 6: seen = GetOrdinalsBigEndian<6>(in, count, dst); break;
+    case 7: seen = GetOrdinalsBigEndian<7>(in, count, dst); break;
+    default: seen = GetOrdinalsBigEndian<8>(in, count, dst); break;
+  }
+  // The width rounds PackedBits up to whole bytes; bits smuggled into
+  // the rounding slack are rejected, padding-region ordinals are not.
+  if (bits < 64 && (seen >> bits) != 0) {
+    return Status::DataLoss("ordinal exceeds the packed report space");
   }
   return out;
 }

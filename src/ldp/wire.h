@@ -11,7 +11,6 @@
 #define SHUFFLEDP_LDP_WIRE_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "ldp/frequency_oracle.h"
@@ -43,26 +42,23 @@ Result<std::vector<LdpReport>> ParseReports(
 Bytes SerializeOrdinals(const ScalarFrequencyOracle& oracle,
                         const std::vector<uint64_t>& ordinals);
 
+/// The kBatchIndexed payload (service/transport.h): varint(batch_index)
+/// followed by the SerializeOrdinals bytes, written into one buffer.
+Bytes SerializeIndexedOrdinals(const ScalarFrequencyOracle& oracle,
+                               uint64_t batch_index,
+                               const std::vector<uint64_t>& ordinals);
+
 /// Parses a SerializeOrdinals payload. Length and range (< 2^PackedBits)
 /// are validated; report validity is not — decode each ordinal with
 /// `oracle.UnpackOrdinal` and drop padding hits.
 Result<std::vector<uint64_t>> ParseOrdinals(
     const ScalarFrequencyOracle& oracle, const Bytes& wire);
 
-/// ParseOrdinals with a caller-supplied per-ordinal admission check run
-/// inline during the decode scan (the partitioned collection endpoint
-/// rejects ordinals another partition owns this way — one pass instead
-/// of parse-then-rescan). A non-OK `check` fails the whole parse.
-Result<std::vector<uint64_t>> ParseOrdinalsValidated(
-    const ScalarFrequencyOracle& oracle, const Bytes& wire,
-    const std::function<Status(uint64_t ordinal)>& check);
-
 /// Same, over a raw byte range — for payloads where the ordinal block
 /// follows a caller-parsed prefix (the transport's indexed batch frames)
 /// and a subrange copy would be waste.
-Result<std::vector<uint64_t>> ParseOrdinalsValidated(
-    const ScalarFrequencyOracle& oracle, const uint8_t* data, size_t len,
-    const std::function<Status(uint64_t ordinal)>& check);
+Result<std::vector<uint64_t>> ParseOrdinals(
+    const ScalarFrequencyOracle& oracle, const uint8_t* data, size_t len);
 
 /// Packs a 0/1 unary report into bits (LSB-first within each byte).
 Bytes PackUnaryBits(const std::vector<uint8_t>& bits);

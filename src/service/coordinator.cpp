@@ -109,12 +109,13 @@ RoundHealth PartitionRoutingClient::SnapshotHealth(uint64_t round_id) const {
   return report;
 }
 
-void PartitionRoutingClient::LogRoutedBatch(uint32_t p, uint64_t batch_index,
-                                            std::vector<uint64_t> owned) {
+const std::vector<uint64_t>& PartitionRoutingClient::LogRoutedBatch(
+    uint32_t p, uint64_t batch_index, std::vector<uint64_t> owned) {
   LoggedBatch entry;
   entry.batch_index = batch_index;
   entry.ordinals = std::move(owned);
   replay_log_[p].push_back(std::move(entry));
+  return replay_log_[p].back().ordinals;
 }
 
 Status PartitionRoutingClient::SendRoutedBatch(
@@ -141,9 +142,13 @@ Status PartitionRoutingClient::SendBatch(
   for (uint32_t p = 0; p < map_.partitions(); ++p) {
     if (batch_index < skip_batches_[p]) continue;  // already consumed
     // Log before sending: a frame that dies on the wire is exactly the
-    // one recovery must replay.
-    if (options_.auto_recover) LogRoutedBatch(p, batch_index, groups[p]);
-    Status sent = SendRoutedBatch(p, round_id, batch_index, groups[p]);
+    // one recovery must replay. The log takes the routed group itself
+    // (Route sized it exactly) and the frame is encoded from there.
+    const std::vector<uint64_t>& owned =
+        options_.auto_recover
+            ? LogRoutedBatch(p, batch_index, std::move(groups[p]))
+            : groups[p];
+    Status sent = SendRoutedBatch(p, round_id, batch_index, owned);
     if (sent.ok()) continue;
     if (!options_.auto_recover || !IsRetryableTransportError(sent)) {
       return sent;

@@ -213,9 +213,11 @@ class PartitionRoutingClient {
   /// Sends one routed frame to partition `p` without recovery.
   Status SendRoutedBatch(uint32_t p, uint64_t round_id, uint64_t batch_index,
                          const std::vector<uint64_t>& owned);
-  /// Appends to partition `p`'s replay log (auto_recover only).
-  void LogRoutedBatch(uint32_t p, uint64_t batch_index,
-                      std::vector<uint64_t> owned);
+  /// Appends to partition `p`'s replay log (auto_recover only) and
+  /// returns the logged ordinals.
+  const std::vector<uint64_t>& LogRoutedBatch(uint32_t p,
+                                              uint64_t batch_index,
+                                              std::vector<uint64_t> owned);
 
   const ldp::ScalarFrequencyOracle& oracle_;
   PartitionMap map_;

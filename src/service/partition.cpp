@@ -36,7 +36,19 @@ Result<PartitionMap> PartitionMap::Create(
   map.partitions_ = partitions;
   map.domain_size_ = d;
   map.packed_bits_ = oracle.PackedBits();
+  map.BuildOwnerIndex();
   return map;
+}
+
+void PartitionMap::BuildOwnerIndex() {
+  slice_bounds_.clear();
+  range_limit_ = 0;
+  if (mode_ != PartitionMode::kByValue || partitions_ <= 1) return;
+  range_limit_ = domain_size_;
+  slice_bounds_.reserve(partitions_ - 1);
+  for (uint32_t p = 0; p + 1 < partitions_; ++p) {
+    slice_bounds_.push_back(SliceOf(p).hi);
+  }
 }
 
 PartitionSlice PartitionMap::SliceOf(uint32_t p) const {
@@ -51,18 +63,42 @@ PartitionSlice PartitionMap::SliceOf(uint32_t p) const {
 }
 
 uint32_t PartitionMap::OwnerOfOrdinal(uint64_t ordinal) const {
-  if (partitions_ <= 1) return 0;
-  if (mode_ == PartitionMode::kByValue && ordinal < domain_size_) {
-    // Inverse of the floor(d·p/P) range formula, corrected by at most one
-    // boundary step (same idiom as ShardedSupportCounter's histogram path).
-    uint64_t p = ordinal * partitions_ / domain_size_;
-    while (ordinal < domain_size_ * p / partitions_) --p;
-    while (ordinal >= domain_size_ * (p + 1) / partitions_) ++p;
-    return static_cast<uint32_t>(p);
+  if (ordinal < range_limit_) {
+    // Branchless lower bound: the owner is the number of slice upper
+    // bounds at or below the ordinal. The bound count halves each step
+    // and the select compiles to a conditional move, so the lookup costs
+    // ceil(log2(P − 1)) compares and no division.
+    const uint64_t* base = slice_bounds_.data();
+    size_t n = slice_bounds_.size();
+    while (n > 1) {
+      const size_t half = n / 2;
+      base = base[half] <= ordinal ? base + half : base;
+      n -= half;
+    }
+    return static_cast<uint32_t>(base - slice_bounds_.data()) +
+           (*base <= ordinal ? 1 : 0);
   }
   // Padding-region ordinals (and every ordinal under kByClient routing —
   // though kByClient batches route whole) spread by residue.
-  return static_cast<uint32_t>(ordinal % partitions_);
+  return partitions_ <= 1 ? 0
+                          : static_cast<uint32_t>(ordinal % partitions_);
+}
+
+Status PartitionMap::AdmitOrdinals(
+    uint32_t p, const std::vector<uint64_t>& ordinals) const {
+  if (mode_ != PartitionMode::kByValue || partitions_ <= 1) {
+    return Status::OK();
+  }
+  for (uint64_t ordinal : ordinals) {
+    const uint32_t owner = OwnerOfOrdinal(ordinal);
+    if (owner != p) {
+      return Status::ProtocolViolation(
+          "batch contains ordinal " + std::to_string(ordinal) +
+          " owned by partition " + std::to_string(owner) +
+          ", not this endpoint's " + std::to_string(p));
+    }
+  }
+  return Status::OK();
 }
 
 uint32_t PartitionMap::OwnerOfBatch(uint64_t batch_index) const {
@@ -82,6 +118,10 @@ std::vector<std::vector<uint64_t>> PartitionMap::Route(
     groups[OwnerOfBatch(batch_index)] = ordinals;
     return groups;
   }
+  // Count, then fill: every group is allocated once at its exact size.
+  std::vector<size_t> sizes(partitions_, 0);
+  for (uint64_t ordinal : ordinals) ++sizes[OwnerOfOrdinal(ordinal)];
+  for (uint32_t p = 0; p < partitions_; ++p) groups[p].reserve(sizes[p]);
   for (uint64_t ordinal : ordinals) {
     groups[OwnerOfOrdinal(ordinal)].push_back(ordinal);
   }
@@ -166,6 +206,7 @@ Result<PartitionMap> ParsePartitionMap(ByteReader* reader) {
   map.partitions_ = static_cast<uint32_t>(partitions);
   map.domain_size_ = domain;
   map.packed_bits_ = bits;
+  map.BuildOwnerIndex();
   return map;
 }
 

@@ -98,8 +98,14 @@ class PartitionMap {
   /// Owner of a packed ordinal (kByValue maps). Real values route to
   /// their range owner; padding-region ordinals (>= d) route to
   /// `ordinal mod P` so the fake blanket spreads deterministically and
-  /// every ordinal has exactly one home.
+  /// every ordinal has exactly one home. The range owner is a
+  /// division-free lower bound over the P − 1 slice upper bounds.
   uint32_t OwnerOfOrdinal(uint64_t ordinal) const;
+
+  /// The admission check of the endpoint owning partition `p`: under
+  /// kByValue with P > 1, ProtocolViolation naming the first ordinal
+  /// another partition owns; OK otherwise (every ordinal is admitted).
+  Status AdmitOrdinals(uint32_t p, const std::vector<uint64_t>& ordinals) const;
 
   /// Owner of producer batch `batch_index` (kByClient maps).
   uint32_t OwnerOfBatch(uint64_t batch_index) const;
@@ -110,7 +116,8 @@ class PartitionMap {
   /// leaves the other groups empty. Every endpoint receives a (possibly
   /// empty) group for every producer batch, so per-endpoint batch
   /// indices stay equal to producer batch indices — the alignment crash
-  /// recovery replays against.
+  /// recovery replays against. Each group is allocated at its exact size
+  /// (the routing client keeps the groups for a whole round).
   std::vector<std::vector<uint64_t>> Route(
       uint64_t batch_index, const std::vector<uint64_t>& ordinals) const;
 
@@ -129,10 +136,18 @@ class PartitionMap {
   std::string ToString() const;
 
  private:
+  /// Fills the owner lookup below from the four layout fields.
+  void BuildOwnerIndex();
+
   PartitionMode mode_ = PartitionMode::kByValue;
   uint32_t partitions_ = 1;
   uint64_t domain_size_ = 0;  ///< 0 = unbound single-node default
   unsigned packed_bits_ = 0;
+  // Derived owner lookup: ordinals below range_limit_ (d under kByValue
+  // with P > 1, else 0) go to the number of slice_bounds_ (the upper
+  // bounds of slices 0..P−2) at or below them.
+  uint64_t range_limit_ = 0;
+  std::vector<uint64_t> slice_bounds_;
 
   friend Bytes SerializePartitionMap(const PartitionMap& map);
   friend Result<PartitionMap> ParsePartitionMap(ByteReader* r);

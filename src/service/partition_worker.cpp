@@ -42,6 +42,13 @@ ReportBatch MakePlainBatch(std::vector<ldp::LdpReport> reports) {
   return batch;
 }
 
+ReportBatch MakeOrdinalBatch(std::vector<uint64_t> ordinals) {
+  ReportBatch batch;
+  batch.count = ordinals.size();
+  batch.ordinals = std::move(ordinals);
+  return batch;
+}
+
 RoundResult FinalizeRoundResult(const ldp::ScalarFrequencyOracle& oracle,
                                 std::vector<uint64_t> supports,
                                 uint64_t n, uint64_t n_fake,
@@ -106,7 +113,6 @@ PartitionWorker::PartitionWorker(const ldp::ScalarFrequencyOracle& oracle,
       queue_.Close();
     }
   }
-  track_support_shadow_ = store_ != nullptr && !counter_->value_equality();
   ResetRoundTallies();
   // The consumer spawns lazily on the first Offer (EnsureConsumer), so a
   // constructed-but-unused worker does not park an idle thread.
@@ -135,7 +141,7 @@ void PartitionWorker::ResetRoundTallies() {
   durability_degraded_ = false;
   durability_warning_.clear();
   degraded_flag_.store(false, std::memory_order_relaxed);
-  if (track_support_shadow_) {
+  if (store_ != nullptr) {
     persisted_supports_.assign(slice_.hi - slice_.lo, 0);
   }
   group_batches_ = 0;
@@ -268,7 +274,7 @@ Result<uint64_t> PartitionWorker::RecoverRound(
         std::to_string(slice_.index) + "/" + std::to_string(slice_.count));
   }
   SHUFFLEDP_RETURN_NOT_OK(counter_->Restore(state.supports));
-  if (track_support_shadow_) persisted_supports_ = state.supports;
+  if (store_ != nullptr) persisted_supports_ = state.supports;
   rows_seen_ = state.rows_seen;
   batches_seen_ = state.batches_consumed;
   reports_decoded_ = state.reports_decoded;
@@ -394,6 +400,22 @@ bool PartitionWorker::PersistDelta(const RoundDelta& delta) {
   return false;
 }
 
+bool PartitionWorker::KeepRow(const ldp::LdpReport& report, uint64_t tag,
+                              bool fold) {
+  if (!oracle_.ValidateReport(report).ok()) return false;
+  if (!dummy_multiset_.empty()) {
+    auto it = dummy_multiset_.find({ldp::PackReport(report), tag});
+    if (it != dummy_multiset_.end() && it->second > 0) {
+      --it->second;
+      ++dummies_recognized_;
+      if (fold) ++group_dummies_[it->first];
+      return true;  // server-planted dummy: strip before estimation
+    }
+  }
+  kept_.push_back(report);
+  return true;
+}
+
 void PartitionWorker::ProcessBatch(const ReportBatch& batch) {
   WallTimer timer;
   const uint64_t batch_lo = batches_seen_;
@@ -402,7 +424,6 @@ void PartitionWorker::ProcessBatch(const ReportBatch& batch) {
   if (fold && group_batches_ == 0) {  // open a new group at this batch
     group_ = RoundDelta();
     group_.batch_lo = batch_lo;
-    group_histogram_.clear();
     group_dummies_.clear();
   }
   ++batches_seen_;
@@ -416,100 +437,84 @@ void PartitionWorker::ProcessBatch(const ReportBatch& batch) {
     }
   }
 
-  std::vector<DecodedRow> rows(batch.count);
-  std::mutex status_mu;
-  Status decode_status = Status::OK();
-  std::atomic<bool> failed{false};
-  ForChunks(options_.pool, 0, batch.count, options_.decode_chunk,
-            [&](uint64_t lo, uint64_t hi) {
-              for (uint64_t i = lo; i < hi; ++i) {
-                // Stop burning crypto on rows whose batch already failed.
-                if (failed.load(std::memory_order_relaxed)) return;
-                auto row = batch.decode(i);
-                if (!row.ok()) {
-                  failed.store(true, std::memory_order_relaxed);
-                  std::lock_guard<std::mutex> lock(status_mu);
-                  if (decode_status.ok()) decode_status = row.status();
-                  return;
-                }
-                rows[i] = std::move(row).value();
-              }
-            });
-  if (!decode_status.ok()) {
-    FailRound(decode_status);
-    return;
-  }
-
-  std::vector<ldp::LdpReport> kept;
-  kept.reserve(rows.size());
-  for (const DecodedRow& row : rows) {
-    if (!row.valid || !oracle_.ValidateReport(row.report).ok()) {
-      ++reports_invalid_;
-      continue;
-    }
-    if (!dummy_multiset_.empty()) {
-      auto it =
-          dummy_multiset_.find({ldp::PackReport(row.report), row.tag});
-      if (it != dummy_multiset_.end() && it->second > 0) {
-        --it->second;
-        ++dummies_recognized_;
-        if (fold) ++group_dummies_[it->first];
-        continue;  // server-planted dummy: strip before estimation
+  kept_.clear();
+  kept_.reserve(batch.count);
+  if (!batch.decode) {
+    // Ordinal batch: unpack, validate and strip dummies in one pass.
+    for (uint64_t ordinal : batch.ordinals) {
+      Result<ldp::LdpReport> report = oracle_.UnpackOrdinal(ordinal);
+      // A padding ordinal is an invalid row, not a protocol failure.
+      if (!report.ok() || !KeepRow(*report, /*tag=*/0, fold)) {
+        ++reports_invalid_;
       }
     }
-    kept.push_back(row.report);
+  } else {
+    std::vector<DecodedRow> rows(batch.count);
+    std::mutex status_mu;
+    Status decode_status = Status::OK();
+    std::atomic<bool> failed{false};
+    ForChunks(options_.pool, 0, batch.count, options_.decode_chunk,
+              [&](uint64_t lo, uint64_t hi) {
+                for (uint64_t i = lo; i < hi; ++i) {
+                  // Stop burning crypto on rows whose batch already failed.
+                  if (failed.load(std::memory_order_relaxed)) return;
+                  auto row = batch.decode(i);
+                  if (!row.ok()) {
+                    failed.store(true, std::memory_order_relaxed);
+                    std::lock_guard<std::mutex> lock(status_mu);
+                    if (decode_status.ok()) decode_status = row.status();
+                    return;
+                  }
+                  rows[i] = std::move(row).value();
+                }
+              });
+    if (!decode_status.ok()) {
+      FailRound(decode_status);
+      return;
+    }
+    for (const DecodedRow& row : rows) {
+      if (!row.valid || !KeepRow(row.report, row.tag, fold)) {
+        ++reports_invalid_;
+      }
+    }
   }
-  reports_decoded_ += kept.size();
+  reports_decoded_ += kept_.size();
   // Split visibility: everything up to here (prepare, decode fan-out,
   // validation, dummy stripping) is decode cost; the AccumulateBatch
   // call is pure support accumulation — the two dominate SOLH and GRR
   // rounds respectively, and the bench reports them separately.
   const double decode_done = timer.ElapsedSeconds();
-  counter_->AccumulateBatch(kept, options_.pool);
+  counter_->AccumulateBatch(kept_, options_.pool);
   const double batch_done = timer.ElapsedSeconds();
   decode_seconds_ += decode_done;
   support_eval_seconds_ += batch_done - decode_done;
-  rows_aggregated_ += kept.size();
+  rows_aggregated_ += kept_.size();
   busy_seconds_ += batch_done;
 
   if (!fold) return;
   ++group_batches_;
   group_.batch_hi = batches_seen_;
   group_.rows_delta += batch.count;
-  group_.decoded_delta += kept.size();
+  group_.decoded_delta += kept_.size();
   group_.invalid_delta += reports_invalid_ - invalid_before;
-  if (counter_->value_equality()) {
-    // Equality oracles support exactly the reported value: the sparse
-    // delta is a histogram of the kept in-slice values, mirroring the
-    // counter's own fast path.
-    for (const ldp::LdpReport& report : kept) {
-      if (report.value >= slice_.lo && report.value < slice_.hi) {
-        ++group_histogram_[report.value - slice_.lo];
-      }
-    }
-  }
 }
 
 void PartitionWorker::FlushGroup() {
   if (group_batches_ == 0) return;
   if (round_status_.ok() && !durability_degraded_) {
     group_.round_id = round_id_.load(std::memory_order_relaxed);
-    if (counter_->value_equality()) {
-      group_.support_deltas.assign(group_histogram_.begin(),
-                                   group_histogram_.end());
-    } else {
-      // General oracles (hash-based) support many values per report:
-      // diff the counter's contiguous counts view against the shadow of
-      // what the store has already seen, updating the shadow in place
-      // at the changed slots — once per group, not once per batch, and
-      // O(slice width) bytes however many batches the group covers.
-      const std::vector<uint64_t>& current = counter_->counts();
-      for (size_t i = 0; i < current.size(); ++i) {
-        if (current[i] != persisted_supports_[i]) {
-          group_.support_deltas.emplace_back(
-              i, current[i] - persisted_supports_[i]);
-          persisted_supports_[i] = current[i];
-        }
+    // Diff the counter's contiguous counts view against the shadow of
+    // what the store has already seen, updating the shadow in place at
+    // the changed slots — once per group, not once per batch, and
+    // O(slice width) however many batches the group covers. The result
+    // is the sorted list of (index, +count) for every slot the group's
+    // kept rows supported.
+    const std::vector<uint64_t>& current = counter_->counts();
+    for (size_t i = 0; i < current.size(); ++i) {
+      if (current[i] != persisted_supports_[i]) {
+        group_.support_deltas.emplace_back(
+            i, current[i] - persisted_supports_[i]);
+        persisted_supports_[i] = current[i];
       }
     }
     group_.dummies_consumed.reserve(group_dummies_.size());

@@ -24,9 +24,11 @@
 // in FIFO order; for each batch it fans the per-report decode step
 // (ECIES peel, Paillier share reconstruction, …) out across the
 // ThreadPool, then fans support counting out across domain shards
-// (sharded_counter.h). Because every aggregate is an integer counter and
-// shard slices merge in shard order, the finalized supports — and hence
-// the estimates — are bitwise identical for any pool size, including no
+// (sharded_counter.h). Cleartext ordinal batches skip the decode
+// fan-out: one pass unpacks, validates and strips dummies, then counting
+// runs. Because every aggregate is an integer counter and shard slices
+// merge in shard order, the finalized supports — and hence the
+// estimates — are bitwise identical for any pool size, including no
 // pool at all. Spot-check dummies (sequential shuffle §VI-A1) are
 // registered up front and stripped before counting.
 //
@@ -45,10 +47,11 @@
 // rounds (finalized history + the live one) recover together.
 //
 // Group commit: the consumer does not write one record per batch. Each
-// processed batch folds its effect (tally deltas, the value-equality
-// histogram or, for hash oracles, a diff of the counter against what the
-// store has seen, consumed spot-check dummies) into an open group
-// covering batches [batch_lo, batch_hi). The group is written as one
+// processed batch folds its tally deltas and consumed spot-check dummies
+// into an open group covering batches [batch_lo, batch_hi); when the
+// group closes, its sparse support delta is one diff of the counter's
+// counts against a shadow of what the store has seen — for every oracle,
+// GRR's one-value supports included. The group is written as one
 // fsynced RoundDelta when
 //   - the queue is empty after a batch (the consumer never blocks in
 //     Pop with an unsynced group),
@@ -107,12 +110,18 @@ struct DecodedRow {
   uint64_t tag = 0;  ///< payload tag (spot-check matching); 0 when unused
 };
 
-/// A batch of reports flowing through the queue. `decode` is invoked for
-/// i in [0, count) from pool workers (concurrently, each index once); it
-/// owns whatever per-batch data it needs via its captures. A non-OK
-/// result is a hard protocol failure that aborts the round.
+/// A batch of reports flowing through the queue, in one of two shapes:
+///   - decoded: `decode` is invoked for i in [0, count) from pool workers
+///     (concurrently, each index once); it owns whatever per-batch data
+///     it needs via its captures. A non-OK result is a hard protocol
+///     failure that aborts the round.
+///   - ordinal (`decode` empty): `ordinals` holds `count` packed
+///     ordinals, unpacked, validated and counted in one serial pass on
+///     the consumer; padding ordinals are dropped as invalid rows and
+///     every row carries tag 0 for spot-check matching.
 struct ReportBatch {
   uint64_t count = 0;
+  std::vector<uint64_t> ordinals;
   /// Optional batch-level stage run once on the consumer thread before
   /// the per-row decode fan-out — e.g. the PEOS packed Paillier
   /// decryption, which amortizes one CRT decryption over a whole group
@@ -125,6 +134,10 @@ struct ReportBatch {
 
 /// Builds a decode-free batch from already-decoded reports.
 ReportBatch MakePlainBatch(std::vector<ldp::LdpReport> reports);
+
+/// Builds an ordinal batch from packed ordinals (the wire batches and
+/// the PEOS ordinal stream).
+ReportBatch MakeOrdinalBatch(std::vector<uint64_t> ordinals);
 
 /// Which estimator calibration the round close applies. Partition
 /// workers behind a coordinator use kNone: raw supports cross to the
@@ -328,6 +341,10 @@ class PartitionWorker {
 
   void ConsumerLoop();
   void ProcessBatch(const ReportBatch& batch);
+  /// Validates one decoded row, strips it when it matches a registered
+  /// spot-check dummy, and otherwise appends it to kept_. Returns false
+  /// for an invalid row.
+  bool KeepRow(const ldp::LdpReport& report, uint64_t tag, bool fold);
   /// Writes the open group (if any) as one RoundDelta and starts a new
   /// one. A failed round's group is dropped: the round is abandoned.
   void FlushGroup();
@@ -383,18 +400,17 @@ class PartitionWorker {
   bool durability_degraded_ = false;
   std::string durability_warning_;
   std::atomic<bool> degraded_flag_{false};
-  /// Shadow of the supports the store has seen — only maintained for
-  /// non-value-equality oracles with a store, where group deltas come
-  /// from diffing the counter's counts instead of a kept-row histogram.
-  bool track_support_shadow_ = false;
+  /// Shadow of the supports the store has seen (with a store only):
+  /// each group's sparse delta is the diff of the counter's counts
+  /// against it.
   std::vector<uint64_t> persisted_supports_;
   // The open group-commit group (with a store only): tallies and batch
-  // range in group_, the in-slice value histogram (value-equality
-  // oracles) and consumed dummies folded across its batches.
+  // range in group_, consumed dummies folded across its batches.
   uint64_t group_batches_ = 0;
   RoundDelta group_;
-  std::map<uint64_t, uint64_t> group_histogram_;
   std::map<std::pair<uint64_t, uint64_t>, uint64_t> group_dummies_;
+  // The current batch's rows that reach support counting (reused).
+  std::vector<ldp::LdpReport> kept_;
 };
 
 /// Finalize/calibrate step shared by the live drain path, journal

@@ -56,12 +56,6 @@ class ShardedSupportCounter {
   uint64_t range_lo() const { return range_lo_; }
   uint64_t range_hi() const { return range_hi_; }
 
-  /// True when the oracle supports exactly the reported value (GRR-style)
-  /// — the counter takes its histogram fast path, and the round store's
-  /// delta capture can mirror it (one sparse increment per kept report)
-  /// instead of diffing full snapshots.
-  bool value_equality() const { return value_equality_; }
-
   /// Adds one batch of reports into every shard's partial aggregate,
   /// one task per shard on `pool` (one bulk kernel pass over the whole
   /// range when `pool` is null). Not safe to call concurrently with

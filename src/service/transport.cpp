@@ -1124,23 +1124,6 @@ Result<std::unique_ptr<CollectionServer>> CollectionServer::Start(
     }
   }
   server->ingest_round_ = server->collector_->round_id();
-  if (server->options_.partition_map.mode() == PartitionMode::kByValue &&
-      server->options_.partition_map.partitions() > 1) {
-    // Built once: the kBatch path runs this per ordinal.
-    CollectionServer* s = server.get();
-    server->ordinal_owner_check_ = [s](uint64_t ordinal) -> Status {
-      const uint32_t owner = s->options_.partition_map.OwnerOfOrdinal(ordinal);
-      if (owner != s->options_.partition_id) {
-        return Status::ProtocolViolation(
-            "batch contains ordinal " + std::to_string(ordinal) +
-            " owned by partition " + std::to_string(owner) +
-            ", not this endpoint's " +
-            std::to_string(s->options_.partition_id));
-      }
-      return Status::OK();
-    };
-  }
-
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return Errno("socket");
   int one = 1;
@@ -1468,26 +1451,13 @@ Status CollectionServer::EventLoop::HandleFrameEvent(Conn* c, Frame frame) {
       }
       // Under value partitioning the frame header alone cannot prove
       // routing: every contained ordinal must belong to the owned
-      // slice, or another partition's counts are silently wrong. The
-      // check runs inline with the decode scan (one pass).
+      // slice, or another partition's counts are silently wrong.
       SHUFFLEDP_ASSIGN_OR_RETURN(
-          std::vector<uint64_t> parsed,
-          ldp::ParseOrdinalsValidated(server_->oracle_, ordinal_bytes,
-                                      ordinal_len,
-                                      server_->ordinal_owner_check_));
-      auto ordinals =
-          std::make_shared<std::vector<uint64_t>>(std::move(parsed));
-      ReportBatch batch;
-      batch.count = ordinals->size();
-      const ldp::ScalarFrequencyOracle* oracle = &server_->oracle_;
-      batch.decode = [ordinals, oracle](uint64_t i) -> Result<DecodedRow> {
-        DecodedRow row;
-        auto rep = oracle->UnpackOrdinal((*ordinals)[i]);
-        if (!rep.ok()) return row;  // padding ordinal: drop, don't abort
-        row.report = *rep;
-        row.valid = true;
-        return row;
-      };
+          std::vector<uint64_t> ordinals,
+          ldp::ParseOrdinals(server_->oracle_, ordinal_bytes, ordinal_len));
+      SHUFFLEDP_RETURN_NOT_OK(server_->options_.partition_map.AdmitOrdinals(
+          server_->options_.partition_id, ordinals));
+      ReportBatch batch = MakeOrdinalBatch(std::move(ordinals));
       // Round check, index gate, and Offer are one atomic step under
       // the ingest gate: checking first and offering later would let
       // another connection's kFinish slip its close sentinel in between
@@ -1741,10 +1711,9 @@ CollectorClient::~CollectorClient() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-Status CollectorClient::WriteFrame(const Frame& frame) {
-  Frame stamped = frame;
-  stamped.partition = partition_;
-  return WriteFrameTo(fd_, stamped,
+Status CollectorClient::WriteFrame(Frame frame) {
+  frame.partition = partition_;
+  return WriteFrameTo(fd_, frame,
                       DeadlineTimer::After(options_.write_timeout_ms), port_,
                       peer_);
 }
@@ -1846,7 +1815,7 @@ Status CollectorClient::SendOrdinals(
   frame.type = FrameType::kBatch;
   frame.round_id = round_id;
   frame.payload = ldp::SerializeOrdinals(oracle, ordinals);
-  return WriteFrame(frame);
+  return WriteFrame(std::move(frame));
 }
 
 Status CollectorClient::SendOrdinals(
@@ -1865,12 +1834,8 @@ Status CollectorClient::SendOrdinals(
   Frame frame;
   frame.type = FrameType::kBatchIndexed;
   frame.round_id = round_id;
-  Bytes reports = ldp::SerializeOrdinals(oracle, ordinals);
-  ByteWriter w(reports.size() + 10);
-  w.PutVarint(batch_index);
-  w.PutBytes(reports);
-  frame.payload = w.Release();
-  return WriteFrame(frame);
+  frame.payload = ldp::SerializeIndexedOrdinals(oracle, batch_index, ordinals);
+  return WriteFrame(std::move(frame));
 }
 
 Status CollectorClient::SendReports(

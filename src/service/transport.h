@@ -119,7 +119,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -452,10 +451,6 @@ class CollectionServer {
   std::atomic<uint64_t> stat_protocol_errors_{0};
   std::atomic<uint64_t> stat_frames_{0};
   std::atomic<uint64_t> stat_deduped_{0};
-  // Per-ordinal slice-ownership predicate for kByValue maps (built once
-  // at Start; null otherwise) — the kBatch ingest path runs it inline
-  // with the decode scan, so it must not be rebuilt per frame.
-  std::function<Status(uint64_t)> ordinal_owner_check_;
   int listen_fd_ = -1;
 
   // The readiness loops (fixed at Start; loop 0 owns the listening
@@ -605,7 +600,7 @@ class CollectorClient {
                   const CollectorClientOptions& options)
       : fd_(fd), port_(port), peer_(std::move(peer)), options_(options) {}
 
-  Status WriteFrame(const Frame& frame);
+  Status WriteFrame(Frame frame);
   Result<Frame> ReadFrame();
 
   int fd_ = -1;

@@ -27,7 +27,8 @@ uint32_t XxHash32(const void* data, size_t len, uint32_t seed);
 /// `data[0..len)`. Guards the transport frames, WAL records and round
 /// store segments in src/service/ against torn writes and corruption;
 /// matches zlib's crc32() so payloads can be cross-checked with
-/// standard tooling.
+/// standard tooling. Computed slicing-by-8 (eight bytes per table step);
+/// tests/util/hash_test compares it with the byte-at-a-time definition.
 /// `seed` chains incremental computations (pass the previous return
 /// value); 0 starts a fresh checksum.
 uint32_t Crc32(const void* data, size_t len, uint32_t seed = 0);

@@ -4,12 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
 #include "ldp/grr.h"
 #include "ldp/local_hash.h"
 #include "service/partition.h"
+#include "util/bytes.h"
 #include "util/rng.h"
 
 namespace shuffledp {
@@ -81,6 +83,138 @@ TEST(PartitionMap, RoutePreservesTheMultisetAndMergeInverts) {
       // Whole batch to batch_index % P, everything else empty.
       EXPECT_EQ(groups[3].size(), ordinals.size());
     }
+  }
+}
+
+// The owner formula as first written: invert floor(d·p/P) with one
+// division, correct by at most one boundary step; padding (and every
+// kByClient ordinal) spreads by residue. The lookup, Route's scatter and
+// the endpoint's admission check must all agree with it.
+uint32_t ReferenceOwner(PartitionMode mode, uint64_t d, uint32_t partitions,
+                        uint64_t ordinal) {
+  if (partitions <= 1) return 0;
+  if (mode == PartitionMode::kByValue && ordinal < d) {
+    uint64_t p = ordinal * partitions / d;
+    while (ordinal < d * p / partitions) --p;
+    while (ordinal >= d * (p + 1) / partitions) ++p;
+    return static_cast<uint32_t>(p);
+  }
+  return static_cast<uint32_t>(ordinal % partitions);
+}
+
+// A by-value map over d values with `bits`-bit ordinals, built from its
+// handshake bytes so d = 1 needs no oracle.
+PartitionMap ByValueMap(uint64_t d, unsigned bits, uint32_t partitions) {
+  ByteWriter w;
+  w.PutU8(static_cast<uint8_t>(PartitionMode::kByValue));
+  w.PutVarint(partitions);
+  w.PutVarint(d);
+  w.PutU8(static_cast<uint8_t>(bits));
+  auto map = ParsePartitionMap(w.Release());
+  EXPECT_TRUE(map.ok()) << map.status().ToString();
+  return map.ok() ? *map : PartitionMap();
+}
+
+void ExpectOwnersMatchReference(const PartitionMap& map,
+                                const std::vector<uint64_t>& ordinals) {
+  const uint64_t d = map.domain_size();
+  const uint32_t partitions = map.partitions();
+  for (uint64_t ordinal : ordinals) {
+    const uint32_t owner =
+        ReferenceOwner(map.mode(), d, partitions, ordinal);
+    ASSERT_EQ(map.OwnerOfOrdinal(ordinal), owner)
+        << map.ToString() << " ordinal " << ordinal;
+    ASSERT_TRUE(map.AdmitOrdinals(owner, {ordinal}).ok())
+        << map.ToString() << " ordinal " << ordinal;
+    if (partitions > 1 && map.mode() == PartitionMode::kByValue) {
+      const Status refused =
+          map.AdmitOrdinals((owner + 1) % partitions, {ordinal});
+      ASSERT_EQ(refused.code(), StatusCode::kProtocolViolation)
+          << map.ToString() << " ordinal " << ordinal;
+    }
+  }
+  // Route scatters in order, every group at its exact size, each group
+  // admitted by its own endpoint.
+  const std::vector<std::vector<uint64_t>> groups = map.Route(0, ordinals);
+  ASSERT_EQ(groups.size(), partitions);
+  std::vector<std::vector<uint64_t>> expected(partitions);
+  for (uint64_t ordinal : ordinals) {
+    expected[ReferenceOwner(map.mode(), d, partitions, ordinal)].push_back(
+        ordinal);
+  }
+  for (uint32_t p = 0; p < partitions; ++p) {
+    ASSERT_EQ(groups[p], expected[p]) << map.ToString() << " p=" << p;
+    EXPECT_EQ(groups[p].capacity(), groups[p].size())
+        << map.ToString() << " p=" << p;
+    EXPECT_TRUE(map.AdmitOrdinals(p, groups[p]).ok()) << map.ToString();
+  }
+}
+
+TEST(PartitionMap, OwnerLookupMatchesTheDivisionReference) {
+  std::vector<uint64_t> domains;
+  for (uint64_t d = 1; d <= 64; ++d) domains.push_back(d);
+  for (uint64_t d : {100, 915, 1000, 1024, 1025}) domains.push_back(d);
+  for (uint64_t d : domains) {
+    unsigned bits = 1;
+    while ((uint64_t{1} << bits) < d) ++bits;
+    std::vector<uint64_t> every;  // the whole ordinal space, padding too
+    for (uint64_t o = 0; o < (uint64_t{1} << bits); ++o) every.push_back(o);
+    std::vector<uint32_t> counts;
+    for (uint32_t p = 1; p <= std::min<uint64_t>(d, 17); ++p) {
+      counts.push_back(p);
+    }
+    counts.push_back(static_cast<uint32_t>(d));
+    for (uint32_t partitions : counts) {
+      ExpectOwnersMatchReference(ByValueMap(d, bits, partitions), every);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(PartitionMap, OwnerLookupMatchesTheReferenceAtSliceEdges) {
+  constexpr uint64_t kDomain = 100000;  // 17-bit ordinals
+  for (uint32_t partitions = 1; partitions <= 17; ++partitions) {
+    const PartitionMap map = ByValueMap(kDomain, 17, partitions);
+    std::vector<uint64_t> edges = {0, 1, kDomain - 1, kDomain, kDomain + 1,
+                                   (uint64_t{1} << 17) - 1};
+    for (uint32_t p = 1; p < partitions; ++p) {
+      const uint64_t lo = map.SliceOf(p).lo;
+      edges.insert(edges.end(), {lo - 1, lo, lo + 1});
+    }
+    ExpectOwnersMatchReference(map, edges);
+  }
+  // The u16 wire field caps P below d here; at P = 65535 every slice is
+  // one or two values wide, so every ordinal sits at a slice edge.
+  std::vector<uint64_t> every;
+  for (uint64_t o = 0; o < (uint64_t{1} << 17); ++o) every.push_back(o);
+  ExpectOwnersMatchReference(ByValueMap(kDomain, 17, 0xFFFF), every);
+}
+
+TEST(PartitionMap, ByClientOwnershipIsResidueAndAdmitsEverything) {
+  ldp::LocalHash solh(2.0, 64, 16, "SOLH");
+  auto map = PartitionMap::Create(solh, PartitionMode::kByClient, 5);
+  ASSERT_TRUE(map.ok());
+  std::vector<uint64_t> ordinals;
+  for (uint64_t o = 0; o < 300; ++o) ordinals.push_back(o * 0x9E3779B9ULL);
+  for (uint64_t o : ordinals) {
+    EXPECT_EQ(map->OwnerOfOrdinal(o), o % 5);
+  }
+  for (uint32_t p = 0; p < 5; ++p) {
+    EXPECT_TRUE(map->AdmitOrdinals(p, ordinals).ok());
+  }
+}
+
+// The map a Create builds and the one its handshake bytes parse to look
+// ordinals up alike.
+TEST(PartitionMap, ParsedMapLooksUpLikeTheCreatedOne) {
+  ldp::Grr grr(2.0, 1000);
+  auto created = PartitionMap::Create(grr, PartitionMode::kByValue, 7);
+  ASSERT_TRUE(created.ok());
+  auto parsed = ParsePartitionMap(SerializePartitionMap(*created));
+  ASSERT_TRUE(parsed.ok());
+  ASSERT_EQ(*parsed, *created);
+  for (uint64_t o = 0; o < 1024; ++o) {
+    ASSERT_EQ(parsed->OwnerOfOrdinal(o), created->OwnerOfOrdinal(o));
   }
 }
 

@@ -12,14 +12,22 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstring>
+#include <filesystem>
+#include <memory>
+#include <string>
+#include <system_error>
 #include <vector>
 
 #include "core/shuffle_dp.h"
 #include "ldp/grr.h"
+#include "ldp/local_hash.h"
 #include "service/streaming_collector.h"
 #include "shuffle/peos.h"
 #include "shuffle/sequential_shuffle.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace shuffledp {
@@ -116,6 +124,99 @@ TEST(StreamingDeterminism, PeosCollectAcrossPoolSizes) {
       << "PEOS estimates differ between 1 and 4 threads";
   EXPECT_TRUE(BitwiseEqual(runs[0], runs[2]))
       << "PEOS estimates differ between 1 and 16 threads";
+}
+
+// The per-row closure shape ordinal batches used to travel in (and the
+// in-process reference of the benchmark still builds): one UnpackOrdinal
+// per row behind a decode closure, padding dropped as invalid.
+ReportBatch ClosureOrdinalBatch(const ldp::ScalarFrequencyOracle& oracle,
+                                std::vector<uint64_t> batch) {
+  auto ordinals = std::make_shared<std::vector<uint64_t>>(std::move(batch));
+  ReportBatch report_batch;
+  report_batch.count = ordinals->size();
+  report_batch.decode = [ordinals, &oracle](uint64_t i) -> Result<DecodedRow> {
+    DecodedRow row;
+    auto rep = oracle.UnpackOrdinal((*ordinals)[i]);
+    if (!rep.ok()) return row;
+    row.report = *rep;
+    row.valid = true;
+    return row;
+  };
+  return report_batch;
+}
+
+// One round of uniform ordinals over the padded space (padding hits
+// included) plus one registered tag-0 dummy planted in batch 2.
+Result<RoundResult> RunOrdinalRound(
+    const ldp::ScalarFrequencyOracle& oracle, const StreamingOptions& options,
+    bool closures) {
+  StreamingCollector collector(oracle, options);
+  Rng dummy_rng(99);
+  const ldp::LdpReport dummy = oracle.Encode(3, &dummy_rng);
+  collector.ExpectDummy(dummy, 0);
+  const unsigned bits = oracle.PackedBits();
+  for (uint64_t b = 0; b < 6; ++b) {
+    Rng rng(0xBA7C4 + b);
+    std::vector<uint64_t> ordinals;
+    for (int i = 0; i < 200; ++i) {
+      ordinals.push_back(rng.UniformU64(uint64_t{1} << bits));
+    }
+    if (b == 2) ordinals.push_back(oracle.PackOrdinal(dummy));
+    SHUFFLEDP_RETURN_NOT_OK(collector.Offer(
+        closures ? ClosureOrdinalBatch(oracle, std::move(ordinals))
+                 : MakeOrdinalBatch(std::move(ordinals))));
+  }
+  return collector.FinishRound(1200, 300, Calibration::kOrdinal);
+}
+
+void ExpectSameRound(const RoundResult& got, const RoundResult& want) {
+  EXPECT_EQ(got.supports, want.supports);
+  EXPECT_TRUE(BitwiseEqual(got.estimates, want.estimates));
+  EXPECT_EQ(got.reports_decoded, want.reports_decoded);
+  EXPECT_EQ(got.reports_invalid, want.reports_invalid);
+  EXPECT_EQ(got.dummies_recognized, want.dummies_recognized);
+  EXPECT_EQ(got.dummies_expected, want.dummies_expected);
+  EXPECT_EQ(got.spot_check_passed, want.spot_check_passed);
+}
+
+// MakeOrdinalBatch's single pass and the per-row closure give bitwise the
+// same round, pooled or serial, with or without a round store.
+TEST(StreamingDeterminism, OrdinalBatchMatchesThePerRowClosure) {
+  ldp::Grr grr(2.0, 100);                // 7-bit ordinals: 28 padding values
+  ldp::LocalHash olh(2.0, 64, 6, "OLH");  // values 6 and 7 are padding
+  ThreadPool pool(3);
+  for (const ldp::ScalarFrequencyOracle* oracle :
+       {static_cast<const ldp::ScalarFrequencyOracle*>(&grr),
+        static_cast<const ldp::ScalarFrequencyOracle*>(&olh)}) {
+    SCOPED_TRACE(oracle->Name());
+    StreamingOptions options;
+    options.pool = &pool;
+    auto want = RunOrdinalRound(*oracle, options, /*closures=*/true);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_GT(want->reports_invalid, 0u);  // padding hits were dropped
+    EXPECT_EQ(want->dummies_recognized, 1u);
+    EXPECT_TRUE(want->spot_check_passed);
+
+    auto pooled = RunOrdinalRound(*oracle, options, /*closures=*/false);
+    ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
+    ExpectSameRound(*pooled, *want);
+
+    StreamingOptions serial;
+    auto got = RunOrdinalRound(*oracle, serial, /*closures=*/false);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectSameRound(*got, *want);
+
+    StreamingOptions durable;
+    durable.round_store.dir = ::testing::TempDir() + "ordinal_batch_" +
+                              oracle->Name() + "_" +
+                              std::to_string(::getpid());
+    std::error_code ec;
+    std::filesystem::remove_all(durable.round_store.dir, ec);
+    got = RunOrdinalRound(*oracle, durable, /*closures=*/false);
+    std::filesystem::remove_all(durable.round_store.dir, ec);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectSameRound(*got, *want);
+  }
 }
 
 TEST(StreamingDeterminism, CollectStreamingAcrossPoolSizesAndRepeats) {
