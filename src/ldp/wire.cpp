@@ -66,7 +66,7 @@ Bytes WriteOrdinals(const ScalarFrequencyOracle& oracle, bool indexed,
     case 5: PutOrdinalsBigEndian<5>(in, count, p); break;
     case 6: PutOrdinalsBigEndian<6>(in, count, p); break;
     case 7: PutOrdinalsBigEndian<7>(in, count, p); break;
-    default: PutOrdinalsBigEndian<8>(in, count, p); break;
+    case 8: PutOrdinalsBigEndian<8>(in, count, p); break;
   }
   return out;
 }
@@ -116,7 +116,7 @@ Result<std::vector<uint64_t>> ParseOrdinals(
     case 5: seen = GetOrdinalsBigEndian<5>(in, count, dst); break;
     case 6: seen = GetOrdinalsBigEndian<6>(in, count, dst); break;
     case 7: seen = GetOrdinalsBigEndian<7>(in, count, dst); break;
-    default: seen = GetOrdinalsBigEndian<8>(in, count, dst); break;
+    case 8: seen = GetOrdinalsBigEndian<8>(in, count, dst); break;
   }
   // The width rounds PackedBits up to whole bytes; bits smuggled into
   // the rounding slack are rejected, padding-region ordinals are not.
