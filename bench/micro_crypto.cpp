@@ -484,6 +484,36 @@ void BM_Paillier_DecryptPackedBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_Paillier_DecryptPackedBatch)->Unit(benchmark::kMillisecond);
 
+void BM_Paillier_DecryptPackedBatch_Ragged(benchmark::State& state) {
+  // One PEOS server batch at the perfbench peos-eos layout (4096 rows,
+  // ell 35, slot 38): the prepare stage slices it into cap * 8-row
+  // chunks, so it ends in a ragged 144-row chunk (5.5 groups at cap 26).
+  // Serial, so the ragged chunk's cost shows in full.
+  auto& f = Paillier();
+  const unsigned ell = 35, slot_bits = 38;
+  const uint64_t mask = (uint64_t{1} << ell) - 1;
+  const size_t rows = 4096;
+  const size_t chunk = f.kp.priv.PackedSlotCapacity(slot_bits) *
+                       MontgomeryCtx::kMaxBatchLanes;
+  std::vector<PaillierCiphertext> cs(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    cs[i] = f.pool->EncryptFastU64((0x9E3779B97F4A7C15ULL * i) & mask,
+                                   &Srng());
+  }
+  std::vector<uint64_t> out(rows);
+  for (auto _ : state) {
+    for (size_t lo = 0; lo < rows; lo += chunk) {
+      benchmark::DoNotOptimize(f.kp.priv.DecryptPackedMod2EllBatch(
+          cs.data() + lo, std::min(chunk, rows - lo), slot_bits, ell,
+          out.data() + lo));
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(rows));
+}
+BENCHMARK(BM_Paillier_DecryptPackedBatch_Ragged)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_P256_ScalarBaseMult(benchmark::State& state) {
   Scalar256 k = P256::RandomScalar(&Srng());
   for (auto _ : state) {

@@ -1,5 +1,6 @@
 #include "crypto/paillier.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace shuffledp {
@@ -133,19 +134,6 @@ PaillierCiphertext PaillierPublicKey::ScalarMult(const PaillierCiphertext& c,
 
 PaillierCiphertext PaillierPublicKey::TrivialEncrypt(const BigInt& m) const {
   return PaillierCiphertext{GToM(m < n_ ? m : m.Mod(n_))};
-}
-
-void PaillierPublicKey::ToMontCiphertext(
-    const PaillierCiphertext& c, uint64_t* out,
-    MontgomeryCtx::Scratch* scratch) const {
-  assert(n2_ctx_ != nullptr);
-  n2_ctx_->ToMontInto(c.value, out, scratch);
-}
-
-PaillierCiphertext PaillierPublicKey::FromMontCiphertext(
-    const uint64_t* limbs, MontgomeryCtx::Scratch* scratch) const {
-  assert(n2_ctx_ != nullptr);
-  return PaillierCiphertext{n2_ctx_->FromMontLimbs(limbs, scratch)};
 }
 
 void PaillierPublicKey::AddPlainMontInto(
@@ -364,75 +352,88 @@ Status PaillierPrivateKey::DecryptPackedMod2EllBatch(
       return Status::CryptoError("Paillier: ciphertext out of range");
     }
   }
+  // Balanced pack groups: the fewest groups that fit the capacity,
+  // rounded up to whole lane blocks, each taking floor(count / groups) or
+  // ceil(count / groups) consecutive rows (the first count % groups get
+  // the extra row). Every Horner chain and CRT modexp then runs as a full
+  // kMaxBatchLanes block; a lane with fewer rows than the deepest is
+  // topped with the ciphertext 1 = Enc(0; 1), whose slots are zero, and a
+  // lane with no rows is padding that never writes `out`. The layout is a
+  // function of (count, capacity) alone, and every kernel returns
+  // canonical values, so each slot equals per-row DecryptMod2Ell.
+  constexpr size_t kLanes = MontgomeryCtx::kMaxBatchLanes;
   const size_t cap = PackedSlotCapacity(slot_bits);
-  const size_t nfull = count / cap;
-  const size_t tail = count - nfull * cap;
+  const size_t min_groups = (count + cap - 1) / cap;
+  const size_t groups = (min_groups + kLanes - 1) / kLanes * kLanes;
+  const size_t base = count / groups;
+  const size_t extra = count % groups;
+  const size_t depth = base + (extra > 0 ? 1 : 0);
+  auto group_start = [&](size_t g) { return g * base + std::min(g, extra); };
+  auto group_rows = [&](size_t g) { return base + (g < extra ? 1 : 0); };
 
-  if (nfull > 0) {
-    // One Horner chain per capacity-sized group, up to kMaxBatchLanes
-    // chains interleaved: the squarings/multiplies that dominate a
-    // packed decryption, and the secret-exponent CRT modexps behind
-    // them, all run as batch-kernel lanes. Group boundaries are the
-    // same multiples of the capacity the scalar loop would use, and
-    // every kernel returns canonical values, so the recovered slots are
-    // bitwise identical to per-group DecryptPackedMod2Ell calls.
-    std::vector<BigInt> mps(nfull), mqs(nfull);
-    auto halves = [&](const MontgomeryCtx& ctx, const BigInt& prime,
-                      const BigInt& prime_minus_1, const BigInt& h,
-                      std::vector<BigInt>* outs) {
-      const size_t n = ctx.limbs();
-      constexpr size_t kLanes = MontgomeryCtx::kMaxBatchLanes;
-      MontgomeryCtx::Scratch scratch(ctx);
-      std::vector<uint64_t> accv(kLanes * n), civ(kLanes * n);
-      std::vector<uint64_t> one(n, 0);
-      one[0] = 1;
-      uint64_t* acc[kLanes];
-      uint64_t* ci[kLanes];
-      const BigInt* vs[kLanes];
+  const BigInt one(1);
+  std::vector<BigInt> mps(groups), mqs(groups);
+  auto halves = [&](const MontgomeryCtx& ctx, const BigInt& prime,
+                    const BigInt& prime_minus_1, const BigInt& h,
+                    std::vector<BigInt>* outs) {
+    const size_t n = ctx.limbs();
+    MontgomeryCtx::Scratch scratch(ctx);
+    scratch.EnsureLanes(ctx, kLanes);
+    std::vector<uint64_t> accv(kLanes * n), civ(kLanes * n);
+    std::vector<uint64_t> one_plain(n, 0);
+    one_plain[0] = 1;
+    uint64_t* acc[kLanes];
+    uint64_t* ci[kLanes];
+    const uint64_t* ones[kLanes];
+    const BigInt* vs[kLanes];
+    for (size_t l = 0; l < kLanes; ++l) {
+      acc[l] = accv.data() + l * n;
+      ci[l] = civ.data() + l * n;
+      ones[l] = one_plain.data();
+    }
+    for (size_t g0 = 0; g0 < groups; g0 += kLanes) {
+      auto load = [&](size_t pos) {
+        for (size_t l = 0; l < kLanes; ++l) {
+          vs[l] = pos < group_rows(g0 + l)
+                      ? &cs[group_start(g0 + l) + pos].value
+                      : &one;
+        }
+      };
+      // Horner over the block, slot i of each group at bit offset
+      // slot_bits * i: the squarings/multiplies that dominate a packed
+      // decryption run as interleaved lanes.
+      load(depth - 1);
+      ctx.ToMontManyInto(kLanes, vs, acc, &scratch);
+      for (size_t pos = depth - 1; pos-- > 0;) {
+        for (unsigned b = 0; b < slot_bits; ++b) {
+          ctx.SqrManyInto(kLanes, acc, acc, &scratch);
+        }
+        load(pos);
+        ctx.ToMontManyInto(kLanes, vs, ci, &scratch);
+        ctx.MulManyInto(kLanes, acc, ci, acc, &scratch);
+      }
+      // c^(m-1) with the shared secret exponent on the ct ladder; exit
+      // the domain through the ct multiply by plain one.
+      ctx.CtModExpManyInto(kLanes, acc, prime_minus_1, 0, acc, &scratch);
+      ctx.CtMulManyInto(kLanes, acc, ones, acc, &scratch);
       for (size_t l = 0; l < kLanes; ++l) {
-        acc[l] = accv.data() + l * n;
-        ci[l] = civ.data() + l * n;
-      }
-      for (size_t g0 = 0; g0 < nfull; g0 += kLanes) {
-        const size_t kb = std::min(kLanes, nfull - g0);
-        for (size_t l = 0; l < kb; ++l) {
-          vs[l] = &cs[(g0 + l) * cap + cap - 1].value;
-        }
-        ctx.ToMontManyInto(kb, vs, acc, &scratch);
-        for (size_t pos = cap - 1; pos-- > 0;) {
-          for (unsigned b = 0; b < slot_bits; ++b) {
-            ctx.SqrManyInto(kb, acc, acc, &scratch);
-          }
-          for (size_t l = 0; l < kb; ++l) {
-            vs[l] = &cs[(g0 + l) * cap + pos].value;
-          }
-          ctx.ToMontManyInto(kb, vs, ci, &scratch);
-          ctx.MulManyInto(kb, acc, ci, acc, &scratch);
-        }
-        // c^(m-1) with the shared secret exponent, kb ct lanes at once;
-        // exit the domain through the ct multiply-by-one.
-        ctx.CtModExpManyInto(kb, acc, prime_minus_1, 0, acc, &scratch);
-        for (size_t l = 0; l < kb; ++l) {
-          ctx.CtMulInto(acc[l], one.data(), acc[l], &scratch);
-          std::vector<uint64_t> limbs(acc[l], acc[l] + n);
-          BigInt cx = BigInt::FromLimbsLittleEndian(std::move(limbs));
-          (*outs)[g0 + l] = LFunction(cx, prime).ModMul(h, prime);
-        }
-      }
-    };
-    halves(*p2_ctx_, p_, p_minus_1_, hp_, &mps);
-    halves(*q2_ctx_, q_, q_minus_1_, hq_, &mqs);
-    for (size_t g = 0; g < nfull; ++g) {
-      const BigInt packed = CrtCombine(mps[g], mqs[g]);
-      for (size_t i = 0; i < cap; ++i) {
-        out[g * cap + i] =
-            ExtractBits(packed, i * static_cast<size_t>(slot_bits), ell);
+        if (group_rows(g0 + l) == 0) continue;
+        BigInt cx = BigInt::FromLimbsLittleEndian(
+            std::vector<uint64_t>(acc[l], acc[l] + n));
+        (*outs)[g0 + l] = LFunction(cx, prime).ModMul(h, prime);
       }
     }
-  }
-  if (tail > 0) {
-    return DecryptPackedMod2Ell(cs + nfull * cap, tail, slot_bits, ell,
-                                out + nfull * cap);
+  };
+  halves(*p2_ctx_, p_, p_minus_1_, hp_, &mps);
+  halves(*q2_ctx_, q_, q_minus_1_, hq_, &mqs);
+  for (size_t g = 0; g < groups; ++g) {
+    const size_t rows = group_rows(g);
+    if (rows == 0) continue;
+    const BigInt packed = CrtCombine(mps[g], mqs[g]);
+    uint64_t* dst = out + group_start(g);
+    for (size_t i = 0; i < rows; ++i) {
+      dst[i] = ExtractBits(packed, i * static_cast<size_t>(slot_bits), ell);
+    }
   }
   return Status::OK();
 }
@@ -658,6 +659,37 @@ PaillierCiphertext RandomizerPool::EncryptFast(const BigInt& m,
 PaillierCiphertext RandomizerPool::EncryptFastU64(uint64_t m,
                                                   SecureRandom* rng) const {
   return EncryptFast(BigInt(m), rng);
+}
+
+void RandomizerPool::EncryptFastManyU64(size_t k, const uint64_t* ms,
+                                        SecureRandom* rng,
+                                        PaillierCiphertext* out) const {
+  const MontgomeryCtx* ctx = pub_->n2_ctx();
+  if (ctx == nullptr) {
+    for (size_t i = 0; i < k; ++i) out[i] = EncryptFastU64(ms[i], rng);
+    return;
+  }
+  // EncryptFast multiplies the plain-domain 1 + mN by Montgomery-form
+  // masks, which leaves the plain-domain product; RerandomizeMontManyInto
+  // applies the same masks with the same lane-by-lane draws, k lanes wide.
+  const size_t n = ctx->limbs();
+  constexpr size_t kLanes = MontgomeryCtx::kMaxBatchLanes;
+  MontgomeryCtx::Scratch& scratch = TlsScratch(*ctx);
+  std::vector<uint64_t> rows[kLanes];
+  uint64_t* lanes[kLanes];
+  for (size_t done = 0; done < k; done += kLanes) {
+    const size_t kb = std::min(kLanes, k - done);
+    for (size_t l = 0; l < kb; ++l) {
+      const BigInt g = pub_->TrivialEncrypt(BigInt(ms[done + l])).value;
+      rows[l].resize(n);
+      for (size_t i = 0; i < n; ++i) rows[l][i] = g.limb(i);
+      lanes[l] = rows[l].data();
+    }
+    RerandomizeMontManyInto(kb, lanes, rng, &scratch);
+    for (size_t l = 0; l < kb; ++l) {
+      out[done + l].value = BigInt::FromLimbsLittleEndian(std::move(rows[l]));
+    }
+  }
 }
 
 }  // namespace crypto

@@ -107,17 +107,10 @@ class PaillierPublicKey {
   // round: homomorphically add an ell-bit mask adjustment, then re-mask.
   // Keeping the whole column in the Montgomery domain across all rounds
   // turns each round into pure fused CIOS passes — the only to/from-
-  // Montgomery conversions are one per element at chain entry and exit.
-  // All three kernels require n2_ctx() != nullptr (any real key) and
-  // limb buffers of exactly n2_ctx()->limbs() words.
-
-  /// c -> Montgomery form (entry into the resident chain).
-  void ToMontCiphertext(const PaillierCiphertext& c, uint64_t* out,
-                        MontgomeryCtx::Scratch* scratch) const;
-
-  /// Montgomery-form limbs -> canonical ciphertext (chain exit).
-  PaillierCiphertext FromMontCiphertext(const uint64_t* limbs,
-                                        MontgomeryCtx::Scratch* scratch) const;
+  // Montgomery conversions are one per element at chain entry and exit,
+  // which the caller runs on n2_ctx()'s batch kernels. Both methods below
+  // require n2_ctx() != nullptr (any real key) and limb buffers of
+  // exactly n2_ctx()->limbs() words.
 
   /// In-place Montgomery-domain AddPlain: c̃ <- c̃ ⊗ ToMont(g^m), i.e.
   /// Enc(a) (+) m without leaving the domain (two fused CIOS passes:
@@ -185,12 +178,20 @@ class PaillierPrivateKey {
                               unsigned slot_bits, unsigned ell,
                               uint64_t* out) const;
 
-  /// Multi-group DecryptPackedMod2Ell: splits `count` ciphertexts into
-  /// PackedSlotCapacity(slot_bits)-sized groups and runs up to
-  /// MontgomeryCtx::kMaxBatchLanes group Horner chains — and their CRT
-  /// modexps — through the interleaved batch kernels at once. Results
-  /// are bitwise identical to looping DecryptPackedMod2Ell over the
-  /// groups; same preconditions, except count may exceed the capacity.
+  /// Multi-group DecryptPackedMod2Ell over balanced pack groups: `count`
+  /// ciphertexts split into G groups, G the fewest that fit
+  /// PackedSlotCapacity(slot_bits) rounded up to a multiple of
+  /// MontgomeryCtx::kMaxBatchLanes, each of floor(count / G) or
+  /// ceil(count / G) consecutive rows (the first count % G groups take
+  /// the larger size). The group Horner chains and their CRT modexps run
+  /// as full kMaxBatchLanes-wide blocks of the batch kernels; a shorter
+  /// group is topped with the ciphertext 1 (a zero slot), and a group
+  /// with no rows is padding that never writes `out`. The layout depends
+  /// only on `count` and the capacity, never on the worker count or the
+  /// backend. Each slot equals per-row DecryptMod2Ell; same
+  /// preconditions as DecryptPackedMod2Ell, except count may exceed the
+  /// capacity — and an adversarially oversized plaintext corrupts its
+  /// whole balanced group, whose membership shifts with `count`.
   Status DecryptPackedMod2EllBatch(const PaillierCiphertext* cs, size_t count,
                                    unsigned slot_bits, unsigned ell,
                                    uint64_t* out) const;
@@ -284,6 +285,13 @@ class RandomizerPool {
   /// Encrypts without a full-width modexp: (1 + mN) * mask.
   PaillierCiphertext EncryptFast(const BigInt& m, SecureRandom* rng) const;
   PaillierCiphertext EncryptFastU64(uint64_t m, SecureRandom* rng) const;
+
+  /// Lane-blocked EncryptFastU64 over k plaintexts: out[i] encrypts ms[i].
+  /// Draws lane by lane in the scalar order, so the rng sequence and every
+  /// ciphertext are bitwise those of k EncryptFastU64 calls; the mask
+  /// multiplies run through the batch kernels in kMaxBatchLanes blocks.
+  void EncryptFastManyU64(size_t k, const uint64_t* ms, SecureRandom* rng,
+                          PaillierCiphertext* out) const;
 
  private:
   // Writes the Montgomery form of a fresh comb-evaluated h^r mask into

@@ -20,7 +20,7 @@ Grr::Grr(double eps_l, uint64_t d) : eps_l_(eps_l), d_(d) {
 
 Result<LdpReport> Grr::UnpackOrdinal(uint64_t ordinal) const {
   if (ordinal >= d_) {
-    return Status::OutOfRange("GRR ordinal in padding region");
+    return Status::OutOfRange("GRR padding");  // fits the inline buffer
   }
   LdpReport r;
   r.value = static_cast<uint32_t>(ordinal);

@@ -30,7 +30,10 @@ Result<LdpReport> LocalHash::UnpackOrdinal(uint64_t ordinal) const {
                                   ((uint64_t{1} << value_bits_) - 1));
   r.seed = static_cast<uint32_t>(ordinal >> value_bits_);
   if (r.value >= d_prime_) {
-    return Status::OutOfRange("local-hash ordinal in padding region");
+    // Short enough for std::string's inline buffer: padding ordinals are
+    // routine on the PEOS decode path, and a heap-allocated message cost
+    // several times the unpack itself.
+    return Status::OutOfRange("LH padding");
   }
   return r;
 }

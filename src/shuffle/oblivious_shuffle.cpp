@@ -1,8 +1,8 @@
 #include "shuffle/oblivious_shuffle.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
+#include <functional>
 
 #include "util/rng.h"
 
@@ -177,24 +177,45 @@ Status RunEncryptedObliviousShuffle(EosState* state, const EosOptions& opts,
   // division-path multiply per ciphertext) disappears. Bitwise identical
   // to the plain-domain path: the same masks multiply mod N^2 and the
   // same rng draws happen in the same order (paillier_test pins this).
+  // Entry and exit run in kMaxBatchLanes blocks through the batch
+  // kernels and are charged to the shufflers like the rounds.
   // An uninitialized key (no context) keeps the legacy plain path.
   const crypto::MontgomeryCtx* mont_ctx = pub.n2_ctx();
   const size_t limbs = mont_ctx != nullptr ? mont_ctx->limbs() : 0;
+  constexpr size_t kLanes = crypto::MontgomeryCtx::kMaxBatchLanes;
   std::vector<std::vector<uint64_t>> mont_column;
-  if (mont_ctx != nullptr) {
-    mont_column.assign(n, std::vector<uint64_t>(limbs));
-    auto enter = [&](uint64_t lo, uint64_t hi) {
-      crypto::MontgomeryCtx::Scratch scratch(*mont_ctx);
-      for (uint64_t i = lo; i < hi; ++i) {
-        pub.ToMontCiphertext(state->cipher_column[i],
-                             mont_column[i].data(), &scratch);
-      }
-    };
+  // Lane-blocked pass over the column: `body(lo, kb, scratch)` handles
+  // rows [lo, lo + kb), kb <= kLanes; thread-pool chunks are cut at whole
+  // lane blocks, so only the column's last block can be short.
+  auto for_lane_blocks = [&](const std::function<void(
+                                 uint64_t, size_t,
+                                 crypto::MontgomeryCtx::Scratch*)>& body) {
+    uint64_t chunk = n;
     if (opts.thread_pool != nullptr) {
-      opts.thread_pool->ParallelFor(0, n, enter);
-    } else {
-      enter(0, n);
+      const uint64_t chunks = uint64_t{opts.thread_pool->num_threads()} * 4;
+      chunk = ((n + chunks - 1) / chunks + kLanes - 1) / kLanes * kLanes;
     }
+    ForChunks(opts.thread_pool, 0, n, chunk, [&](uint64_t lo, uint64_t hi) {
+      crypto::MontgomeryCtx::Scratch scratch(*mont_ctx);
+      for (uint64_t i = lo; i < hi; i += kLanes) {
+        body(i, static_cast<size_t>(std::min<uint64_t>(kLanes, hi - i)),
+             &scratch);
+      }
+    });
+  };
+  if (mont_ctx != nullptr) {
+    ComputeScope scope(ledger, Role::kShuffler);
+    mont_column.assign(n, std::vector<uint64_t>(limbs));
+    for_lane_blocks([&](uint64_t lo, size_t kb,
+                        crypto::MontgomeryCtx::Scratch* scratch) {
+      const crypto::BigInt* in[kLanes] = {};
+      uint64_t* out[kLanes] = {};
+      for (size_t l = 0; l < kb; ++l) {
+        in[l] = &state->cipher_column[lo + l].value;
+        out[l] = mont_column[lo + l].data();
+      }
+      mont_ctx->ToMontManyInto(kb, in, out, scratch);
+    });
   }
 
   for (const auto& hiders : AllSubsets(r, t)) {
@@ -307,11 +328,16 @@ Status RunEncryptedObliviousShuffle(EosState* state, const EosOptions& opts,
         for (unsigned w = 0; w < workers * 4; ++w) {
           locals.push_back(rng->Fork());
         }
-        std::atomic<size_t> next_local{0};
-        opts.thread_pool->ParallelFor(0, n, [&](uint64_t lo, uint64_t hi) {
-          size_t idx = next_local.fetch_add(1) % locals.size();
-          transform(lo, hi, &locals[idx]);
-        });
+        // ParallelFor's chunking, with the chunk's index (not the order
+        // in which workers happen to start chunks) choosing its rng, so
+        // the column is a function of the worker count alone.
+        const uint64_t chunks =
+            std::max<uint64_t>(1, std::min<uint64_t>(n, locals.size()));
+        const uint64_t chunk = (n + chunks - 1) / chunks;
+        opts.thread_pool->ParallelForChunks(
+            0, n, chunk, [&](uint64_t lo, uint64_t hi) {
+              transform(lo, hi, &locals[lo / chunk]);
+            });
       } else {
         transform(0, n, rng);
       }
@@ -357,21 +383,28 @@ Status RunEncryptedObliviousShuffle(EosState* state, const EosOptions& opts,
     shares->columns = std::move(next);
   }
 
-  // Chain exit: one conversion per element, the only FromMont of the
-  // whole shuffle.
+  // Chain exit, the only FromMont of the whole shuffle: a batch multiply
+  // by plain 1 is a Montgomery reduction and returns the canonical value,
+  // and each limb vector then moves into its ciphertext.
   if (mont_ctx != nullptr) {
-    auto leave = [&](uint64_t lo, uint64_t hi) {
-      crypto::MontgomeryCtx::Scratch scratch(*mont_ctx);
-      for (uint64_t i = lo; i < hi; ++i) {
-        state->cipher_column[i] =
-            pub.FromMontCiphertext(mont_column[i].data(), &scratch);
+    ComputeScope scope(ledger, Role::kShuffler);
+    std::vector<uint64_t> one(limbs, 0);
+    one[0] = 1;
+    for_lane_blocks([&](uint64_t lo, size_t kb,
+                        crypto::MontgomeryCtx::Scratch* scratch) {
+      const uint64_t* ones[kLanes] = {};
+      uint64_t* rows[kLanes] = {};
+      for (size_t l = 0; l < kb; ++l) {
+        ones[l] = one.data();
+        rows[l] = mont_column[lo + l].data();
       }
-    };
-    if (opts.thread_pool != nullptr) {
-      opts.thread_pool->ParallelFor(0, n, leave);
-    } else {
-      leave(0, n);
-    }
+      mont_ctx->MulManyInto(kb, rows, ones, rows, scratch);
+      for (size_t l = 0; l < kb; ++l) {
+        state->cipher_column[lo + l].value =
+            crypto::BigInt::FromLimbsLittleEndian(
+                std::move(mont_column[lo + l]));
+      }
+    });
   }
   return Status::OK();
 }

@@ -55,8 +55,12 @@ Result<PeosResult> RunPeos(const ldp::ScalarFrequencyOracle& oracle,
     if (!kp.ok()) return kp.status();
     server_keys = std::move(kp).value();
   }
+  // The randomizer pool is charged to the shufflers: the EOS re-masks and
+  // their fake-share encryptions are its main use (users draw from it too,
+  // one mask per upload).
   std::unique_ptr<crypto::RandomizerPool> pool;
   if (config.use_randomizer_pool) {
+    ComputeScope scope(&ledger, Role::kShuffler);
     pool = std::make_unique<crypto::RandomizerPool>(
         server_keys.pub, config.randomizer_pool_size, rng,
         config.randomizer_mode, config.pool);
@@ -121,7 +125,8 @@ Result<PeosResult> RunPeos(const ldp::ScalarFrequencyOracle& oracle,
     // shufflers is uniform regardless of what malicious ones pick
     // (Algorithm 1 + §VI-A2 masking argument). Shares are drawn serially
     // from the protocol rng; the Paillier encryptions of shuffler r's
-    // column are independent per row and run on the thread pool.
+    // column are independent per row and run on the thread pool, lane-
+    // blocked through the batch kernels when the randomizer pool is on.
     std::vector<uint64_t> share_r_column(config.fake_reports);
     for (uint64_t k = 0; k < config.fake_reports; ++k) {
       const uint64_t row = n + k;
@@ -141,12 +146,14 @@ Result<PeosResult> RunPeos(const ldp::ScalarFrequencyOracle& oracle,
     Status enc_status = Status::OK();
     auto encrypt_range = [&](uint64_t lo, uint64_t hi, uint64_t seed) {
       crypto::SecureRandom local_sec(seed ^ 0xFA4E5EEDULL);
+      if (pool != nullptr) {
+        pool->EncryptFastManyU64(hi - lo, &share_r_column[lo], &local_sec,
+                                 &state.cipher_column[n + lo]);
+        return;
+      }
       for (uint64_t k = lo; k < hi; ++k) {
         Result<crypto::PaillierCiphertext> c =
-            pool != nullptr
-                ? Result<crypto::PaillierCiphertext>(
-                      pool->EncryptFastU64(share_r_column[k], &local_sec))
-                : server_keys.pub.EncryptU64(share_r_column[k], &local_sec);
+            server_keys.pub.EncryptU64(share_r_column[k], &local_sec);
         if (!c.ok()) {
           std::lock_guard<std::mutex> lock(status_mu);
           enc_status = c.status();
@@ -234,9 +241,10 @@ Result<PeosResult> RunPeos(const ldp::ScalarFrequencyOracle& oracle,
             std::mutex status_mu;
             Status status = Status::OK();
             // One lane-block of pack groups per fixed-size chunk: the
-            // batch decryption splits a chunk into capacity-sized groups
-            // at the same multiples of `group` the scalar path used, and
-            // runs them as interleaved kernel lanes. Boundaries depend
+            // batch decryption splits a chunk into balanced groups (the
+            // fewest that fit the capacity, rounded up to whole 8-lane
+            // blocks), so the batch's ragged last chunk also runs full
+            // kernel blocks instead of a portable tail. Boundaries depend
             // only on the batch slicing, never on the worker count, so
             // the recovered shares — and the estimates — stay bitwise
             // reproducible across SHUFFLEDP_THREADS settings (and across

@@ -458,14 +458,14 @@ TEST_F(PaillierTest, MontResidentRerandomizeChainMatchesPerRoundPath) {
     SecureRandom mont_rng(uint64_t{4242});
     MontgomeryCtx::Scratch scratch(*ctx);
     std::vector<uint64_t> resident(ctx->limbs());
-    kp_->pub.ToMontCiphertext(*start, resident.data(), &scratch);
+    ctx->ToMontInto(start->value, resident.data(), &scratch);
     for (int round = 0; round < kRounds; ++round) {
       const uint64_t adjust = 0x9E37 + static_cast<uint64_t>(round);
       kp_->pub.AddPlainMontInto(resident.data(), BigInt(adjust), &scratch);
       pool.RerandomizeMontInto(resident.data(), &mont_rng, &scratch);
     }
     PaillierCiphertext mont =
-        kp_->pub.FromMontCiphertext(resident.data(), &scratch);
+        PaillierCiphertext{ctx->FromMontLimbs(resident.data(), &scratch)};
 
     EXPECT_EQ(mont.value, plain.value)
         << "mode=" << static_cast<int>(mode);  // bitwise, not just Dec-equal
@@ -475,42 +475,136 @@ TEST_F(PaillierTest, MontResidentRerandomizeChainMatchesPerRoundPath) {
   }
 }
 
-// Multi-group batched packed decryption against the one-group-at-a-time
-// scalar entry point: results must be bitwise identical for counts that
-// exercise full lane blocks, ragged lane tails, and a sub-capacity tail
-// group, on every available Montgomery backend.
-TEST_F(PaillierTest, DecryptPackedBatchBitwiseEqualsScalarLoop) {
-  SecureRandom data_rng(uint64_t{5150});
-  const unsigned ell = 16;
-  const unsigned slot_bits = ell + 3;
+// EOS-adjusted ciphertexts at full slot headroom: each row starts as a
+// pooled encryption of an ell-bit share and takes `rounds` more ell-bit
+// AddPlain + Rerandomize steps (the PEOS server's input). Every third row
+// carries the largest integer the EOS invariant allows, (rounds + 1) *
+// (2^ell - 1), and every seventh the largest the slot holds,
+// 2^slot_bits - 1.
+std::vector<PaillierCiphertext> EosAdjustedColumn(const PaillierPublicKey& pub,
+                                                  size_t count, unsigned ell,
+                                                  unsigned rounds,
+                                                  unsigned slot_bits,
+                                                  SecureRandom* rng) {
   const uint64_t mask = (uint64_t{1} << ell) - 1;
-  const size_t cap = kp_->priv.PackedSlotCapacity(slot_bits);
-  ASSERT_GE(cap, 2u);
-  // 11 full groups (one full 8-lane block + 3-lane tail) + partial group.
-  const size_t count = 11 * cap + cap / 2;
+  RandomizerPool pool(pub, 8, rng);
   std::vector<PaillierCiphertext> cs(count);
   for (size_t i = 0; i < count; ++i) {
-    auto c = kp_->pub.EncryptU64(data_rng.NextU64() & mask, rng_);
-    ASSERT_TRUE(c.ok());
-    cs[i] = std::move(c).value();
+    const bool top = i % 3 == 0;
+    uint64_t sum = top ? mask : rng->NextU64() & mask;
+    cs[i] = pool.EncryptFastU64(sum, rng);
+    for (unsigned r = 0; r < rounds; ++r) {
+      const uint64_t adj = top ? mask : rng->NextU64() & mask;
+      sum += adj;
+      cs[i] = pool.Rerandomize(pub.AddPlain(cs[i], BigInt(adj)), rng);
+    }
+    if (i % 7 == 0) {
+      const uint64_t fill = ((uint64_t{1} << slot_bits) - 1) - sum;
+      cs[i] = pool.Rerandomize(pub.AddPlain(cs[i], BigInt(fill)), rng);
+    }
   }
-  // Scalar reference: one group per call.
-  std::vector<uint64_t> want(count);
-  for (size_t at = 0; at < count; at += cap) {
-    const size_t g = std::min(cap, count - at);
-    ASSERT_TRUE(kp_->priv
-                    .DecryptPackedMod2Ell(cs.data() + at, g, slot_bits, ell,
-                                          want.data() + at)
-                    .ok());
-  }
+  return cs;
+}
+
+// Checks DecryptPackedMod2EllBatch on cs[0, count) for every count in
+// `counts`, on every Montgomery backend, against `want` (per-row
+// DecryptMod2Ell), and that the word past out[count - 1] is never written.
+void ExpectPackedBatchMatchesPerRow(const PaillierPrivateKey& priv,
+                                    const std::vector<PaillierCiphertext>& cs,
+                                    const std::vector<uint64_t>& want,
+                                    unsigned slot_bits, unsigned ell,
+                                    const std::vector<size_t>& counts) {
+  constexpr uint64_t kCanary = 0xC0FFEE0DDBA11ULL;
   for (MontBackend backend : AvailableMontBackends()) {
     ScopedMontBackend scoped(backend);
-    std::vector<uint64_t> got(count, ~uint64_t{0});
-    Status st = kp_->priv.DecryptPackedMod2EllBatch(cs.data(), count,
-                                                    slot_bits, ell,
-                                                    got.data());
-    ASSERT_TRUE(st.ok()) << MontBackendName(backend);
-    EXPECT_EQ(got, want) << MontBackendName(backend);
+    for (size_t count : counts) {
+      SCOPED_TRACE(std::string(MontBackendName(backend)) + " count " +
+                   std::to_string(count));
+      ASSERT_LE(count, cs.size());
+      std::vector<uint64_t> got(count + 1, ~uint64_t{0});
+      got[count] = kCanary;
+      ASSERT_TRUE(priv.DecryptPackedMod2EllBatch(cs.data(), count, slot_bits,
+                                                 ell, got.data())
+                      .ok());
+      EXPECT_EQ(got[count], kCanary);
+      got.pop_back();
+      EXPECT_EQ(got, std::vector<uint64_t>(want.begin(),
+                                           want.begin() + count));
+    }
+  }
+}
+
+// Multi-group batched packed decryption against per-row DecryptMod2Ell:
+// one group, sub-block and ragged group counts, full lane blocks, and the
+// PEOS server's prepare-stage slicing of a 4096-row batch at its
+// production layout (1024-bit N, ell 35, slot 38), on every available
+// Montgomery backend.
+TEST_F(PaillierTest, DecryptPackedBatchBitwiseEqualsScalarLoop) {
+  {
+    const unsigned ell = 16, rounds = 3, slot_bits = ell + 3;
+    const size_t cap = kp_->priv.PackedSlotCapacity(slot_bits);
+    ASSERT_GE(cap, 2u);
+    const std::vector<size_t> counts = {
+        1, 5, 8, 9, cap - 1, cap, cap + 1, 8 * cap - 1, 8 * cap, 8 * cap + 1,
+        9 * cap + cap / 2};
+    SecureRandom data_rng(uint64_t{5150});
+    const std::vector<PaillierCiphertext> cs = EosAdjustedColumn(
+        kp_->pub, 9 * cap + cap / 2, ell, rounds, slot_bits, &data_rng);
+    std::vector<uint64_t> want(cs.size());
+    for (size_t i = 0; i < cs.size(); ++i) {
+      auto m = kp_->priv.DecryptMod2Ell(cs[i], ell);
+      ASSERT_TRUE(m.ok());
+      want[i] = *m;
+    }
+    ExpectPackedBatchMatchesPerRow(kp_->priv, cs, want, slot_bits, ell,
+                                   counts);
+  }
+  {
+    // The perfbench peos-eos shape: 4096 rows sliced into chunks of
+    // cap * kMaxBatchLanes rows, the last one ragged (144 = 5.5 groups).
+    SecureRandom key_rng(uint64_t{20200804});
+    auto kp = PaillierGenerateKeyPair(1024, &key_rng);
+    ASSERT_TRUE(kp.ok());
+    const unsigned ell = 35, rounds = 3, slot_bits = 38;
+    const size_t cap = kp->priv.PackedSlotCapacity(slot_bits);
+    ASSERT_EQ(cap, 26u);
+    const size_t rows = 4096, chunk = cap * MontgomeryCtx::kMaxBatchLanes;
+    const std::vector<PaillierCiphertext> cs =
+        EosAdjustedColumn(kp->pub, rows, ell, rounds, slot_bits, &key_rng);
+    // Reference: per-row DecryptMod2Ell on the ragged last chunk, where
+    // the layout departs from whole capacity-sized groups; the full
+    // chunks keep that layout, so one-group DecryptPackedMod2Ell calls
+    // (pinned against per-row decryption above) cover them at a fraction
+    // of 4096 full decryptions.
+    const size_t last = rows - rows % chunk;
+    std::vector<uint64_t> want(rows);
+    for (size_t at = 0; at < last; at += cap) {
+      ASSERT_TRUE(kp->priv
+                      .DecryptPackedMod2Ell(cs.data() + at, cap, slot_bits,
+                                            ell, want.data() + at)
+                      .ok());
+    }
+    for (size_t i = last; i < rows; ++i) {
+      auto m = kp->priv.DecryptMod2Ell(cs[i], ell);
+      ASSERT_TRUE(m.ok());
+      want[i] = *m;
+    }
+    for (MontBackend backend : AvailableMontBackends()) {
+      ScopedMontBackend scoped(backend);
+      std::vector<uint64_t> got(rows + 1, ~uint64_t{0});
+      got[rows] = 0xC0FFEE0DDBA11ULL;
+      for (size_t lo = 0; lo < rows; lo += chunk) {
+        const size_t count = std::min(chunk, rows - lo);
+        ASSERT_TRUE(kp->priv
+                        .DecryptPackedMod2EllBatch(cs.data() + lo, count,
+                                                   slot_bits, ell,
+                                                   got.data() + lo)
+                        .ok());
+      }
+      EXPECT_EQ(got[rows], 0xC0FFEE0DDBA11ULL) << MontBackendName(backend);
+      got.pop_back();
+      EXPECT_EQ(got, want) << MontBackendName(backend);
+    }
   }
 }
 
@@ -532,7 +626,7 @@ TEST_F(PaillierTest, RerandomizeMontManyBitwiseEqualsScalarSeeded) {
         auto c = kp_->pub.EncryptU64(1000 + l, rng_);
         ASSERT_TRUE(c.ok());
         batch[l].resize(n);
-        kp_->pub.ToMontCiphertext(*c, batch[l].data(), &scratch);
+        ctx->ToMontInto(c->value, batch[l].data(), &scratch);
         scalar[l] = batch[l];
       }
       SecureRandom rng_batch(uint64_t{31 + k});
@@ -549,10 +643,40 @@ TEST_F(PaillierTest, RerandomizeMontManyBitwiseEqualsScalarSeeded) {
             << " lane=" << l;
         // Still decrypts to the original plaintext.
         auto back = kp_->priv.Decrypt(
-            kp_->pub.FromMontCiphertext(batch[l].data(), &scratch));
+            PaillierCiphertext{ctx->FromMontLimbs(batch[l].data(), &scratch)});
         ASSERT_TRUE(back.ok());
         EXPECT_EQ(back->ToU64Saturating(), 1000 + l);
       }
+    }
+  }
+}
+
+// Lane-blocked fake-share encryption against k scalar EncryptFastU64
+// calls from an identically seeded rng, for both pool modes: every
+// ciphertext and the rng state afterwards must be bitwise equal.
+TEST_F(PaillierTest, EncryptFastManyBitwiseEqualsScalarSeeded) {
+  for (RandomizerPool::Mode mode :
+       {RandomizerPool::Mode::kPairwise, RandomizerPool::Mode::kFixedBase}) {
+    SecureRandom pool_rng(uint64_t{909});
+    RandomizerPool pool(kp_->pub, 8, &pool_rng, mode);
+    for (size_t k : {1u, 5u, 8u, 13u}) {
+      std::vector<uint64_t> ms(k);
+      for (size_t l = 0; l < k; ++l) ms[l] = (0x9E3779B97F4A7C15ULL * l) >> 29;
+      SecureRandom rng_batch(uint64_t{71 + k});
+      SecureRandom rng_scalar(uint64_t{71 + k});
+      std::vector<PaillierCiphertext> batch(k);
+      pool.EncryptFastManyU64(k, ms.data(), &rng_batch, batch.data());
+      for (size_t l = 0; l < k; ++l) {
+        SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(mode)) +
+                     " k=" + std::to_string(k) + " lane=" +
+                     std::to_string(l));
+        EXPECT_EQ(batch[l].value,
+                  pool.EncryptFastU64(ms[l], &rng_scalar).value);
+        auto back = kp_->priv.Decrypt(batch[l]);
+        ASSERT_TRUE(back.ok());
+        EXPECT_EQ(*back, BigInt(ms[l]));
+      }
+      EXPECT_EQ(rng_batch.NextU64(), rng_scalar.NextU64());
     }
   }
 }
@@ -575,7 +699,7 @@ TEST_F(PaillierTest, AddPlainMontManyBitwiseEqualsScalar) {
     auto c = kp_->pub.EncryptU64(l * 7, rng_);
     ASSERT_TRUE(c.ok());
     batch[l].resize(n);
-    kp_->pub.ToMontCiphertext(*c, batch[l].data(), &scratch);
+    ctx->ToMontInto(c->value, batch[l].data(), &scratch);
     scalar[l] = batch[l];
   }
   std::vector<uint64_t*> rows(k);
@@ -585,7 +709,7 @@ TEST_F(PaillierTest, AddPlainMontManyBitwiseEqualsScalar) {
     kp_->pub.AddPlainMontInto(scalar[l].data(), ms[l], &scratch);
     EXPECT_EQ(batch[l], scalar[l]) << "lane=" << l;
     auto back = kp_->priv.Decrypt(
-        kp_->pub.FromMontCiphertext(batch[l].data(), &scratch));
+        PaillierCiphertext{ctx->FromMontLimbs(batch[l].data(), &scratch)});
     ASSERT_TRUE(back.ok());
     EXPECT_EQ(*back, BigInt(l * 7).Add(ms[l]).Mod(kp_->pub.n()));
   }

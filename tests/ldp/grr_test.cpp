@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "ldp/estimator.h"
 #include "util/stats.h"
@@ -61,6 +62,20 @@ TEST(GrrTest, ValidateRejectsOutOfRange) {
   LdpReport bad;
   bad.value = 7;
   EXPECT_EQ(grr.ValidateReport(bad).code(), StatusCode::kOutOfRange);
+}
+
+// d = 6 pads its ordinal space to 8: ordinals 6 and 7 decode to nothing.
+// The message must fit std::string's inline buffer (no heap allocation
+// per dropped padding row on the PEOS decode path).
+TEST(GrrTest, PaddingOrdinalIsOutOfRange) {
+  Grr grr(1.0, 6);
+  for (uint64_t ordinal : {6u, 7u}) {
+    auto rep = grr.UnpackOrdinal(ordinal);
+    ASSERT_FALSE(rep.ok());
+    EXPECT_EQ(rep.status().code(), StatusCode::kOutOfRange);
+    EXPECT_LE(rep.status().message().size(), std::string().capacity());
+  }
+  EXPECT_TRUE(grr.UnpackOrdinal(5).ok());
 }
 
 TEST(GrrTest, FakeReportsAreUniform) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "dp/amplification.h"
 #include "ldp/estimator.h"
@@ -21,6 +22,22 @@ TEST(LocalHashTest, ReportAlwaysInHashRange) {
     auto r = lh.Encode(static_cast<uint64_t>(i % 1000), &rng);
     EXPECT_LT(r.value, 16u);
   }
+}
+
+// d' = 5 pads the hash-value field to 3 bits: values 5..7 decode to
+// nothing, whatever the seed bits above them. The message must fit
+// std::string's inline buffer (no heap allocation per dropped padding
+// row on the PEOS decode path).
+TEST(LocalHashTest, PaddingOrdinalIsOutOfRange) {
+  LocalHash lh(1.0, 64, 5);
+  for (uint64_t value : {5u, 6u, 7u}) {
+    const uint64_t ordinal = (uint64_t{12345} << 3) | value;
+    auto rep = lh.UnpackOrdinal(ordinal);
+    ASSERT_FALSE(rep.ok());
+    EXPECT_EQ(rep.status().code(), StatusCode::kOutOfRange);
+    EXPECT_LE(rep.status().message().size(), std::string().capacity());
+  }
+  EXPECT_TRUE(lh.UnpackOrdinal((uint64_t{12345} << 3) | 4).ok());
 }
 
 TEST(LocalHashTest, SupportsOwnValueWithProbabilityP) {

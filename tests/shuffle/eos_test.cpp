@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "crypto/paillier.h"
 #include "crypto/secret_sharing.h"
 #include "shuffle/oblivious_shuffle.h"
+#include "tests/crypto/mont_backends.h"
+#include "util/hash.h"
+#include "util/thread_pool.h"
 
 namespace shuffledp {
 namespace shuffle {
@@ -170,6 +174,64 @@ TEST_F(EosTest, RejectsBadConfigurations) {
   short_cipher.cipher_column.pop_back();
   EXPECT_FALSE(
       RunEncryptedObliviousShuffle(&short_cipher, opts, rng_, &ledger).ok());
+}
+
+// Pins the final ciphertext column of one EOS run at a ragged n (not a
+// multiple of the 8-lane block, nor of any worker chunking), for both pool
+// modes, without a thread pool and with 1 and 4 workers, on every
+// Montgomery backend. The column is the observable output of the
+// Montgomery-resident chain (entry, per-round AddPlain + re-mask, exit);
+// any representation change in it must leave these bytes alone.
+TEST_F(EosTest, FinalCipherColumnPinnedAcrossModesWorkersAndBackends) {
+  const size_t n = 1003;
+  const uint32_t r = 3;
+  const unsigned ell = 16;
+  const crypto::RandomizerPool::Mode modes[] = {
+      crypto::RandomizerPool::Mode::kPairwise,
+      crypto::RandomizerPool::Mode::kFixedBase};
+  // [mode][no pool, 1 worker, 4 workers]
+  const uint64_t kExpect[2][3] = {
+      {0x7f5b63639e694d6fULL, 0xfd58cd88c2c2d6b4ULL, 0xfefb673a23344921ULL},
+      {0x3e95a3f5fe0539baULL, 0x016f93c038237146ULL, 0x023c21c38c3b111fULL},
+  };
+  ThreadPool one(1), four(4);
+  ThreadPool* const fanouts[] = {nullptr, &one, &four};
+  for (crypto::MontBackend backend : crypto::AvailableMontBackends()) {
+    crypto::ScopedMontBackend scoped(backend);
+    for (size_t m = 0; m < 2; ++m) {
+      for (size_t w = 0; w < 3; ++w) {
+        SCOPED_TRACE(std::string(crypto::MontBackendName(backend)) +
+                     " mode " + std::to_string(m) + " fanout " +
+                     std::to_string(w));
+        crypto::SecureRandom rng(uint64_t{9000 + m});
+        crypto::RandomizerPool pool(keys_->pub, 8, &rng, modes[m]);
+        EosState state;
+        state.plain.ell = ell;
+        state.plain.columns.assign(r, std::vector<uint64_t>(n, 0));
+        state.cipher_column.resize(n);
+        state.e_holder = r - 1;
+        for (size_t i = 0; i < n; ++i) {
+          auto shares = crypto::SplitShares2Ell(i * 37, r + 1, ell, &rng);
+          for (uint32_t j = 0; j < r; ++j) {
+            state.plain.columns[j][i] = shares[j];
+          }
+          state.cipher_column[i] = pool.EncryptFastU64(shares[r], &rng);
+        }
+        EosOptions opts;
+        opts.public_key = &keys_->pub;
+        opts.pool = &pool;
+        opts.thread_pool = fanouts[w];
+        ASSERT_TRUE(
+            RunEncryptedObliviousShuffle(&state, opts, &rng, nullptr).ok());
+        uint64_t h = 0;
+        for (const auto& c : state.cipher_column) {
+          const Bytes b = keys_->pub.SerializeCiphertext(c);
+          h = XxHash64(b.data(), b.size(), h);
+        }
+        EXPECT_EQ(h, kExpect[m][w]);
+      }
+    }
+  }
 }
 
 TEST_F(EosTest, CommunicationIncludesCiphertextTraffic) {
