@@ -42,20 +42,18 @@ Result<shuffle::PeosResult> ShuffleDpCollector::Collect(
 }
 
 Status ShuffleDpCollector::StreamEncodedBatches(
-    const std::vector<uint64_t>& values, Rng* rng, uint64_t skip_batches,
+    const std::vector<uint64_t>& values, Rng* rng,
     const std::function<Status(std::vector<uint64_t>&&)>& sink) const {
   const uint64_t n = values.size();
   const size_t batch_size = std::max<size_t>(1, options_.streaming.batch_size);
   const unsigned bits = oracle_->PackedBits();
-  uint64_t batch_index = 0;
 
   // User reports: encoded batch by batch on the producer side while the
   // consumer counts earlier batches. Seeds derive from the batch start
   // index, so the stream is reproducible for any pool size — and any
-  // batch suffix can be replayed verbatim after a crash (skip_batches).
+  // batch can be replayed verbatim after a crash.
   const uint64_t base_seed = rng->NextU64();
-  for (uint64_t lo = 0; lo < n; lo += batch_size, ++batch_index) {
-    if (batch_index < skip_batches) continue;
+  for (uint64_t lo = 0; lo < n; lo += batch_size) {
     const uint64_t hi = std::min<uint64_t>(n, lo + batch_size);
     Rng batch_rng(base_seed ^ (lo * 0x9E3779B97F4A7C15ULL));
     std::vector<uint64_t> ordinals;
@@ -70,8 +68,7 @@ Status ShuffleDpCollector::StreamEncodedBatches(
   // Fake blanket: n_r uniform ordinals, decoded through the same path the
   // PEOS server uses (padding ordinals drop as invalid rows).
   const uint64_t fake_seed = rng->NextU64();
-  for (uint64_t lo = 0; lo < plan_.n_r; lo += batch_size, ++batch_index) {
-    if (batch_index < skip_batches) continue;
+  for (uint64_t lo = 0; lo < plan_.n_r; lo += batch_size) {
     const uint64_t hi = std::min<uint64_t>(plan_.n_r, lo + batch_size);
     Rng batch_rng(fake_seed ^ (lo * 0x9E3779B97F4A7C15ULL + 1));
     std::vector<uint64_t> ordinals;
@@ -97,37 +94,11 @@ Result<service::RoundResult> ShuffleDpCollector::CollectStreaming(
   service::StreamingCollector collector(*oracle_, stream_opts);
 
   SHUFFLEDP_RETURN_NOT_OK(StreamEncodedBatches(
-      values, rng, /*skip_batches=*/0,
-      [&collector](std::vector<uint64_t>&& batch) {
+      values, rng, [&collector](std::vector<uint64_t>&& batch) {
         return collector.Offer(service::MakeOrdinalBatch(std::move(batch)));
       }));
 
   return collector.FinishRound(n, plan_.n_r, service::Calibration::kOrdinal);
-}
-
-Result<service::RemoteRoundResult> ShuffleDpCollector::CollectRemote(
-    const std::vector<uint64_t>& values, Rng* rng,
-    service::CollectorClient* client, uint64_t round_id,
-    uint64_t skip_batches) const {
-  const uint64_t n = values.size();
-  if (n == 0) return Status::InvalidArgument("CollectRemote: empty dataset");
-  if (client == nullptr) {
-    return Status::InvalidArgument("CollectRemote: null client");
-  }
-
-  // Same deterministic producer as CollectStreaming, but each batch ships
-  // to the endpoint as a kBatch frame instead of an in-process Offer —
-  // which is why the loopback e2e can demand bitwise-identical estimates
-  // from the two paths.
-  const ldp::ScalarFrequencyOracle* oracle_ptr = oracle_.get();
-  SHUFFLEDP_RETURN_NOT_OK(StreamEncodedBatches(
-      values, rng, skip_batches,
-      [client, oracle_ptr, round_id](std::vector<uint64_t>&& batch) {
-        return client->SendOrdinals(round_id, *oracle_ptr, batch);
-      }));
-
-  return client->FinishRound(round_id, n, plan_.n_r,
-                             service::Calibration::kOrdinal);
 }
 
 Result<service::RoundResult> ShuffleDpCollector::CollectDistributed(
@@ -143,13 +114,13 @@ Result<service::RoundResult> ShuffleDpCollector::CollectDistributed(
         "CollectDistributed: null routing client or coordinator");
   }
 
-  // Same deterministic producer as CollectStreaming/CollectRemote; the
-  // routing client fans each batch across the owning endpoints (and
-  // honors per-endpoint replay floors for crash recovery). skip_batches
-  // stays 0 here: skipping is per endpoint, not per producer batch.
+  // Same deterministic producer as CollectStreaming, but each batch
+  // ships through the routing client instead of an in-process Offer —
+  // which is why the loopback e2e can demand bitwise-identical estimates
+  // from the two paths.
   uint64_t batch_index = 0;
   SHUFFLEDP_RETURN_NOT_OK(StreamEncodedBatches(
-      values, rng, /*skip_batches=*/0,
+      values, rng,
       [routing, round_id, &batch_index](std::vector<uint64_t>&& batch) {
         return routing->SendBatch(round_id, batch_index++, batch);
       }));

@@ -26,7 +26,6 @@
 #include "ldp/frequency_oracle.h"
 #include "service/coordinator.h"
 #include "service/streaming_collector.h"
-#include "service/transport.h"
 #include "shuffle/peos.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -87,46 +86,31 @@ class ShuffleDpCollector {
       const std::vector<uint64_t>& values, Rng* rng) const;
 
   /// Networked variant of CollectStreaming: the same deterministic
-  /// producer encodes the users' reports plus the plan's fake blanket,
-  /// but every batch ships to a remote collection endpoint
-  /// (service::CollectionServer) through `client` as a kBatch frame for
-  /// `round_id`, and the round closes with a kFinish frame. Because the
-  /// endpoint feeds the identical StreamingCollector pipeline, estimates
-  /// are bitwise identical to CollectStreaming under the same `rng` seed.
-  /// `skip_batches` resumes a crash-recovered round: batches below the
-  /// endpoint's consumed-batch watermark are not resent.
-  Result<service::RemoteRoundResult> CollectRemote(
-      const std::vector<uint64_t>& values, Rng* rng,
-      service::CollectorClient* client, uint64_t round_id,
-      uint64_t skip_batches = 0) const;
-
-  /// Partition-aware variant of CollectRemote: the same deterministic
   /// producer, but every batch fans out across a fleet of partitioned
-  /// endpoints through `routing` (one kBatch frame per endpoint per
-  /// producer batch — the slice of ordinals it owns), and the round
+  /// endpoints through `routing` (one kBatchIndexed frame per endpoint
+  /// per producer batch — the slice of ordinals it owns), and the round
   /// closes through `coordinator`, which gathers raw per-partition
   /// supports, merges them in partition order, and calibrates the merged
   /// vector. Because integer supports compose losslessly and the
   /// calibration runs once over the merged population, the result is
   /// bitwise identical to single-node CollectStreaming under the same
-  /// `rng` seed — for any partition count and either partition mode.
-  /// Per-endpoint replay floors set on `routing` (SetSkipBatches) make
-  /// single-endpoint crash recovery exact without re-sending batches the
-  /// surviving endpoints already consumed.
+  /// `rng` seed — for any partition count (a single remote endpoint is
+  /// the 1-partition map) and either partition mode. Each endpoint's
+  /// batch-index gate counts every batch exactly once, so recovery
+  /// replays and a producer re-sending the round from batch 0 are
+  /// absorbed by the endpoints, not tracked here.
   Result<service::RoundResult> CollectDistributed(
       const std::vector<uint64_t>& values, Rng* rng,
       service::PartitionRoutingClient* routing,
       service::MergeCoordinator* coordinator, uint64_t round_id) const;
 
  private:
-  /// Shared producer of CollectStreaming/CollectRemote: slices users +
-  /// fake blanket into batch_size batches of packed ordinals (seeded per
-  /// batch start index, so any suffix replays bit-identically) and hands
-  /// each to `sink`. The first `skip_batches` batches are skipped without
-  /// being encoded — per-batch seeding makes later batches independent of
-  /// them.
+  /// Shared producer of CollectStreaming/CollectDistributed: slices
+  /// users + fake blanket into batch_size batches of packed ordinals
+  /// (seeded per batch start index, so any batch replays bit-identically)
+  /// and hands each to `sink`.
   Status StreamEncodedBatches(
-      const std::vector<uint64_t>& values, Rng* rng, uint64_t skip_batches,
+      const std::vector<uint64_t>& values, Rng* rng,
       const std::function<Status(std::vector<uint64_t>&&)>& sink) const;
   ShuffleDpCollector(PeosPlan plan, uint64_t n, uint64_t domain_size,
                      Options options,

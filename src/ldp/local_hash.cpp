@@ -30,10 +30,12 @@ Result<LdpReport> LocalHash::UnpackOrdinal(uint64_t ordinal) const {
                                   ((uint64_t{1} << value_bits_) - 1));
   r.seed = static_cast<uint32_t>(ordinal >> value_bits_);
   if (r.value >= d_prime_) {
-    // Short enough for std::string's inline buffer: padding ordinals are
-    // routine on the PEOS decode path, and a heap-allocated message cost
-    // several times the unpack itself.
-    return Status::OutOfRange("LH padding");
+    // Padding ordinals are routine on the PEOS decode path, so the
+    // message must fit std::string's inline buffer (no heap allocation).
+    // Its length matters too: GCC copies a 10- or 12-byte inline string
+    // through overlapping partial stores that stall store-to-load
+    // forwarding (~30 ns per padding row); 11 bytes, like GRR's, does not.
+    return Status::OutOfRange("LH: padding");
   }
   return r;
 }

@@ -70,7 +70,6 @@ Result<std::unique_ptr<PartitionRoutingClient>> PartitionRoutingClient::Connect(
       new PartitionRoutingClient(oracle, map, endpoints, options));
   routing->clients_.resize(map.partitions());
   routing->round_ids_.assign(map.partitions(), 0);
-  routing->skip_batches_.assign(map.partitions(), 0);
   routing->replay_log_.resize(map.partitions());
   routing->health_.resize(map.partitions());
   for (uint32_t p = 0; p < map.partitions(); ++p) {
@@ -81,9 +80,6 @@ Result<std::unique_ptr<PartitionRoutingClient>> PartitionRoutingClient::Connect(
 }
 
 Status PartitionRoutingClient::ReconnectPartition(uint32_t p) {
-  if (p >= clients_.size()) {
-    return Status::InvalidArgument("partition index out of range");
-  }
   SHUFFLEDP_ASSIGN_OR_RETURN(
       clients_[p], CollectorClient::Connect(endpoints_[p].host,
                                             endpoints_[p].port,
@@ -109,15 +105,6 @@ RoundHealth PartitionRoutingClient::SnapshotHealth(uint64_t round_id) const {
   return report;
 }
 
-const std::vector<uint64_t>& PartitionRoutingClient::LogRoutedBatch(
-    uint32_t p, uint64_t batch_index, std::vector<uint64_t> owned) {
-  LoggedBatch entry;
-  entry.batch_index = batch_index;
-  entry.ordinals = std::move(owned);
-  replay_log_[p].push_back(std::move(entry));
-  return replay_log_[p].back().ordinals;
-}
-
 Status PartitionRoutingClient::SendRoutedBatch(
     uint32_t p, uint64_t round_id, uint64_t batch_index,
     const std::vector<uint64_t>& owned) {
@@ -140,19 +127,14 @@ Status PartitionRoutingClient::SendBatch(
   std::vector<std::vector<uint64_t>> groups =
       map_.Route(batch_index, ordinals);
   for (uint32_t p = 0; p < map_.partitions(); ++p) {
-    if (batch_index < skip_batches_[p]) continue;  // already consumed
     // Log before sending: a frame that dies on the wire is exactly the
     // one recovery must replay. The log takes the routed group itself
     // (Route sized it exactly) and the frame is encoded from there.
-    const std::vector<uint64_t>& owned =
-        options_.auto_recover
-            ? LogRoutedBatch(p, batch_index, std::move(groups[p]))
-            : groups[p];
+    replay_log_[p].push_back(LoggedBatch{batch_index, std::move(groups[p])});
+    const std::vector<uint64_t>& owned = replay_log_[p].back().ordinals;
     Status sent = SendRoutedBatch(p, round_id, batch_index, owned);
     if (sent.ok()) continue;
-    if (!options_.auto_recover || !IsRetryableTransportError(sent)) {
-      return sent;
-    }
+    if (!IsRetryableTransportError(sent)) return sent;
     health_[p].last_error = sent;
     SHUFFLEDP_RETURN_NOT_OK(
         RecoverPartition(p, round_id, batch_index + 1));
@@ -276,7 +258,6 @@ Result<RoundResult> MergeCoordinator::FinishRound(uint64_t round_id,
                                                   uint64_t n_fake,
                                                   Calibration calibration) {
   const uint32_t partitions = client_->partitions();
-  const bool recover = client_->options().auto_recover;
   const uint32_t budget =
       std::max<uint32_t>(1, client_->options().retry.max_attempts);
 
@@ -305,7 +286,7 @@ Result<RoundResult> MergeCoordinator::FinishRound(uint64_t round_id,
   for (uint32_t p = 0; p < partitions; ++p) {
     Status sent = send_finish(p);
     for (uint32_t cycle = 0; !sent.ok(); ++cycle) {
-      if (!recover || !IsRetryableTransportError(sent) || cycle >= budget) {
+      if (!IsRetryableTransportError(sent) || cycle >= budget) {
         return fail(sent);
       }
       Status recovered = client_->RecoverPartition(p, round_id, kReplayAll);
@@ -333,8 +314,7 @@ Result<RoundResult> MergeCoordinator::FinishRound(uint64_t round_id,
     // endpoint answers a re-finish for an already-closed round from its
     // result stash, so this converges without re-running the round.
     for (uint32_t cycle = 0; !part.ok(); ++cycle) {
-      if (!recover || !IsRetryableTransportError(part.status()) ||
-          cycle >= budget) {
+      if (!IsRetryableTransportError(part.status()) || cycle >= budget) {
         return fail(part.status());
       }
       Status recovered = client_->RecoverPartition(p, round_id, kReplayAll);

@@ -9,13 +9,15 @@
 //       plus the subset of ordinals the endpoint owns (kByValue) or the
 //       whole batch / nothing (kByClient round-robin) — so per-endpoint
 //       batch indices always equal producer batch indices. That
-//       alignment is what crash recovery replays against: an endpoint's
-//       consumed-batch watermark is directly a producer batch index, and
-//       SetSkipBatches() replays any single endpoint's suffix without
-//       re-sending the others'. The explicit index also makes replay
-//       idempotent: the endpoint accepts each index exactly once, so a
-//       replayed batch that races a straggler the replaced connection
-//       still delivers is dropped, not double-counted.
+//       alignment is what crash recovery replays against, and what
+//       makes the endpoint's batch-index gate the one exactly-once
+//       mechanism: an endpoint accepts each index once, drops a stale
+//       index as a duplicate and rejects a skipped one as a lost batch.
+//       So a recovery replay may race stragglers the replaced
+//       connection still delivers, and a restarted producer may simply
+//       re-send the round from batch 0; every endpoint drops what it
+//       already consumed (CollectionServer::stats().batches_deduped)
+//       and nothing is double-counted.
 //
 //   MergeCoordinator  closes the round: it sends kFinish with
 //       Calibration::kNone to every endpoint (pipelined — all sends
@@ -65,14 +67,6 @@ struct RoutingOptions {
   /// Retry budget for the automatic reconnect → handshake → watermark →
   /// replay recovery dance (per failure event, per partition).
   RetryPolicy retry;
-  /// When true (default) the routing client records every routed frame
-  /// for the current round and, on a retryable send/finish failure,
-  /// recovers the endpoint itself: reconnect with backoff, re-handshake,
-  /// query the consumed-batch watermark, and replay the unconsumed
-  /// suffix. When false, failures surface immediately and the caller
-  /// drives ReconnectPartition/SetSkipBatches by hand (the pre-recovery
-  /// behavior; also skips the replay log's memory).
-  bool auto_recover = true;
 };
 
 /// Per-partition liveness/outcome of one round's fleet I/O (ISSUE:
@@ -139,31 +133,18 @@ class PartitionRoutingClient {
   CollectorClient* client(uint32_t p) { return clients_[p].get(); }
 
   /// Routes producer batch `batch_index` and ships one frame per
-  /// endpoint (ordinals it owns; possibly empty). Partitions whose
-  /// skip-batch floor exceeds `batch_index` are skipped — their endpoint
-  /// already consumed that batch before a crash.
+  /// endpoint (ordinals it owns; possibly empty). A batch an endpoint
+  /// already consumed is dropped there by its batch-index gate.
   ///
-  /// With auto_recover on, a retryable transport failure (peer reset,
-  /// refused reconnect, deadline) triggers the recovery dance for that
-  /// partition — reconnect with backoff, re-handshake, query the
-  /// endpoint's consumed-batch watermark, replay the round's unconsumed
-  /// suffix from the replay log — transparently, bounded by the retry
-  /// budget. Only budget exhaustion (or a fatal error: CRC mismatch,
-  /// version skew, partition mismatch) surfaces to the caller.
+  /// A retryable transport failure (peer reset, refused reconnect,
+  /// deadline) triggers the recovery dance for that partition —
+  /// reconnect with backoff, re-handshake, query the endpoint's
+  /// consumed-batch watermark, replay the round's unconsumed suffix from
+  /// the replay log — transparently, bounded by the retry budget. Only
+  /// budget exhaustion (or a fatal error: CRC mismatch, version skew,
+  /// partition mismatch) surfaces to the caller.
   Status SendBatch(uint64_t round_id, uint64_t batch_index,
                    const std::vector<uint64_t>& ordinals);
-
-  /// Replay floor for one endpoint (crash recovery): batches below
-  /// `batches` are not re-sent to partition `p`. Pair with
-  /// ReconnectPartition + QueryWatermark; reset it to 0 after the round.
-  void SetSkipBatches(uint32_t p, uint64_t batches) {
-    skip_batches_[p] = batches;
-  }
-
-  /// Re-dials and re-handshakes one endpoint after it restarted; the
-  /// other connections (and the batches their endpoints already
-  /// consumed) are left untouched.
-  Status ReconnectPartition(uint32_t p);
 
   /// Consumed-batch watermark of endpoint `p` (see
   /// CollectorClient::QueryWatermark; also a flush barrier for this
@@ -182,7 +163,7 @@ class PartitionRoutingClient {
   /// accounting (attempts, recoveries, last error, watermark at death)
   /// accumulates into this round's PartitionHealth.
   /// Public so the coordinator (and tests) can drive it; SendBatch and
-  /// FinishRound call it automatically when auto_recover is on.
+  /// FinishRound call it on every retryable failure.
   Status RecoverPartition(uint32_t p, uint64_t round_id,
                           uint64_t replay_until);
 
@@ -210,14 +191,12 @@ class PartitionRoutingClient {
         endpoints_(std::move(endpoints)),
         options_(std::move(options)) {}
 
+  /// Re-dials and re-handshakes one endpoint (at Connect and in each
+  /// recovery attempt); the other connections are left untouched.
+  Status ReconnectPartition(uint32_t p);
   /// Sends one routed frame to partition `p` without recovery.
   Status SendRoutedBatch(uint32_t p, uint64_t round_id, uint64_t batch_index,
                          const std::vector<uint64_t>& owned);
-  /// Appends to partition `p`'s replay log (auto_recover only) and
-  /// returns the logged ordinals.
-  const std::vector<uint64_t>& LogRoutedBatch(uint32_t p,
-                                              uint64_t batch_index,
-                                              std::vector<uint64_t> owned);
 
   const ldp::ScalarFrequencyOracle& oracle_;
   PartitionMap map_;
@@ -225,7 +204,6 @@ class PartitionRoutingClient {
   RoutingOptions options_;
   std::vector<std::unique_ptr<CollectorClient>> clients_;
   std::vector<uint64_t> round_ids_;
-  std::vector<uint64_t> skip_batches_;
   /// Per-partition routed-frame log for the current round; cleared when
   /// the round id changes (ResetRoundState).
   std::vector<std::vector<LoggedBatch>> replay_log_;
@@ -251,12 +229,12 @@ class MergeCoordinator {
   /// The merged stats keep only the row/batch totals — per-endpoint
   /// timing lives on the endpoints.
   ///
-  /// With the routing client's auto_recover on, a retryable failure
-  /// while closing any partition (send, read, or a connection that died
-  /// between the last batch and the finish) triggers the same recovery
-  /// dance as SendBatch, then re-sends kFinish — the endpoint serves a
-  /// re-finish for an already-closed round from its result stash, so a
-  /// coordinator that crashed mid-read still converges. On budget
+  /// A retryable failure while closing any partition (send, read, or a
+  /// connection that died between the last batch and the finish)
+  /// triggers the same recovery dance as SendBatch, then re-sends
+  /// kFinish — the endpoint serves a re-finish for an already-closed
+  /// round from its result stash, so a coordinator that crashed mid-read
+  /// still converges. On budget
   /// exhaustion the round fails cleanly: the error message embeds the
   /// RoundHealth report and last_round_health() returns it structured.
   Result<RoundResult> FinishRound(uint64_t round_id, uint64_t n,

@@ -12,6 +12,14 @@
 namespace shuffledp {
 namespace service {
 
+namespace {
+
+/// Reports per decode task on the pool. Rows land in the batch's row
+/// vector by index, so results do not depend on it.
+constexpr uint64_t kDecodeChunk = 512;
+
+}  // namespace
+
 std::string StreamingStats::ToString() const {
   char buf[320];
   std::snprintf(buf, sizeof(buf),
@@ -453,7 +461,7 @@ void PartitionWorker::ProcessBatch(const ReportBatch& batch) {
     std::mutex status_mu;
     Status decode_status = Status::OK();
     std::atomic<bool> failed{false};
-    ForChunks(options_.pool, 0, batch.count, options_.decode_chunk,
+    ForChunks(options_.pool, 0, batch.count, kDecodeChunk,
               [&](uint64_t lo, uint64_t hi) {
                 for (uint64_t i = lo; i < hi; ++i) {
                   // Stop burning crypto on rows whose batch already failed.

@@ -155,7 +155,6 @@ struct StreamingOptions {
   /// group-commit WAL record covers.
   size_t queue_capacity = 64;
   uint32_t num_shards = 0;      ///< domain shards; 0 = min(64, slice width)
-  uint64_t decode_chunk = 512;  ///< reports per decode task
   ThreadPool* pool = nullptr;   ///< decode/count fan-out; null = serial
   /// The domain slice this worker owns (default: full domain, 1-of-1).
   PartitionSlice partition;

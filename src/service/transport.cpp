@@ -386,13 +386,17 @@ Bytes EncodeFrame(const Frame& frame) {
 Status FrameDecoder::Feed(const uint8_t* data, size_t len) {
   if (!error_.ok()) return error_;
   buf_.insert(buf_.end(), data, data + len);
-  while (buf_.size() >= kFrameHeaderBytes) {
-    ByteReader r(buf_);
-    Bytes magic = *r.GetBytes(4);
-    if (std::memcmp(magic.data(), kFrameMagic, 4) != 0) {
+  // Parse at a read offset and compact the consumed prefix once per
+  // Feed, so a read that completes many frames moves the torn tail once.
+  size_t pos = 0;
+  while (buf_.size() - pos >= kFrameHeaderBytes) {
+    const uint8_t* head = buf_.data() + pos;
+    if (std::memcmp(head, kFrameMagic, sizeof(kFrameMagic)) != 0) {
       error_ = Status::ProtocolViolation("frame magic mismatch");
       return error_;
     }
+    ByteReader r(head + sizeof(kFrameMagic),
+                 kFrameHeaderBytes - sizeof(kFrameMagic));
     uint8_t version = *r.GetU8();
     if (version != kWireVersion) {
       error_ = Status::ProtocolViolation(
@@ -418,23 +422,24 @@ Status FrameDecoder::Feed(const uint8_t* data, size_t len) {
           " exceeds the " + std::to_string(kMaxFramePayload) + " cap");
       return error_;
     }
-    if (buf_.size() < kFrameHeaderBytes + payload_len) break;  // torn: wait
+    if (buf_.size() - pos < kFrameHeaderBytes + payload_len) break;  // torn
 
     Frame frame;
     frame.type = static_cast<FrameType>(type);
     frame.partition = partition;
     frame.round_id = round_id;
-    frame.payload.assign(buf_.begin() + kFrameHeaderBytes,
-                         buf_.begin() + kFrameHeaderBytes + payload_len);
-    uint32_t crc = Crc32(buf_.data(), kFrameHeaderBytes - 4);
+    frame.payload.assign(head + kFrameHeaderBytes,
+                         head + kFrameHeaderBytes + payload_len);
+    uint32_t crc = Crc32(head, kFrameHeaderBytes - 4);
     crc = Crc32(frame.payload.data(), frame.payload.size(), crc);
     if (crc != expected_crc) {
       error_ = Status::DataLoss("frame CRC mismatch");
       return error_;
     }
-    buf_.erase(buf_.begin(), buf_.begin() + kFrameHeaderBytes + payload_len);
+    pos += kFrameHeaderBytes + payload_len;
     ready_.push_back(std::move(frame));
   }
+  buf_.erase(buf_.begin(), buf_.begin() + pos);
   return Status::OK();
 }
 

@@ -2,9 +2,8 @@
 // schedule — an endpoint killed and restarted mid-round, torn writes on
 // another, jittered delays on a third, a refused reconnect — must
 // produce estimates bitwise equal to a fault-free run with NO manual
-// recovery calls (no ReconnectPartition, no SetSkipBatches): the
-// routing client and coordinator run the reconnect → handshake →
-// watermark → replay dance themselves. And an endpoint that never comes
+// recovery calls: the routing client and coordinator run the
+// reconnect → handshake → watermark → replay dance themselves. And an endpoint that never comes
 // back must fail the round inside its configured budget with a
 // RoundHealth report naming the dead partition.
 

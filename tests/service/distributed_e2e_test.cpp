@@ -164,15 +164,22 @@ std::vector<uint64_t> BatchOrdinals(const ldp::ScalarFrequencyOracle& oracle,
   return ordinals;
 }
 
-TEST(DistributedE2e, KillOneEndpointMidRoundRecoversBitwise) {
+// Kills one endpoint of a `partitions`-endpoint fleet mid-round and
+// restarts it from its round store. The producer then re-sends the whole
+// round from batch 0 through a fresh routing client: each endpoint's
+// batch-index gate drops what it already consumed, so the merged result
+// is bitwise the uninterrupted one. At P = 1 this is the single-endpoint
+// remote round.
+void KillOneEndpointAndReplayFromZero(uint32_t partitions) {
   ldp::Grr grr(2.0, 48);
-  auto map = PartitionMap::Create(grr, PartitionMode::kByValue, 3);
+  auto map = PartitionMap::Create(grr, PartitionMode::kByValue, partitions);
   ASSERT_TRUE(map.ok());
+  const uint32_t victim = partitions / 2;
   const uint64_t kBatches = 60;
   const size_t kBatchSize = 512;
   const uint64_t n = kBatches * kBatchSize;
   const std::string dir =
-      ::testing::TempDir() + "shuffledp_distributed_p1_store";
+      ::testing::TempDir() + "shuffledp_distributed_kill_store";
   ASSERT_EQ(std::system(("rm -rf '" + dir + "'").c_str()), 0);
 
   CollectionServerOptions base;
@@ -195,12 +202,13 @@ TEST(DistributedE2e, KillOneEndpointMidRoundRecoversBitwise) {
     expected = std::move(*result);
   }
 
-  // Interrupted run: partition 1 persists, gets 35 batches, dies.
-  CollectionServerOptions p1_options = base;
-  p1_options.streaming.round_store.dir = dir;
+  // Interrupted run: the victim persists, every endpoint gets 35
+  // batches, the victim dies.
+  CollectionServerOptions victim_options = base;
+  victim_options.streaming.round_store.dir = dir;
   Fleet fleet;
-  for (uint32_t p = 0; p < 3; ++p) {
-    CollectionServerOptions options = p == 1 ? p1_options : base;
+  for (uint32_t p = 0; p < partitions; ++p) {
+    CollectionServerOptions options = p == victim ? victim_options : base;
     options.partition_map = *map;
     options.partition_id = p;
     auto server = CollectionServer::Start(grr, options);
@@ -216,56 +224,58 @@ TEST(DistributedE2e, KillOneEndpointMidRoundRecoversBitwise) {
     ASSERT_TRUE(
         (*routing)->SendBatch(0, b, BatchOrdinals(grr, b, kBatchSize)).ok());
   }
-  // TCP delivery is asynchronous: wait until partition 1 made some
+  // The watermark query is a flush barrier: each survivor has consumed
+  // all kSent batches, so the replay below duplicates every one of them.
+  for (uint32_t p = 0; p < partitions; ++p) {
+    if (p == victim) continue;
+    auto consumed = (*routing)->QueryWatermark(p);
+    ASSERT_TRUE(consumed.ok()) << consumed.status().ToString();
+    ASSERT_EQ(*consumed, kSent);
+  }
+  // TCP delivery is asynchronous: wait until the victim made some
   // batches durable so the "crash" reliably has something to recover
   // from.
   uint64_t durable = 0;
   for (int spin = 0; spin < 2000 && durable == 0; ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    durable = fleet.servers[1]->store()->Query(0)->watermark;
+    durable = fleet.servers[victim]->store()->Query(0)->watermark;
   }
   ASSERT_GT(durable, 0u);
   // Kill exactly one endpoint mid-round. Destroy the object, not just
   // Shutdown(), so nothing keeps draining.
-  fleet.servers[1].reset();
+  fleet.servers[victim].reset();
 
-  // Restart partition 1 with recovery and re-dial only that endpoint.
+  // Restart the victim with recovery.
   {
-    CollectionServerOptions options = p1_options;
+    CollectionServerOptions options = victim_options;
     options.partition_map = *map;
-    options.partition_id = 1;
+    options.partition_id = victim;
     options.recover = true;
     auto server = CollectionServer::Start(grr, options);
     ASSERT_TRUE(server.ok()) << server.status().ToString();
-    fleet.endpoints[1] = {"127.0.0.1", (*server)->port()};
-    fleet.servers[1] = std::move(*server);
+    fleet.endpoints[victim] = {"127.0.0.1", (*server)->port()};
+    fleet.servers[victim] = std::move(*server);
   }
-  auto stored = fleet.servers[1]->store()->LoadAll();
+  auto stored = fleet.servers[victim]->store()->LoadAll();
   ASSERT_TRUE(stored.ok()) << stored.status().ToString();
   ASSERT_EQ(stored->size(), 1u);
   const CheckpointState& live = (*stored)[0].state;
   ASSERT_FALSE((*stored)[0].finalized);
   ASSERT_GT(live.batches_consumed, 0u);
   ASSERT_LE(live.batches_consumed, kSent);
-  EXPECT_EQ(live.partition_index, 1u);
-  EXPECT_EQ(live.partition_count, 3u);
-  // Rebuild the routing client against the updated address: the
-  // surviving endpoints' connections carry no round state (their batches
-  // are already in the collectors), so reconnecting them is safe.
+  EXPECT_EQ(live.partition_index, victim);
+  EXPECT_EQ(live.partition_count, partitions);
+  // A restarted producer: a fresh routing client against the updated
+  // address, re-sending the round from batch 0.
   routing = PartitionRoutingClient::Connect(grr, *map, fleet.endpoints);
   ASSERT_TRUE(routing.ok()) << routing.status().ToString();
 
   uint64_t recovered_round = 99;
-  auto watermark = (*routing)->QueryWatermark(1, &recovered_round);
+  auto watermark = (*routing)->QueryWatermark(victim, &recovered_round);
   ASSERT_TRUE(watermark.ok()) << watermark.status().ToString();
   EXPECT_EQ(*watermark, live.batches_consumed);
   EXPECT_EQ(recovered_round, 0u);
 
-  // Replay: partition 1 resumes at its watermark; the survivors already
-  // consumed batches [0, kSent) and must not see them again.
-  (*routing)->SetSkipBatches(0, kSent);
-  (*routing)->SetSkipBatches(2, kSent);
-  (*routing)->SetSkipBatches(1, *watermark);
   for (uint64_t b = 0; b < kBatches; ++b) {
     ASSERT_TRUE(
         (*routing)->SendBatch(0, b, BatchOrdinals(grr, b, kBatchSize)).ok());
@@ -276,7 +286,23 @@ TEST(DistributedE2e, KillOneEndpointMidRoundRecoversBitwise) {
   EXPECT_EQ(result->supports, expected.supports);
   EXPECT_EQ(result->estimates, expected.estimates);
   EXPECT_EQ(result->reports_decoded, expected.reports_decoded);
+  // Each stale index reached its endpoint twice and was dropped once:
+  // the survivors dropped the kSent batches they had consumed, the
+  // victim the ones its store recovered.
+  for (uint32_t p = 0; p < partitions; ++p) {
+    EXPECT_EQ(fleet.servers[p]->stats().batches_deduped,
+              p == victim ? *watermark : kSent)
+        << "partition " << p;
+  }
   ASSERT_EQ(std::system(("rm -rf '" + dir + "'").c_str()), 0);
+}
+
+TEST(DistributedE2e, KillOneEndpointMidRoundRecoversBitwise) {
+  KillOneEndpointAndReplayFromZero(3);
+}
+
+TEST(DistributedE2e, KillTheOnlyEndpointMidRoundRecoversBitwise) {
+  KillOneEndpointAndReplayFromZero(1);
 }
 
 TEST(DistributedE2e, WrongPartitionTrafficIsRejected) {

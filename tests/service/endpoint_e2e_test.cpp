@@ -14,12 +14,49 @@
 
 #include "core/shuffle_dp.h"
 #include "ldp/grr.h"
+#include "service/coordinator.h"
 #include "service/transport.h"
 #include "util/rng.h"
 
 namespace shuffledp {
 namespace service {
 namespace {
+
+// A single remote endpoint is the 1-partition fleet: the endpoint and
+// the routing client share one PartitionMap (by value for GRR, by client
+// for SOLH) and the round runs through CollectDistributed.
+struct SingleEndpoint {
+  std::unique_ptr<CollectionServer> server;
+  std::unique_ptr<PartitionRoutingClient> routing;
+  std::unique_ptr<MergeCoordinator> coordinator;
+};
+
+SingleEndpoint StartSingleEndpoint(const core::ShuffleDpCollector& collector,
+                                   const StreamingOptions& streaming,
+                                   const std::string& host = "127.0.0.1") {
+  SingleEndpoint endpoint;
+  const PartitionMode mode = collector.plan().use_grr
+                                 ? PartitionMode::kByValue
+                                 : PartitionMode::kByClient;
+  auto map = PartitionMap::Create(collector.oracle(), mode, 1);
+  EXPECT_TRUE(map.ok()) << map.status().ToString();
+  if (!map.ok()) return endpoint;
+  CollectionServerOptions server_options;
+  server_options.streaming = streaming;
+  server_options.partition_map = *map;
+  auto server = CollectionServer::Start(collector.oracle(), server_options);
+  EXPECT_TRUE(server.ok()) << server.status().ToString();
+  if (!server.ok()) return endpoint;
+  endpoint.server = std::move(*server);
+  auto routing = PartitionRoutingClient::Connect(
+      collector.oracle(), *map, {{host, endpoint.server->port()}});
+  EXPECT_TRUE(routing.ok()) << routing.status().ToString();
+  if (!routing.ok()) return endpoint;
+  endpoint.routing = std::move(*routing);
+  endpoint.coordinator = std::make_unique<MergeCoordinator>(
+      collector.oracle(), endpoint.routing.get());
+  return endpoint;
+}
 
 TEST(EndpointE2e, BitwiseIdenticalToInProcessAtScale) {
   const uint64_t n = 120000;  // >= 10^5 per the acceptance bar
@@ -37,18 +74,13 @@ TEST(EndpointE2e, BitwiseIdenticalToInProcessAtScale) {
     values[i] = data_rng.Bernoulli(0.10) ? 0 : 1 + data_rng.UniformU64(d - 1);
   }
 
-  CollectionServerOptions server_options;
-  server_options.streaming = options.streaming;
-  auto server =
-      CollectionServer::Start((*collector)->oracle(), server_options);
-  ASSERT_TRUE(server.ok()) << server.status().ToString();
-  auto client = CollectorClient::Connect("127.0.0.1", (*server)->port());
-  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  SingleEndpoint endpoint = StartSingleEndpoint(**collector, options.streaming);
+  ASSERT_NE(endpoint.coordinator, nullptr);
 
   Rng remote_rng(1234);
-  auto remote = (*collector)->CollectRemote(values, &remote_rng,
-                                            client->get(),
-                                            (*server)->round_id());
+  auto remote = (*collector)->CollectDistributed(
+      values, &remote_rng, endpoint.routing.get(), endpoint.coordinator.get(),
+      endpoint.server->round_id());
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
 
   Rng local_rng(1234);
@@ -75,19 +107,15 @@ TEST(EndpointE2e, SecondRoundOnTheSameEndpointAlsoMatches) {
   Rng data_rng(8);
   for (uint64_t i = 0; i < n; ++i) values[i] = data_rng.UniformU64(d);
 
-  CollectionServerOptions server_options;
-  server_options.streaming = options.streaming;
-  auto server =
-      CollectionServer::Start((*collector)->oracle(), server_options);
-  ASSERT_TRUE(server.ok());
-  auto client = CollectorClient::Connect("localhost", (*server)->port());
-  ASSERT_TRUE(client.ok());
+  SingleEndpoint endpoint =
+      StartSingleEndpoint(**collector, options.streaming, "localhost");
+  ASSERT_NE(endpoint.coordinator, nullptr);
 
   for (uint64_t seed : {11u, 22u}) {
     Rng remote_rng(seed);
-    auto remote = (*collector)->CollectRemote(values, &remote_rng,
-                                              client->get(),
-                                              (*server)->round_id());
+    auto remote = (*collector)->CollectDistributed(
+        values, &remote_rng, endpoint.routing.get(),
+        endpoint.coordinator.get(), endpoint.server->round_id());
     ASSERT_TRUE(remote.ok()) << remote.status().ToString();
     Rng local_rng(seed);
     auto local = (*collector)->CollectStreaming(values, &local_rng);
