@@ -36,7 +36,8 @@
 //        exponent indistinguishability assumption (h^r for r ~ U[0, 2^t)
 //        vs a uniform N-th residue, t = 2*lambda), which is *stronger*
 //        than the DCR assumption plain Paillier needs — hence kFixedBase
-//        is opt-in.
+//        is opt-in: only a caller that constructs a RandomizerPool
+//        directly gets it (RunPeos always builds kPairwise).
 
 #ifndef SHUFFLEDP_CRYPTO_PAILLIER_H_
 #define SHUFFLEDP_CRYPTO_PAILLIER_H_
@@ -171,9 +172,9 @@ class PaillierPrivateKey {
   /// more ell-bit mask adjustment, so slot_bits = ell +
   /// ceil(log2(rounds + 1)) + 1 bounds the integer sum). Tradeoff vs
   /// per-row decryption: a single adversarially oversized plaintext
-  /// corrupts its whole pack group instead of only its own row — callers
-  /// that must isolate hostile plaintexts row-by-row should keep
-  /// DecryptMod2Ell.
+  /// corrupts its whole pack group instead of only its own row — the
+  /// PEOS server decrypts only through this path; callers that must
+  /// isolate hostile plaintexts row-by-row should use DecryptMod2Ell.
   Status DecryptPackedMod2Ell(const PaillierCiphertext* cs, size_t count,
                               unsigned slot_bits, unsigned ell,
                               uint64_t* out) const;

@@ -32,15 +32,6 @@ std::vector<uint64_t> FastSimulateSupports(
   return FastSimulateSupportsAt(probs, value_counts, n, n_fake, all, rng);
 }
 
-std::vector<double> FastSimulateEstimate(
-    const ScalarFrequencyOracle& oracle,
-    const std::vector<uint64_t>& value_counts, uint64_t n, uint64_t n_fake,
-    Rng* rng) {
-  auto supports = FastSimulateSupports(oracle.support_probs(), value_counts,
-                                       n, n_fake, rng);
-  return CalibrateEstimates(oracle, supports, n, n_fake);
-}
-
 std::vector<double> FastSimulateEstimateAt(
     const ScalarFrequencyOracle& oracle,
     const std::vector<uint64_t>& value_counts, uint64_t n, uint64_t n_fake,

@@ -38,14 +38,8 @@ std::vector<uint64_t> FastSimulateSupportsAt(
     uint64_t n, uint64_t n_fake, const std::vector<uint64_t>& eval_values,
     Rng* rng);
 
-/// One-call fast estimate over the full domain: simulate supports, then
+/// Fast estimate at a subset of domain points: simulate supports, then
 /// apply the generalized calibration (see estimator.h).
-std::vector<double> FastSimulateEstimate(
-    const ScalarFrequencyOracle& oracle,
-    const std::vector<uint64_t>& value_counts, uint64_t n, uint64_t n_fake,
-    Rng* rng);
-
-/// Fast estimate at a subset of domain points.
 std::vector<double> FastSimulateEstimateAt(
     const ScalarFrequencyOracle& oracle,
     const std::vector<uint64_t>& value_counts, uint64_t n, uint64_t n_fake,

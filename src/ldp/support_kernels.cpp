@@ -28,8 +28,6 @@
 #include "ldp/support_kernels.h"
 
 #include <cassert>
-#include <cstdlib>
-#include <cstring>
 
 #include "util/cpu_features.h"
 #include "util/hash.h"
@@ -84,16 +82,15 @@ inline uint64_t FinishHash(uint64_t h0, uint64_t k1) {
   return h;
 }
 
-// Explicit SHUFFLEDP_SUPPORT_BACKEND requests read the host's features,
-// so they keep precedence over SHUFFLEDP_FORCE_PORTABLE; automatic
-// selection and SetSupportBackend read the kernel features, which that
-// variable empties.
-bool HasAvx2(const CpuFeatures& f) {
-  return SHUFFLEDP_SUPPORT_AVX2_COMPILED && f.avx2;
+// Both read the kernel features, which SHUFFLEDP_FORCE_PORTABLE=1
+// empties.
+bool HasAvx2() {
+  return SHUFFLEDP_SUPPORT_AVX2_COMPILED && KernelCpuFeatures().avx2;
 }
 
-bool HasAvx512(const CpuFeatures& f) {
+bool HasAvx512() {
   // F for the 512-bit integer base ops, DQ for VPMULLQ.
+  const CpuFeatures& f = KernelCpuFeatures();
   return SHUFFLEDP_SUPPORT_AVX2_COMPILED && f.avx512f && f.avx512dq;
 }
 
@@ -551,32 +548,17 @@ SupportModulus::SupportModulus(uint32_t d_in) {
 }
 
 SupportBackend BestSupportBackend() {
-  if (const char* v = std::getenv("SHUFFLEDP_SUPPORT_BACKEND")) {
-    if (std::strcmp(v, "scalar") == 0) return SupportBackend::kScalar;
-    if (std::strcmp(v, "portable") == 0) return SupportBackend::kPortable;
-    const CpuFeatures& host = HostCpuFeatures();
-    if (std::strcmp(v, "avx2") == 0) {
-      return HasAvx2(host) ? SupportBackend::kAvx2 : SupportBackend::kPortable;
-    }
-    if (std::strcmp(v, "avx512") == 0) {
-      if (HasAvx512(host)) return SupportBackend::kAvx512;
-      return HasAvx2(host) ? SupportBackend::kAvx2 : SupportBackend::kPortable;
-    }
-    // Unrecognized values fall through to auto-detection.
-  }
-  const CpuFeatures& cpu = KernelCpuFeatures();
-  if (HasAvx512(cpu)) return SupportBackend::kAvx512;
-  return HasAvx2(cpu) ? SupportBackend::kAvx2 : SupportBackend::kPortable;
+  if (HasAvx512()) return SupportBackend::kAvx512;
+  return HasAvx2() ? SupportBackend::kAvx2 : SupportBackend::kPortable;
 }
 
 SupportBackend ActiveSupportBackend() { return BackendOverride(); }
 
 SupportBackend SetSupportBackend(SupportBackend backend) {
-  const CpuFeatures& cpu = KernelCpuFeatures();
-  if (backend == SupportBackend::kAvx512 && !HasAvx512(cpu)) {
+  if (backend == SupportBackend::kAvx512 && !HasAvx512()) {
     backend = SupportBackend::kAvx2;
   }
-  if (backend == SupportBackend::kAvx2 && !HasAvx2(cpu)) {
+  if (backend == SupportBackend::kAvx2 && !HasAvx2()) {
     backend = SupportBackend::kPortable;
   }
   BackendOverride() = backend;

@@ -21,9 +21,8 @@
 // All three tiers are bitwise identical to the per-pair scalar reference
 // (kScalar); tests/ldp/support_kernel_test.cpp pins it. Dispatch mirrors
 // the Montgomery batch kernels: auto-detect once,
-// `SHUFFLEDP_FORCE_PORTABLE=1` pins portable,
-// `SHUFFLEDP_SUPPORT_BACKEND=scalar|portable|avx2|avx512` overrides, and
-// SetSupportBackend() is the per-process programmatic switch.
+// `SHUFFLEDP_FORCE_PORTABLE=1` pins portable, and SetSupportBackend() is
+// the per-process programmatic switch (kScalar included).
 
 #ifndef SHUFFLEDP_LDP_SUPPORT_KERNELS_H_
 #define SHUFFLEDP_LDP_SUPPORT_KERNELS_H_
@@ -44,8 +43,8 @@ enum class SupportBackend {
   kAvx512,    ///< 8 × 64-bit lanes, native VPMULLQ/VPROLQ (AVX-512F+DQ)
 };
 
-/// Best backend the host supports. Honors SHUFFLEDP_SUPPORT_BACKEND
-/// (scalar|portable|avx2|avx512) first, then SHUFFLEDP_FORCE_PORTABLE=1.
+/// Best backend the host supports; kPortable under
+/// SHUFFLEDP_FORCE_PORTABLE=1.
 SupportBackend BestSupportBackend();
 
 /// Backend the kernels currently use (defaults to BestSupportBackend()).

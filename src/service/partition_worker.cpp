@@ -209,11 +209,6 @@ Status PartitionWorker::OfferReports(
   return Status::OK();
 }
 
-Status PartitionWorker::OfferIndexed(
-    uint64_t total, std::function<Result<DecodedRow>(uint64_t row)> decode) {
-  return OfferIndexedPrepared(total, nullptr, std::move(decode));
-}
-
 Status PartitionWorker::OfferIndexedPrepared(
     uint64_t total,
     std::function<Status(uint64_t lo, uint64_t hi, ThreadPool* pool)>
@@ -224,11 +219,9 @@ Status PartitionWorker::OfferIndexedPrepared(
     const uint64_t hi = std::min(total, lo + batch_size);
     ReportBatch batch;
     batch.count = hi - lo;
-    if (prepare) {
-      batch.prepare = [prepare, lo, hi](ThreadPool* pool) {
-        return prepare(lo, hi, pool);
-      };
-    }
+    batch.prepare = [prepare, lo, hi](ThreadPool* pool) {
+      return prepare(lo, hi, pool);
+    };
     batch.decode = [decode, lo](uint64_t i) { return decode(lo + i); };
     SHUFFLEDP_RETURN_NOT_OK(Offer(std::move(batch)));
   }

@@ -241,16 +241,13 @@ class PartitionWorker {
   /// Splits pre-decoded reports into batch_size batches and offers them.
   Status OfferReports(const std::vector<ldp::LdpReport>& reports);
 
-  /// Slices rows [0, total) into batch_size batches and offers each;
-  /// `decode` receives the absolute row index and must be safe to call
-  /// concurrently (it is shared across the batches' pool tasks).
-  Status OfferIndexed(uint64_t total,
-                      std::function<Result<DecodedRow>(uint64_t row)> decode);
-
-  /// Like OfferIndexed, but each batch first runs `prepare(lo, hi, pool)`
-  /// once on the consumer thread (absolute row range [lo, hi); the pool
-  /// is the decode fan-out pool, null = serial) before its rows decode —
-  /// the hook for batch-level crypto such as packed AHE decryption.
+  /// Slices rows [0, total) into batch_size batches and offers each.
+  /// Each batch first runs `prepare(lo, hi, pool)` once on the consumer
+  /// thread (absolute row range [lo, hi); the pool is the decode fan-out
+  /// pool, null = serial) before its rows decode — the hook for
+  /// batch-level crypto such as packed AHE decryption. `decode` receives
+  /// the absolute row index and must be safe to call concurrently (it is
+  /// shared across the batches' pool tasks).
   Status OfferIndexedPrepared(
       uint64_t total,
       std::function<Status(uint64_t lo, uint64_t hi, ThreadPool* pool)>

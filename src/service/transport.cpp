@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <ctime>
 #include <unordered_map>
@@ -516,8 +515,8 @@ CollectionServer::CollectionServer(const ldp::ScalarFrequencyOracle& oracle,
                                    CollectionServerOptions options)
     : oracle_(oracle), options_(std::move(options)) {}
 
-// One epoll readiness loop. Every connection is pinned to exactly one
-// loop for its whole life, so connection state (decoder, write queue,
+// The epoll readiness loop. Every connection lives on the loop thread
+// for its whole life, so connection state (decoder, write queue,
 // timers) is single-threaded by construction — cross-thread work
 // arrives only through Post(), and the finisher threads refer to
 // connections by id, never by pointer. Level-triggered epoll keeps the
@@ -540,8 +539,8 @@ class CollectionServer::EventLoop {
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
-  /// Creates the epoll set and wakeup eventfd; `listen_fd` >= 0 makes
-  /// this the accepting loop (loop 0).
+  /// Creates the epoll set and wakeup eventfd and registers the
+  /// listening socket.
   Status Init(int listen_fd) {
     epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
     if (epoll_fd_ < 0) return Errno("epoll_create1");
@@ -553,13 +552,11 @@ class CollectionServer::EventLoop {
     if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, event_fd_, &ev) != 0) {
       return Errno("epoll_ctl(eventfd)");
     }
-    if (listen_fd >= 0) {
-      listen_fd_ = listen_fd;
-      ev.events = EPOLLIN;
-      ev.data.u64 = kListenKey;
-      if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd, &ev) != 0) {
-        return Errno("epoll_ctl(listener)");
-      }
+    listen_fd_ = listen_fd;
+    ev.events = EPOLLIN;
+    ev.data.u64 = kListenKey;
+    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd, &ev) != 0) {
+      return Errno("epoll_ctl(listener)");
     }
     return Status::OK();
   }
@@ -593,16 +590,6 @@ class CollectionServer::EventLoop {
     return true;
   }
 
-  /// Pins an accepted socket to this loop (thread-safe — called from
-  /// the accepting loop). Closed-and-counted when the loop is already
-  /// stopping, so accepted/closed stay balanced through shutdown races.
-  void AdoptSocket(int fd) {
-    if (!Post([this, fd] { RegisterConn(fd); })) {
-      ::close(fd);
-      server_->stat_closed_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
   /// Finisher-thread completion, run as a posted task: deliver the
   /// kFinish reply (or fail the connection) and resume reading.
   void CompleteFinish(uint64_t conn_id, const Status& fail, Frame reply) {
@@ -630,7 +617,7 @@ class CollectionServer::EventLoop {
   }
 
  private:
-  /// Per-connection state, touched only by the owning loop thread.
+  /// Per-connection state, touched only by the loop thread.
   struct Conn {
     uint64_t id = 0;
     int fd = -1;
@@ -722,12 +709,12 @@ class CollectionServer::EventLoop {
       for (TimerWheel::Entry* e : expired) {
         Conn* c = static_cast<Conn*>(e->owner);
         if (c->dead) continue;
-        if (e->kind == kIdleKind) {
-          server_->stat_evicted_idle_.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          server_->stat_evicted_slow_.fetch_add(1, std::memory_order_relaxed);
-        }
+        std::atomic<uint64_t>& evicted = e->kind == kIdleKind
+                                             ? server_->stat_evicted_idle_
+                                             : server_->stat_evicted_slow_;
         CloseConn(c);
+        // Counted after the close it causes; see stats().
+        evicted.fetch_add(1, std::memory_order_release);
       }
       ReapDead();
     }
@@ -768,10 +755,7 @@ class CollectionServer::EventLoop {
         continue;
       }
       server_->stat_accepted_.fetch_add(1, std::memory_order_relaxed);
-      const size_t n = server_->loops_.size();
-      const size_t target =
-          server_->next_loop_.fetch_add(1, std::memory_order_relaxed) % n;
-      server_->loops_[target]->AdoptSocket(fd);
+      RegisterConn(fd);
     }
   }
 
@@ -788,7 +772,7 @@ class CollectionServer::EventLoop {
     ev.data.u64 = conn->id;
     if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
       ::close(fd);
-      server_->stat_closed_.fetch_add(1, std::memory_order_relaxed);
+      server_->stat_closed_.fetch_add(1, std::memory_order_release);
       return;
     }
     conn->registered = true;
@@ -813,7 +797,7 @@ class CollectionServer::EventLoop {
     }
     ::close(c->fd);
     c->fd = -1;
-    server_->stat_closed_.fetch_add(1, std::memory_order_relaxed);
+    server_->stat_closed_.fetch_add(1, std::memory_order_release);
     dead_ids_.push_back(c->id);
   }
 
@@ -961,8 +945,9 @@ class CollectionServer::EventLoop {
       // Drop-slowest: the peer requests replies faster than it drains
       // them. (A single reply into an empty queue is always admitted —
       // the bound meters backlog, not frame size.)
-      server_->stat_evicted_overflow_.fetch_add(1, std::memory_order_relaxed);
       CloseConn(c);
+      // Counted after the close it causes; see stats().
+      server_->stat_evicted_overflow_.fetch_add(1, std::memory_order_release);
       return Status::OK();
     }
     c->out_bytes += wire.size();
@@ -1030,7 +1015,7 @@ class CollectionServer::EventLoop {
   const std::string accept_peer_;
   int epoll_fd_ = -1;
   int event_fd_ = -1;
-  int listen_fd_ = -1;  ///< the accepting loop only
+  int listen_fd_ = -1;
   std::thread thread_;
   TimerWheel wheel_;
   std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns_;
@@ -1175,10 +1160,10 @@ Result<std::unique_ptr<CollectionServer>> CollectionServer::Start(
     ::close(fd);
     return st;
   }
-  // The chosen port is published before the event loops exist: a caller
+  // The chosen port is published before the event loop exists: a caller
   // can read port() and connect the moment Start() returns (the kernel
   // queues the connection against the listening socket even if the
-  // accepting loop has not reached accept() yet).
+  // loop has not reached accept() yet).
   server->port_ = ntohs(bound.sin_port);
   // The accept path is epoll-driven like everything else.
   Status nonblocking = SetNonBlocking(fd);
@@ -1187,22 +1172,11 @@ Result<std::unique_ptr<CollectionServer>> CollectionServer::Start(
     return nonblocking;
   }
   server->listen_fd_ = fd;
-  int threads = server->options_.event_threads;
-  if (threads <= 0) {
-    threads = 1;
-    if (const char* env = std::getenv("SHUFFLEDP_EVENT_THREADS")) {
-      threads = std::atoi(env);
-      if (threads <= 0) threads = 1;
-    }
-  }
-  threads = std::min(threads, 64);
-  for (int i = 0; i < threads; ++i) {
-    server->loops_.push_back(std::make_unique<EventLoop>(server.get()));
-    // An Init failure destroys the half-built server (its destructor
-    // tolerates never-started loops) and closes the listener with it.
-    SHUFFLEDP_RETURN_NOT_OK(server->loops_.back()->Init(i == 0 ? fd : -1));
-  }
-  for (auto& loop : server->loops_) loop->StartThread();
+  server->loop_ = std::make_unique<EventLoop>(server.get());
+  // An Init failure destroys the half-built server (its destructor
+  // tolerates a never-started loop) and closes the listener with it.
+  SHUFFLEDP_RETURN_NOT_OK(server->loop_->Init(fd));
+  server->loop_->StartThread();
   return server;
 }
 
@@ -1214,11 +1188,14 @@ uint64_t CollectionServer::round_id() const {
 
 CollectionServerStats CollectionServer::stats() const {
   CollectionServerStats s;
+  // The loop counts an accept before its close and a close before the
+  // eviction that caused it, so reading in the reverse order (acquire)
+  // keeps every snapshot consistent: evictions <= closed <= accepted.
+  s.evicted_idle = stat_evicted_idle_.load(std::memory_order_acquire);
+  s.evicted_slow = stat_evicted_slow_.load(std::memory_order_acquire);
+  s.evicted_overflow = stat_evicted_overflow_.load(std::memory_order_acquire);
+  s.connections_closed = stat_closed_.load(std::memory_order_acquire);
   s.connections_accepted = stat_accepted_.load(std::memory_order_relaxed);
-  s.connections_closed = stat_closed_.load(std::memory_order_relaxed);
-  s.evicted_idle = stat_evicted_idle_.load(std::memory_order_relaxed);
-  s.evicted_slow = stat_evicted_slow_.load(std::memory_order_relaxed);
-  s.evicted_overflow = stat_evicted_overflow_.load(std::memory_order_relaxed);
   s.protocol_errors = stat_protocol_errors_.load(std::memory_order_relaxed);
   s.frames_handled = stat_frames_.load(std::memory_order_relaxed);
   s.batches_deduped = stat_deduped_.load(std::memory_order_relaxed);
@@ -1256,9 +1233,11 @@ void CollectionServer::Shutdown() {
     result_waiters_stop_ = true;
   }
   result_cv_.notify_all();
-  for (auto& loop : loops_) loop->RequestStop();
-  for (auto& loop : loops_) loop->Join();
-  // Finishers post their completions to the (now stopped) loops, where
+  if (loop_) {
+    loop_->RequestStop();
+    loop_->Join();
+  }
+  // Finishers post their completions to the (now stopped) loop, where
   // they are dropped; the connections they would answer are closed.
   std::vector<std::unique_ptr<FinishWorker>> workers;
   {
@@ -1287,8 +1266,7 @@ void CollectionServer::ReapFinishWorkersLocked() {
   }
 }
 
-void CollectionServer::DispatchFinish(EventLoop* loop, uint64_t conn_id,
-                                      bool closing,
+void CollectionServer::DispatchFinish(uint64_t conn_id, bool closing,
                                       std::future<Result<RoundResult>> future,
                                       uint64_t round_id, uint64_t n,
                                       uint64_t n_fake, uint8_t calibration,
@@ -1298,16 +1276,15 @@ void CollectionServer::DispatchFinish(EventLoop* loop, uint64_t conn_id,
   finish_workers_.push_back(std::make_unique<FinishWorker>());
   FinishWorker* worker = finish_workers_.back().get();
   worker->thread = std::thread(
-      [this, loop, conn_id, closing, round_id, n, n_fake, calibration,
+      [this, conn_id, closing, round_id, n, n_fake, calibration,
        reply_partition, worker, fut = std::move(future)]() mutable {
-        RunFinish(loop, conn_id, closing, std::move(fut), round_id, n, n_fake,
+        RunFinish(conn_id, closing, std::move(fut), round_id, n, n_fake,
                   calibration, reply_partition);
         worker->done.store(true, std::memory_order_release);
       });
 }
 
-void CollectionServer::RunFinish(EventLoop* loop, uint64_t conn_id,
-                                 bool closing,
+void CollectionServer::RunFinish(uint64_t conn_id, bool closing,
                                  std::future<Result<RoundResult>> future,
                                  uint64_t round_id, uint64_t n,
                                  uint64_t n_fake, uint8_t calibration,
@@ -1391,8 +1368,9 @@ void CollectionServer::RunFinish(EventLoop* loop, uint64_t conn_id,
       reply.payload = SerializeRoundResult(last_result_);
     }
   }
-  // Deliver on the owning loop; dropped (with the connection already
-  // closed) when the loop has stopped.
+  // Deliver on the loop; dropped (with the connection already closed)
+  // when the loop has stopped.
+  EventLoop* loop = loop_.get();
   loop->Post([loop, conn_id, fail, reply = std::move(reply)]() mutable {
     loop->CompleteFinish(conn_id, fail, std::move(reply));
   });
@@ -1542,7 +1520,7 @@ Status CollectionServer::EventLoop::HandleFrameEvent(Conn* c, Frame frame) {
       c->reads_paused = true;
       wheel_.Cancel(&c->idle_timer);
       UpdateInterest(c);
-      server_->DispatchFinish(this, c->id, closing, std::move(future),
+      server_->DispatchFinish(c->id, closing, std::move(future),
                               frame.round_id, n, n_fake, cal,
                               frame.partition);
       // A domain so large its result frame blows the cap surfaces as a

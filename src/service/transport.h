@@ -5,11 +5,10 @@
 // This header turns src/service/ into that endpoint. Reports travel in
 // length-prefixed, CRC-guarded binary frames over plain TCP (a gRPC/TLS
 // front end is a ROADMAP follow-up); the server multiplexes every
-// connection over an epoll readiness loop (a small fixed pool of event
-// threads, default 1) and feeds every decoded batch straight into a
-// StreamingCollector, so the wire path and the in-process path share
-// one aggregation pipeline — the loopback e2e test asserts the two
-// produce bitwise-identical estimates.
+// connection over one epoll readiness loop thread and feeds every
+// decoded batch straight into a PartitionWorker, so the wire path and
+// the in-process path share one aggregation pipeline — the loopback
+// e2e test asserts the two produce bitwise-identical estimates.
 //
 // Frame layout (fixed 24-byte header, integers little-endian; the full
 // spec with worked byte-level examples is docs/WIRE_FORMAT.md):
@@ -294,12 +293,6 @@ struct CollectionServerOptions {
   /// answered instead of rejected.
   bool recover = false;
   int listen_backlog = 16;
-  /// Event-loop threads multiplexing the accepted connections. <= 0 (the
-  /// default) reads SHUFFLEDP_EVENT_THREADS from the environment, falling
-  /// back to 1; clamped to [1, 64]. One loop saturates loopback ingest on
-  /// small hosts — the pool exists for many-core endpoints where decode
-  /// work on one loop would serialize unrelated connections.
-  int event_threads = 0;
   /// Bounded per-connection write queue (encoded reply bytes awaiting the
   /// socket). A peer that requests replies faster than it drains them
   /// grows this backlog; past the bound the connection is dropped (the
@@ -329,10 +322,9 @@ struct CollectionServerOptions {
   int result_rewait_ms = 15000;
 };
 
-/// TCP collection endpoint: an epoll readiness loop (event_threads
-/// event-loop threads; connections are assigned round-robin and pinned
-/// to one loop for life) multiplexing every accepted socket, all
-/// feeding one partition-scoped streaming worker. Each connection is
+/// TCP collection endpoint: one epoll readiness loop thread
+/// multiplexing every accepted socket, all feeding one
+/// partition-scoped streaming worker. Each connection is
 /// nonblocking and carries its own FrameDecoder; idle and write
 /// deadlines ride a hashed timer wheel instead of per-operation
 /// poll(). Round closes (kFinish) hand their drain wait to a detached
@@ -386,9 +378,9 @@ class CollectionServer {
   CollectionServer(const ldp::ScalarFrequencyOracle& oracle,
                    CollectionServerOptions options);
 
-  /// One epoll readiness loop: owns its epoll fd, a wakeup eventfd, a
-  /// timer wheel, and the connections pinned to it. Defined in the .cpp
-  /// — connection state never leaves the loop thread that owns it.
+  /// The epoll readiness loop: owns the epoll fd, a wakeup eventfd, a
+  /// timer wheel, and every connection. Defined in the .cpp —
+  /// connection state never leaves the loop thread.
   class EventLoop;
 
   /// One in-flight kFinish wait, offloaded from the loop thread (the
@@ -403,12 +395,12 @@ class CollectionServer {
   /// Hands a kFinish wait to a fresh finisher thread. `closing` says the
   /// ingest gate already swung (live close; `future` carries the drain);
   /// otherwise the worker waits on the re-finish result stash. The reply
-  /// (or failure) is posted back to `loop` against `conn_id`.
-  void DispatchFinish(EventLoop* loop, uint64_t conn_id, bool closing,
+  /// (or failure) is posted back to the loop against `conn_id`.
+  void DispatchFinish(uint64_t conn_id, bool closing,
                       std::future<Result<RoundResult>> future,
                       uint64_t round_id, uint64_t n, uint64_t n_fake,
                       uint8_t calibration, uint16_t reply_partition);
-  void RunFinish(EventLoop* loop, uint64_t conn_id, bool closing,
+  void RunFinish(uint64_t conn_id, bool closing,
                  std::future<Result<RoundResult>> future, uint64_t round_id,
                  uint64_t n, uint64_t n_fake, uint8_t calibration,
                  uint16_t reply_partition);
@@ -453,10 +445,8 @@ class CollectionServer {
   std::atomic<uint64_t> stat_deduped_{0};
   int listen_fd_ = -1;
 
-  // The readiness loops (fixed at Start; loop 0 owns the listening
-  // socket and assigns accepted connections round-robin).
-  std::vector<std::unique_ptr<EventLoop>> loops_;
-  std::atomic<size_t> next_loop_{0};
+  // The readiness loop (built at Start; owns the listening socket).
+  std::unique_ptr<EventLoop> loop_;
 
   // In-flight kFinish waits; completed workers are reaped on the next
   // dispatch, the rest joined at Shutdown. `result_waiters_stop_`
@@ -473,14 +463,11 @@ class CollectionServer {
   // kBatchIndexed) + Offer and the finish round check +
   // CloseRound-sentinel push are each atomic under this mutex, so a
   // batch validated for round k can never land behind round k's close
-  // sentinel (its Offer would count it into round k+1), and two
-  // connections racing the same batch index can never both pass the
-  // duplicate gate. This serializes the enqueue step across connections
-  // (decode/parse stays parallel; the queue would serialize the push
-  // anyway). The kWatermark reply also reads the (round, count) pair
-  // under this mutex — a reply must never pair one round's id with
-  // another round's count, and the wait behind an in-flight Offer is
-  // exactly the flush-barrier semantics the watermark promises.
+  // sentinel (its Offer would count it into round k+1), and a finisher
+  // thread's failed-round reset (ResetAfterError plus the round-id
+  // resync) never interleaves with an ingest. The kWatermark reply also
+  // reads the (round, count) pair under this mutex — a reply must never
+  // pair one round's id with another round's count.
   std::mutex ingest_mu_;
   // Atomic so lock-free readers (the kHello reply, error messages
   // composed outside the gate) stay race-free; every write is under

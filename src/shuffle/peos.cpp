@@ -63,7 +63,7 @@ Result<PeosResult> RunPeos(const ldp::ScalarFrequencyOracle& oracle,
     ComputeScope scope(&ledger, Role::kShuffler);
     pool = std::make_unique<crypto::RandomizerPool>(
         server_keys.pub, config.randomizer_pool_size, rng,
-        config.randomizer_mode, config.pool);
+        crypto::RandomizerPool::Mode::kPairwise, config.pool);
   }
   const uint64_t cipher_bytes = server_keys.pub.CiphertextBytes();
 
@@ -203,81 +203,63 @@ Result<PeosResult> RunPeos(const ldp::ScalarFrequencyOracle& oracle,
     // Captured pointers outlive the pipeline: FinishRound below drains
     // the queue before `state` or the keys leave scope.
     //
-    // Shared by both decode paths: fold the plaintext share columns into
-    // the recovered encrypted share and unpack the ordinal.
-    auto reconstruct = [oracle_ptr, state_ptr, mask](
-                           uint64_t row_index,
-                           uint64_t enc_share) -> Result<service::DecodedRow> {
-      uint64_t sum = enc_share;
-      for (uint32_t j = 0; j < state_ptr->plain.num_shufflers(); ++j) {
-        sum = (sum + state_ptr->plain.columns[j][row_index]) & mask;
-      }
-      service::DecodedRow row;
-      auto rep = oracle_ptr->UnpackOrdinal(sum);
-      if (!rep.ok()) return row;  // padding ordinal: drop, don't abort
-      row.report = *rep;
-      row.valid = true;
-      return row;
-    };
-    if (config.packed_decryption) {
-      // Slot layout for the packed decryption: the encrypted share starts
-      // < 2^ell and every EOS round homomorphically adds one more ell-bit
-      // mask adjustment (the invariant EosRounds documents), so the
-      // integer plaintext of a row is < (eos_rounds + 1) * 2^ell — give
-      // each slot that headroom plus a safety bit.
-      const uint64_t eos_rounds = EosRounds(r);
-      unsigned extra = 0;
-      while ((uint64_t{1} << extra) < eos_rounds + 1) ++extra;
-      const unsigned slot_bits = ell + extra + 1;
-      const uint64_t group =
-          static_cast<uint64_t>(priv->PackedSlotCapacity(slot_bits));
-      // Shares recovered by the batch prepare stage, read by the
-      // (crypto-free) per-row decode closures of the same batch.
-      auto shares = std::make_shared<std::vector<uint64_t>>(total);
-      SHUFFLEDP_RETURN_NOT_OK(collector.OfferIndexedPrepared(
-          total,
-          [priv, state_ptr, shares, slot_bits, ell, group](
-              uint64_t lo, uint64_t hi, ThreadPool* fan_out) -> Status {
-            std::mutex status_mu;
-            Status status = Status::OK();
-            // One lane-block of pack groups per fixed-size chunk: the
-            // batch decryption splits a chunk into balanced groups (the
-            // fewest that fit the capacity, rounded up to whole 8-lane
-            // blocks), so the batch's ragged last chunk also runs full
-            // kernel blocks instead of a portable tail. Boundaries depend
-            // only on the batch slicing, never on the worker count, so
-            // the recovered shares — and the estimates — stay bitwise
-            // reproducible across SHUFFLEDP_THREADS settings (and across
-            // kernel backends, which all return canonical values).
-            ForChunks(fan_out, lo, hi,
-                      group * crypto::MontgomeryCtx::kMaxBatchLanes,
-                      [&](uint64_t glo, uint64_t ghi) {
-                        Status st = priv->DecryptPackedMod2EllBatch(
-                            &state_ptr->cipher_column[glo], ghi - glo,
-                            slot_bits, ell, shares->data() + glo);
-                        if (!st.ok()) {
-                          std::lock_guard<std::mutex> lock(status_mu);
-                          if (status.ok()) status = st;
-                        }
-                      });
-            return status;
-          },
-          [reconstruct,
-           shares](uint64_t row_index) -> Result<service::DecodedRow> {
-            return reconstruct(row_index, (*shares)[row_index]);
-          }));
-    } else {
-      SHUFFLEDP_RETURN_NOT_OK(collector.OfferIndexed(
-          total,
-          [reconstruct, priv, state_ptr,
-           ell](uint64_t row_index) -> Result<service::DecodedRow> {
-            SHUFFLEDP_ASSIGN_OR_RETURN(
-                uint64_t enc_share,
-                priv->DecryptMod2Ell(state_ptr->cipher_column[row_index],
-                                     ell));
-            return reconstruct(row_index, enc_share);
-          }));
-    }
+    // Slot layout for the packed decryption: the encrypted share starts
+    // < 2^ell and every EOS round homomorphically adds one more ell-bit
+    // mask adjustment (the invariant EosRounds documents), so the
+    // integer plaintext of a row is < (eos_rounds + 1) * 2^ell — give
+    // each slot that headroom plus a safety bit.
+    const uint64_t eos_rounds = EosRounds(r);
+    unsigned extra = 0;
+    while ((uint64_t{1} << extra) < eos_rounds + 1) ++extra;
+    const unsigned slot_bits = ell + extra + 1;
+    const uint64_t group =
+        static_cast<uint64_t>(priv->PackedSlotCapacity(slot_bits));
+    // Shares recovered by the batch prepare stage, read by the
+    // (crypto-free) per-row decode closures of the same batch.
+    auto shares = std::make_shared<std::vector<uint64_t>>(total);
+    SHUFFLEDP_RETURN_NOT_OK(collector.OfferIndexedPrepared(
+        total,
+        [priv, state_ptr, shares, slot_bits, ell, group](
+            uint64_t lo, uint64_t hi, ThreadPool* fan_out) -> Status {
+          std::mutex status_mu;
+          Status status = Status::OK();
+          // One lane-block of pack groups per fixed-size chunk: the
+          // batch decryption splits a chunk into balanced groups (the
+          // fewest that fit the capacity, rounded up to whole 8-lane
+          // blocks), so the batch's ragged last chunk also runs full
+          // kernel blocks instead of a portable tail. Boundaries depend
+          // only on the batch slicing, never on the worker count, so
+          // the recovered shares — and the estimates — stay bitwise
+          // reproducible across SHUFFLEDP_THREADS settings (and across
+          // kernel backends, which all return canonical values).
+          ForChunks(fan_out, lo, hi,
+                    group * crypto::MontgomeryCtx::kMaxBatchLanes,
+                    [&](uint64_t glo, uint64_t ghi) {
+                      Status st = priv->DecryptPackedMod2EllBatch(
+                          &state_ptr->cipher_column[glo], ghi - glo,
+                          slot_bits, ell, shares->data() + glo);
+                      if (!st.ok()) {
+                        std::lock_guard<std::mutex> lock(status_mu);
+                        if (status.ok()) status = st;
+                      }
+                    });
+          return status;
+        },
+        // Fold the plaintext share columns into the recovered
+        // encrypted share and unpack the ordinal.
+        [oracle_ptr, state_ptr, shares,
+         mask](uint64_t row_index) -> Result<service::DecodedRow> {
+          uint64_t sum = (*shares)[row_index];
+          for (uint32_t j = 0; j < state_ptr->plain.num_shufflers(); ++j) {
+            sum = (sum + state_ptr->plain.columns[j][row_index]) & mask;
+          }
+          service::DecodedRow row;
+          auto rep = oracle_ptr->UnpackOrdinal(sum);
+          if (!rep.ok()) return row;  // padding ordinal: drop, don't abort
+          row.report = *rep;
+          row.valid = true;
+          return row;
+        }));
 
     SHUFFLEDP_ASSIGN_OR_RETURN(
         service::RoundResult round,

@@ -48,18 +48,6 @@ struct PeosConfig {
   size_t paillier_bits = 1024;          ///< server AHE modulus size
   bool use_randomizer_pool = true;      ///< DESIGN.md §4 item 5
   size_t randomizer_pool_size = 64;
-  /// Randomizer construction when use_randomizer_pool is set: the legacy
-  /// pairwise pool, or DJN short-exponent fixed-base masks (fresh mask
-  /// per ciphertext; see the tradeoff note in crypto/paillier.h).
-  crypto::RandomizerPool::Mode randomizer_mode =
-      crypto::RandomizerPool::Mode::kPairwise;
-  /// Server-side batched AHE decryption: pack a group of ciphertexts into
-  /// one Paillier plaintext (Montgomery-domain Horner) and amortize the
-  /// two CRT modexps over the group. Exact for every protocol-generated
-  /// ciphertext; an adversarially oversized plaintext would corrupt its
-  /// whole pack group instead of one row (crypto/paillier.h), so the
-  /// per-row path stays available.
-  bool packed_decryption = true;
   std::vector<PeosShufflerBehaviour> behaviours;  ///< default: honest
   uint64_t poison_target_packed = 0;    ///< payload for biased shares
   ThreadPool* pool = nullptr;

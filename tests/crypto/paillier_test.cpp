@@ -608,6 +608,66 @@ TEST_F(PaillierTest, DecryptPackedBatchBitwiseEqualsScalarLoop) {
   }
 }
 
+// Failure containment of the PEOS server decrypt: one row whose plaintext
+// breaks the slot precondition (>= 2^slot_bits; here close to N, so the
+// packed sum wraps mod N) may corrupt its own balanced pack group, but
+// every row outside that group must still equal per-row DecryptMod2Ell —
+// the damage bound paillier.h states for DecryptPackedMod2EllBatch.
+TEST_F(PaillierTest, PackedBatchOversizedPlaintextCorruptsOnlyItsGroup) {
+  const unsigned ell = 16, rounds = 3, slot_bits = ell + 3;
+  const size_t cap = kp_->priv.PackedSlotCapacity(slot_bits);
+  ASSERT_GE(cap, 2u);
+  const size_t count = 9 * cap + cap / 2;
+  SecureRandom data_rng(uint64_t{6061});
+  const std::vector<PaillierCiphertext> clean = EosAdjustedColumn(
+      kp_->pub, count, ell, rounds, slot_bits, &data_rng);
+  std::vector<uint64_t> want(count);
+  for (size_t i = 0; i < count; ++i) {
+    auto m = kp_->priv.DecryptMod2Ell(clean[i], ell);
+    ASSERT_TRUE(m.ok());
+    want[i] = *m;
+  }
+  auto oversized = kp_->pub.Encrypt(kp_->pub.n().Sub(BigInt(12345)), rng_);
+  ASSERT_TRUE(oversized.ok());
+
+  // The balanced layout DecryptPackedMod2EllBatch documents.
+  constexpr size_t kLanes = MontgomeryCtx::kMaxBatchLanes;
+  const size_t groups = ((count + cap - 1) / cap + kLanes - 1) / kLanes *
+                        kLanes;
+  const size_t base = count / groups, extra = count % groups;
+  auto group_of = [&](size_t row) {
+    size_t g = 0;
+    while ((g + 1) * base + std::min(g + 1, extra) <= row) ++g;
+    return g;
+  };
+
+  for (size_t poisoned : {size_t{0}, count / 2, count - 1}) {
+    std::vector<PaillierCiphertext> cs = clean;
+    cs[poisoned] = *oversized;
+    const size_t bad_group = group_of(poisoned);
+    for (MontBackend backend : AvailableMontBackends()) {
+      ScopedMontBackend scoped(backend);
+      SCOPED_TRACE(std::string(MontBackendName(backend)) + " poisoned row " +
+                   std::to_string(poisoned));
+      std::vector<uint64_t> got(count, ~uint64_t{0});
+      ASSERT_TRUE(kp_->priv
+                      .DecryptPackedMod2EllBatch(cs.data(), count, slot_bits,
+                                                 ell, got.data())
+                      .ok());
+      size_t damaged = 0;
+      for (size_t i = 0; i < count; ++i) {
+        if (group_of(i) == bad_group) {
+          if (i != poisoned && got[i] != want[i]) ++damaged;
+          continue;
+        }
+        EXPECT_EQ(got[i], want[i]) << "row " << i;
+      }
+      // The poison is real: it does reach its group's other rows.
+      EXPECT_GT(damaged, 0u);
+    }
+  }
+}
+
 // Lane-blocked rerandomization with an identically seeded rng must be
 // bitwise identical to k sequential RerandomizeMontInto calls (the batch
 // draws pool indices / masks in the same lane order), for both modes.

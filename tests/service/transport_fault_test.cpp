@@ -116,9 +116,13 @@ TEST(TransportDeadlines, InjectedRefusedConnectIsUnavailable) {
 }
 
 TEST(TransportDeadlines, IdleConnectionsAreEvictedAndCounted) {
+  // The idle timeout sits ten keep-alive periods above the 30 ms query
+  // cadence below, so a scheduling stall on a loaded host cannot evict
+  // the kept-alive connection as well.
+  constexpr int kIdleTimeoutMs = 300;
   ldp::Grr grr(2.0, 16);
   CollectionServerOptions options;
-  options.idle_timeout_ms = 80;
+  options.idle_timeout_ms = kIdleTimeoutMs;
   auto server = CollectionServer::Start(grr, options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
@@ -143,9 +147,12 @@ TEST(TransportDeadlines, IdleConnectionsAreEvictedAndCounted) {
       << watermark.status().ToString();
 
   // An active connection is never idle-evicted: queries keep it alive.
+  // They run for three idle timeouts, so only completed frames
+  // refreshing the idle clock can keep the connection open.
   auto fresh = CollectorClient::Connect("127.0.0.1", (*server)->port());
   ASSERT_TRUE(fresh.ok());
-  for (int i = 0; i < 5; ++i) {
+  const auto keepalive_start = Clock::now();
+  while (ElapsedMs(keepalive_start) < 3 * kIdleTimeoutMs) {
     auto alive = (*fresh)->QueryWatermark();
     EXPECT_TRUE(alive.ok()) << alive.status().ToString();
     std::this_thread::sleep_for(std::chrono::milliseconds(30));

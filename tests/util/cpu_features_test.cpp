@@ -71,14 +71,12 @@ TEST(CpuFeaturesTest, BestBackendsFollowKernelFeatures) {
   EXPECT_EQ(crypto::BestShaBackend() == crypto::ShaBackend::kShaNi, cpu.sha);
   EXPECT_EQ(crypto::BestP256Backend() == crypto::P256Backend::kIfma,
             cpu.avx512f && cpu.avx512ifma);
-  if (std::getenv("SHUFFLEDP_SUPPORT_BACKEND") == nullptr) {
-    const ldp::SupportBackend support = ldp::BestSupportBackend();
-    if (cpu.avx512f && cpu.avx512dq) {
-      EXPECT_EQ(support, ldp::SupportBackend::kAvx512);
-    } else {
-      EXPECT_EQ(support, cpu.avx2 ? ldp::SupportBackend::kAvx2
-                                  : ldp::SupportBackend::kPortable);
-    }
+  const ldp::SupportBackend support = ldp::BestSupportBackend();
+  if (cpu.avx512f && cpu.avx512dq) {
+    EXPECT_EQ(support, ldp::SupportBackend::kAvx512);
+  } else {
+    EXPECT_EQ(support, cpu.avx2 ? ldp::SupportBackend::kAvx2
+                                : ldp::SupportBackend::kPortable);
   }
 }
 
@@ -90,7 +88,6 @@ TEST(CpuFeaturesTest, ForcePortablePinsAllFiveBackends) {
     std::vector<std::string> env_strings = {"SHUFFLEDP_FORCE_PORTABLE=1"};
     for (char** e = environ; *e != nullptr; ++e) {
       if (std::strncmp(*e, "SHUFFLEDP_FORCE_PORTABLE=", 25) == 0) continue;
-      if (std::strncmp(*e, "SHUFFLEDP_SUPPORT_BACKEND=", 26) == 0) continue;
       env_strings.push_back(*e);
     }
     std::vector<char*> env;
@@ -117,9 +114,7 @@ TEST(CpuFeaturesTest, ForcePortablePinsAllFiveBackends) {
   EXPECT_EQ(crypto::ActiveMontBackend(), crypto::MontBackend::kPortable);
   EXPECT_EQ(crypto::ActiveAesBackend(), crypto::AesBackend::kPortable);
   EXPECT_EQ(crypto::ActiveShaBackend(), crypto::ShaBackend::kPortable);
-  if (std::getenv("SHUFFLEDP_SUPPORT_BACKEND") == nullptr) {
-    EXPECT_EQ(ldp::ActiveSupportBackend(), ldp::SupportBackend::kPortable);
-  }
+  EXPECT_EQ(ldp::ActiveSupportBackend(), ldp::SupportBackend::kPortable);
   EXPECT_EQ(crypto::ActiveP256Backend(), crypto::P256Backend::kPortable);
   // A SIMD request degrades to portable too.
   EXPECT_EQ(crypto::SetMontBackend(crypto::MontBackend::kAvx2),
