@@ -11,10 +11,13 @@
 #include <unistd.h>
 
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "ldp/grr.h"
+#include "ldp/local_hash.h"
 #include "ldp/wire.h"
+#include "service/coordinator.h"
 #include "service/transport.h"
 #include "util/bytes.h"
 #include "util/rng.h"
@@ -147,6 +150,223 @@ TEST(TransportFraming, IndexedBatchFrameBytesArePinned) {
             "ac02"                                  // batch index 300
             "06"                                    // count 6
             "00000005010003e703e803ff");            // ordinals
+}
+
+// A bare TCP listener on an ephemeral loopback port that plays just
+// enough of an endpoint (hello echo, watermark reply) for a routing
+// client to connect and recover, so a test can read the exact bytes the
+// client puts on each socket.
+class RawEndpoint {
+ public:
+  RawEndpoint() {
+    listener_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    ::bind(listener_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+    ::listen(listener_, 4);
+    socklen_t addr_len = sizeof(addr);
+    ::getsockname(listener_, reinterpret_cast<sockaddr*>(&addr), &addr_len);
+    port_ = ntohs(addr.sin_port);
+  }
+  ~RawEndpoint() {
+    if (conn_ >= 0) ::close(conn_);
+    ::close(listener_);
+  }
+
+  uint16_t port() const { return port_; }
+
+  // Accepts the next connection (replacing the current one) and answers
+  // its kHello by echoing the client's layout, with `round_id` as the
+  // round this endpoint ingests.
+  bool AcceptAndHello(uint64_t round_id) {
+    if (conn_ >= 0) ::close(conn_);
+    conn_ = ::accept(listener_, nullptr, nullptr);
+    if (conn_ < 0) return false;
+    timeval timeout{10, 0};  // a missing byte fails the test, not hangs it
+    ::setsockopt(conn_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    Frame hello;
+    if (!ReadFrame(&hello) || hello.type != FrameType::kHello) return false;
+    hello.round_id = round_id;
+    return Reply(hello);
+  }
+
+  // Answers one kWatermark query with `watermark` for `round_id`.
+  bool AnswerWatermark(uint64_t round_id, uint64_t watermark) {
+    Frame query;
+    if (!ReadFrame(&query) || query.type != FrameType::kWatermark) {
+      return false;
+    }
+    ByteWriter w;
+    w.PutVarint(watermark);
+    query.round_id = round_id;
+    query.payload = w.Release();
+    return Reply(query);
+  }
+
+  // The next frame's wire bytes, exactly as received.
+  Bytes NextFrameBytes() {
+    Bytes wire(kFrameHeaderBytes);
+    if (!RecvExactly(conn_, wire.data(), wire.size())) return {};
+    const size_t payload_len = wire[16] | (wire[17] << 8) |
+                               (wire[18] << 16) |
+                               (static_cast<size_t>(wire[19]) << 24);
+    wire.resize(kFrameHeaderBytes + payload_len);
+    if (!RecvExactly(conn_, wire.data() + kFrameHeaderBytes, payload_len)) {
+      return {};
+    }
+    return wire;
+  }
+
+ private:
+  bool ReadFrame(Frame* out) {
+    FrameDecoder decoder;
+    return decoder.Feed(NextFrameBytes()).ok() && decoder.Next(out);
+  }
+  bool Reply(const Frame& frame) {
+    const Bytes wire = EncodeFrame(frame);
+    return ::send(conn_, wire.data(), wire.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(wire.size());
+  }
+
+  int listener_ = -1;
+  int conn_ = -1;
+  uint16_t port_ = 0;
+};
+
+// A routing client connected to one RawEndpoint per partition, each
+// handshaken for round `round_id`.
+std::unique_ptr<PartitionRoutingClient> ConnectRaw(
+    const ldp::ScalarFrequencyOracle& oracle, const PartitionMap& map,
+    std::vector<std::unique_ptr<RawEndpoint>>* raw, uint64_t round_id) {
+  std::vector<EndpointAddress> endpoints;
+  for (uint32_t p = 0; p < map.partitions(); ++p) {
+    raw->push_back(std::make_unique<RawEndpoint>());
+    endpoints.push_back({"127.0.0.1", raw->back()->port()});
+  }
+  bool served = true;
+  std::thread server([&] {
+    for (auto& endpoint : *raw) {
+      served = endpoint->AcceptAndHello(round_id) && served;
+    }
+  });
+  auto routing = PartitionRoutingClient::Connect(oracle, map, endpoints);
+  server.join();
+  EXPECT_TRUE(served);
+  EXPECT_TRUE(routing.ok()) << routing.status().ToString();
+  return routing.ok() ? std::move(*routing) : nullptr;
+}
+
+// What PartitionRoutingClient::SendBatch puts on each endpoint socket,
+// byte for byte, and what a recovery replay re-sends. By value at P = 3
+// over GRR d = 1000 (slices [0,333) [333,666) [666,1000)): padding
+// ordinals 1000–1023 route by residue mod 3, and batch 0 leaves
+// partition 2 an empty indexed frame. By client at P = 2: each batch goes
+// whole to batch_index mod 2 and the other endpoint gets an empty frame.
+TEST(TransportFraming, RoutedBatchFrameBytesArePinned) {
+  ldp::Grr grr(2.0, 1000);
+  constexpr uint64_t kRound = 4;
+  const std::vector<std::vector<uint64_t>> batches = {
+      {5, 1000, 332, 1023, 0, 1003},   // p0 {5,332,1023,0}, p1 {1000,1003}
+      {999, 333, 665, 666, 1001, 1002}};  // p0 {1002}, p1 {333,665}, p2 rest
+  // expected[p][b]: header (partition id p at offset 6, round 4, length,
+  // CRC), then varint batch index, varint count, two-byte ordinals.
+  const std::vector<std::vector<std::string>> by_value = {
+      {"534450430207000004000000000000000a000000bfe06aca"
+       "0004" "0005014c03ff0000",
+       "5344504302070000040000000000000004000000fa12bf49"
+       "0101" "03ea"},
+      {"53445043020701000400000000000000060000006cdd2cae"
+       "0002" "03e803eb",
+       "53445043020701000400000000000000060000009878dab7"
+       "0102" "014d0299"},
+      {"5344504302070200040000000000000002000000654112d9"
+       "0000",
+       "5344504302070200040000000000000008000000a9b84357"
+       "0103" "03e7029a03e9"}};
+  const std::vector<std::vector<std::string>> by_client = {
+      {"534450430207000004000000000000000e0000003217e0fc"
+       "0006" "000503e8014c03ff000003eb",
+       "53445043020700000400000000000000020000004755a947"
+       "0100"},
+      {"534450430207010004000000000000000200000097f5daf0"
+       "0000",
+       "534450430207010004000000000000000e0000009fa020ec"
+       "0106" "03e7014d0299029a03e903ea"}};
+  for (PartitionMode mode :
+       {PartitionMode::kByValue, PartitionMode::kByClient}) {
+    const uint32_t partitions = mode == PartitionMode::kByValue ? 3 : 2;
+    const auto& expected =
+        mode == PartitionMode::kByValue ? by_value : by_client;
+    auto map = PartitionMap::Create(grr, mode, partitions);
+    ASSERT_TRUE(map.ok());
+    std::vector<std::unique_ptr<RawEndpoint>> raw;
+    auto routing = ConnectRaw(grr, *map, &raw, kRound);
+    ASSERT_NE(routing, nullptr);
+    for (uint64_t b = 0; b < batches.size(); ++b) {
+      ASSERT_TRUE(routing->SendBatch(kRound, b, batches[b]).ok());
+    }
+    std::vector<std::vector<Bytes>> sent(partitions);
+    for (uint32_t p = 0; p < partitions; ++p) {
+      for (uint64_t b = 0; b < batches.size(); ++b) {
+        sent[p].push_back(raw[p]->NextFrameBytes());
+        EXPECT_EQ(ToHex(sent[p][b]), expected[p][b])
+            << map->ToString() << " p=" << p << " batch " << b;
+      }
+    }
+    // A recovery replays the logged frames from the watermark (0 here)
+    // byte for byte on the fresh connection.
+    for (uint32_t p = 0; p < partitions; ++p) {
+      bool served = false;
+      std::thread server([&] {
+        served = raw[p]->AcceptAndHello(kRound) &&
+                 raw[p]->AnswerWatermark(kRound, 0);
+      });
+      Status recovered = routing->RecoverPartition(p, kRound, batches.size());
+      server.join();
+      ASSERT_TRUE(served);
+      ASSERT_TRUE(recovered.ok()) << recovered.ToString();
+      for (uint64_t b = 0; b < batches.size(); ++b) {
+        EXPECT_EQ(raw[p]->NextFrameBytes(), sent[p][b])
+            << map->ToString() << " replay p=" << p << " batch " << b;
+      }
+    }
+  }
+}
+
+// A routed batch whose frame payload would exceed kMaxFramePayload is
+// refused on the send side: InvalidArgument, no byte of it on the
+// socket, and the endpoint never sees a protocol error. 2^21 + 1
+// eight-byte ordinals make a payload just past the 16 MiB cap. (The
+// oracle is the wire test's width-8 OLH with d' one below 2^32, a range
+// the support kernel's 32-bit modulus can serve.)
+TEST(TransportFraming, OversizedRoutedBatchIsRefusedBeforeTheSocket) {
+  ldp::LocalHash wide(1.0, 100, (uint64_t{1} << 32) - 1, "OLH");
+  ASSERT_EQ(ldp::WireReportBytes(wide), 8u);
+  auto map = PartitionMap::Create(wide, PartitionMode::kByClient, 1);
+  ASSERT_TRUE(map.ok());
+  CollectionServerOptions options;
+  options.partition_map = *map;
+  auto server = CollectionServer::Start(wide, options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto routing = PartitionRoutingClient::Connect(
+      wide, *map, {{"127.0.0.1", (*server)->port()}});
+  ASSERT_TRUE(routing.ok()) << routing.status().ToString();
+
+  const std::vector<uint64_t> oversized((uint64_t{1} << 21) + 1, 7);
+  Status refused = (*routing)->SendBatch(0, 0, oversized);
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument)
+      << refused.ToString();
+  // The connection is still in frame sync: a watermark query answers 0
+  // (nothing accepted, nothing half-sent), and a normal batch 0 lands.
+  auto mark = (*routing)->QueryWatermark(0);
+  ASSERT_TRUE(mark.ok()) << mark.status().ToString();
+  EXPECT_EQ(*mark, 0u);
+  ASSERT_TRUE((*routing)->SendBatch(0, 0, {1, 2, 3}).ok());
+  mark = (*routing)->QueryWatermark(0);
+  ASSERT_TRUE(mark.ok()) << mark.status().ToString();
+  EXPECT_EQ(*mark, 1u);
+  EXPECT_EQ((*server)->stats().protocol_errors, 0u);
 }
 
 TEST(TransportFraming, PartitionFieldRoundTrips) {
