@@ -19,6 +19,9 @@
 #include "ldp/hadamard.h"
 #include "ldp/local_hash.h"
 #include "ldp/support_kernels.h"
+#include "ldp/wire.h"
+#include "service/partition.h"
+#include "service/transport.h"
 #include "util/hash.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -778,6 +781,67 @@ void BM_Grr_Encode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Grr_Encode);
+
+// One fleet-grr producer batch (4096 GRR d = 1024 ordinals, by value
+// over P = 2) into its two finished kBatchIndexed frames.
+struct RouteFramesInput {
+  ldp::Grr grr{1.0, 1024};
+  service::PartitionMap map;
+  std::vector<uint64_t> ordinals;
+
+  RouteFramesInput() {
+    map = *service::PartitionMap::Create(grr, service::PartitionMode::kByValue,
+                                         2);
+    Rng rng(12);
+    for (int i = 0; i < 4096; ++i) ordinals.push_back(rng.UniformU64(1024));
+  }
+};
+
+void BM_RouteFrames(benchmark::State& state) {
+  RouteFramesInput in;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        service::EncodeRoutedBatch(in.grr, in.map, 3, 7, in.ordinals));
+  }
+  state.SetItemsProcessed(state.iterations() * in.ordinals.size());
+}
+BENCHMARK(BM_RouteFrames);
+
+// The same frames the long way: Route into groups, serialize each group
+// behind its varint index, then EncodeFrame copies it behind a header.
+void BM_RouteFrames_Reference(benchmark::State& state) {
+  RouteFramesInput in;
+  for (auto _ : state) {
+    std::vector<std::vector<uint64_t>> groups = in.map.Route(7, in.ordinals);
+    for (uint32_t p = 0; p < in.map.partitions(); ++p) {
+      ByteWriter payload;
+      payload.PutVarint(7);
+      payload.PutBytes(ldp::SerializeOrdinals(in.grr, groups[p]));
+      service::Frame frame;
+      frame.type = service::FrameType::kBatchIndexed;
+      frame.partition = static_cast<uint16_t>(p);
+      frame.round_id = 3;
+      frame.payload = payload.Release();
+      benchmark::DoNotOptimize(service::EncodeFrame(frame));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * in.ordinals.size());
+}
+BENCHMARK(BM_RouteFrames_Reference);
+
+void BM_Crc32_4KiB(benchmark::State& state) {
+  std::vector<uint8_t> data(4096);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i * 131);
+  }
+  uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = Crc32(data.data(), data.size(), crc);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() * data.size());
+}
+BENCHMARK(BM_Crc32_4KiB);
 
 void BM_Binomial_LargeN(benchmark::State& state) {
   Rng rng(10);

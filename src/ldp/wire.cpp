@@ -9,25 +9,28 @@ size_t WireReportBytes(const ScalarFrequencyOracle& oracle) {
 
 namespace {
 
-size_t VarintBytes(uint64_t v) {
-  size_t n = 1;
-  for (; v >= 0x80; v >>= 7) ++n;
-  return n;
-}
-
-uint8_t* PutVarint(uint8_t* out, uint64_t v) {
-  for (; v >= 0x80; v >>= 7) *out++ = static_cast<uint8_t>(v) | 0x80;
-  *out++ = static_cast<uint8_t>(v);
-  return out;
-}
-
-// Fixed-width big-endian ordinals, one width per instantiation so the
-// byte loops unroll into shifts and stores.
+// One fixed-width big-endian ordinal, one width per instantiation so the
+// byte loop unrolls into shifts and stores.
 template <size_t W>
-void PutOrdinalsBigEndian(const uint64_t* in, size_t count, uint8_t* out) {
-  for (size_t i = 0; i < count; ++i, out += W) {
-    uint64_t v = in[i];
-    for (size_t b = W; b-- > 0; v >>= 8) out[b] = static_cast<uint8_t>(v);
+void PutOrdinalBigEndian(uint64_t v, uint8_t* out) {
+  for (size_t b = W; b-- > 0; v >>= 8) out[b] = static_cast<uint8_t>(v);
+}
+
+// Ordinal i goes to slot ranks[i] of bases[owners[i]] (slot i of
+// bases[0] when `owners` is null). Slots come precomputed, so no write
+// waits on an earlier one's cursor update.
+template <size_t W>
+void ScatterOrdinalsBigEndian(const uint64_t* in, size_t count,
+                              const uint16_t* owners, const uint32_t* ranks,
+                              uint8_t* const* bases) {
+  if (owners == nullptr) {
+    for (size_t i = 0; i < count; ++i) {
+      PutOrdinalBigEndian<W>(in[i], bases[0] + i * W);
+    }
+    return;
+  }
+  for (size_t i = 0; i < count; ++i) {
+    PutOrdinalBigEndian<W>(in[i], bases[owners[i]] + size_t{ranks[i]} * W);
   }
 }
 
@@ -46,42 +49,32 @@ uint64_t GetOrdinalsBigEndian(const uint8_t* in, size_t count,
   return seen;
 }
 
-// varint(prefix) when `indexed`, varint(count), then the ordinals — all
-// written once into a buffer sized up front.
-Bytes WriteOrdinals(const ScalarFrequencyOracle& oracle, bool indexed,
-                    uint64_t prefix, const std::vector<uint64_t>& ordinals) {
-  const size_t width = WireReportBytes(oracle);
-  const size_t count = ordinals.size();
-  Bytes out((indexed ? VarintBytes(prefix) : 0) + VarintBytes(count) +
-            count * width);
-  uint8_t* p = out.data();
-  if (indexed) p = PutVarint(p, prefix);
-  p = PutVarint(p, count);
-  const uint64_t* in = ordinals.data();
-  switch (width) {
-    case 1: PutOrdinalsBigEndian<1>(in, count, p); break;
-    case 2: PutOrdinalsBigEndian<2>(in, count, p); break;
-    case 3: PutOrdinalsBigEndian<3>(in, count, p); break;
-    case 4: PutOrdinalsBigEndian<4>(in, count, p); break;
-    case 5: PutOrdinalsBigEndian<5>(in, count, p); break;
-    case 6: PutOrdinalsBigEndian<6>(in, count, p); break;
-    case 7: PutOrdinalsBigEndian<7>(in, count, p); break;
-    case 8: PutOrdinalsBigEndian<8>(in, count, p); break;
-  }
-  return out;
-}
-
 }  // namespace
+
+void ScatterOrdinals(const ScalarFrequencyOracle& oracle,
+                     const uint64_t* ordinals, size_t count,
+                     const uint16_t* owners, const uint32_t* ranks,
+                     uint8_t* const* bases) {
+  const uint64_t* in = ordinals;
+  switch (WireReportBytes(oracle)) {
+    case 1: ScatterOrdinalsBigEndian<1>(in, count, owners, ranks, bases); break;
+    case 2: ScatterOrdinalsBigEndian<2>(in, count, owners, ranks, bases); break;
+    case 3: ScatterOrdinalsBigEndian<3>(in, count, owners, ranks, bases); break;
+    case 4: ScatterOrdinalsBigEndian<4>(in, count, owners, ranks, bases); break;
+    case 5: ScatterOrdinalsBigEndian<5>(in, count, owners, ranks, bases); break;
+    case 6: ScatterOrdinalsBigEndian<6>(in, count, owners, ranks, bases); break;
+    case 7: ScatterOrdinalsBigEndian<7>(in, count, owners, ranks, bases); break;
+    case 8: ScatterOrdinalsBigEndian<8>(in, count, owners, ranks, bases); break;
+  }
+}
 
 Bytes SerializeOrdinals(const ScalarFrequencyOracle& oracle,
                         const std::vector<uint64_t>& ordinals) {
-  return WriteOrdinals(oracle, /*indexed=*/false, 0, ordinals);
-}
-
-Bytes SerializeIndexedOrdinals(const ScalarFrequencyOracle& oracle,
-                               uint64_t batch_index,
-                               const std::vector<uint64_t>& ordinals) {
-  return WriteOrdinals(oracle, /*indexed=*/true, batch_index, ordinals);
+  const size_t count = ordinals.size();
+  Bytes out(VarintSize(count) + count * WireReportBytes(oracle));
+  uint8_t* const base = WriteVarint(out.data(), count);
+  ScatterOrdinals(oracle, ordinals.data(), count, nullptr, nullptr, &base);
+  return out;
 }
 
 Result<std::vector<uint64_t>> ParseOrdinals(

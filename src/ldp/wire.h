@@ -42,11 +42,15 @@ Result<std::vector<LdpReport>> ParseReports(
 Bytes SerializeOrdinals(const ScalarFrequencyOracle& oracle,
                         const std::vector<uint64_t>& ordinals);
 
-/// The kBatchIndexed payload (service/transport.h): varint(batch_index)
-/// followed by the SerializeOrdinals bytes, written into one buffer.
-Bytes SerializeIndexedOrdinals(const ScalarFrequencyOracle& oracle,
-                               uint64_t batch_index,
-                               const std::vector<uint64_t>& ordinals);
+/// The ordinal store behind SerializeOrdinals and the transport's batch
+/// frames: writes `count` ordinals as fixed-width big-endian values,
+/// `width` = WireReportBytes each, ordinal i at bases[owners[i]] +
+/// ranks[i] · width. Null `owners` and `ranks` write them in order from
+/// bases[0]. Every slot must lie inside its buffer.
+void ScatterOrdinals(const ScalarFrequencyOracle& oracle,
+                     const uint64_t* ordinals, size_t count,
+                     const uint16_t* owners, const uint32_t* ranks,
+                     uint8_t* const* bases);
 
 /// Parses a SerializeOrdinals payload. Length and range (< 2^PackedBits)
 /// are validated; report validity is not — decode each ordinal with

@@ -105,17 +105,16 @@ RoundHealth PartitionRoutingClient::SnapshotHealth(uint64_t round_id) const {
   return report;
 }
 
-Status PartitionRoutingClient::SendRoutedBatch(
-    uint32_t p, uint64_t round_id, uint64_t batch_index,
-    const std::vector<uint64_t>& owned) {
+Status PartitionRoutingClient::SendRoutedBatch(uint32_t p,
+                                               const Bytes& frame) {
   if (clients_[p] == nullptr) {
     return Status::Unavailable("partition " + std::to_string(p) +
                                " has no live connection");
   }
-  // Indexed send: the endpoint's batch-index gate accepts each producer
+  // Indexed frame: the endpoint's batch-index gate accepts each producer
   // batch exactly once, so a recovery replay can race stragglers the
   // replaced connection still delivers without double-ingesting.
-  return clients_[p]->SendOrdinals(round_id, batch_index, oracle_, owned);
+  return clients_[p]->SendEncodedFrame(frame);
 }
 
 Status PartitionRoutingClient::SendBatch(
@@ -124,15 +123,14 @@ Status PartitionRoutingClient::SendBatch(
   if (!round_state_valid_ || logged_round_ != round_id) {
     ResetRoundState(round_id);
   }
-  std::vector<std::vector<uint64_t>> groups =
-      map_.Route(batch_index, ordinals);
+  SHUFFLEDP_ASSIGN_OR_RETURN(
+      std::vector<Bytes> frames,
+      EncodeRoutedBatch(oracle_, map_, round_id, batch_index, ordinals));
   for (uint32_t p = 0; p < map_.partitions(); ++p) {
     // Log before sending: a frame that dies on the wire is exactly the
-    // one recovery must replay. The log takes the routed group itself
-    // (Route sized it exactly) and the frame is encoded from there.
-    replay_log_[p].push_back(LoggedBatch{batch_index, std::move(groups[p])});
-    const std::vector<uint64_t>& owned = replay_log_[p].back().ordinals;
-    Status sent = SendRoutedBatch(p, round_id, batch_index, owned);
+    // one recovery must replay, byte for byte.
+    replay_log_[p].push_back(LoggedBatch{batch_index, std::move(frames[p])});
+    Status sent = SendRoutedBatch(p, replay_log_[p].back().frame);
     if (sent.ok()) continue;
     if (!IsRetryableTransportError(sent)) return sent;
     health_[p].last_error = sent;
@@ -230,8 +228,7 @@ Status PartitionRoutingClient::RecoverPartition(uint32_t p,
       if (entry.batch_index < *mark || entry.batch_index >= replay_until) {
         continue;
       }
-      replay = SendRoutedBatch(p, round_id, entry.batch_index,
-                               entry.ordinals);
+      replay = SendRoutedBatch(p, entry.frame);
       if (!replay.ok()) break;
     }
     if (replay.ok()) {

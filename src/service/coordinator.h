@@ -176,10 +176,12 @@ class PartitionRoutingClient {
 
  private:
   /// One routed frame the endpoint must have consumed for the round to
-  /// close — what RecoverPartition replays above the watermark.
+  /// close — what RecoverPartition replays above the watermark. The
+  /// frame is the finished wire bytes (EncodeRoutedBatch), sent verbatim
+  /// the first time and on every replay.
   struct LoggedBatch {
     uint64_t batch_index = 0;
-    std::vector<uint64_t> ordinals;  ///< already routed for partition p
+    Bytes frame;
   };
 
   PartitionRoutingClient(const ldp::ScalarFrequencyOracle& oracle,
@@ -194,9 +196,8 @@ class PartitionRoutingClient {
   /// Re-dials and re-handshakes one endpoint (at Connect and in each
   /// recovery attempt); the other connections are left untouched.
   Status ReconnectPartition(uint32_t p);
-  /// Sends one routed frame to partition `p` without recovery.
-  Status SendRoutedBatch(uint32_t p, uint64_t round_id, uint64_t batch_index,
-                         const std::vector<uint64_t>& owned);
+  /// Sends one logged frame to partition `p` without recovery.
+  Status SendRoutedBatch(uint32_t p, const Bytes& frame);
 
   const ldp::ScalarFrequencyOracle& oracle_;
   PartitionMap map_;
@@ -204,8 +205,9 @@ class PartitionRoutingClient {
   RoutingOptions options_;
   std::vector<std::unique_ptr<CollectorClient>> clients_;
   std::vector<uint64_t> round_ids_;
-  /// Per-partition routed-frame log for the current round; cleared when
-  /// the round id changes (ResetRoundState).
+  /// Per-partition routed-frame log for the current round (W bytes per
+  /// routed ordinal plus the frame's ~28-byte header and varints);
+  /// cleared when the round id changes (ResetRoundState).
   std::vector<std::vector<LoggedBatch>> replay_log_;
   std::vector<PartitionHealth> health_;
   uint64_t logged_round_ = 0;

@@ -62,28 +62,6 @@ PartitionSlice PartitionMap::SliceOf(uint32_t p) const {
   return slice;
 }
 
-uint32_t PartitionMap::OwnerOfOrdinal(uint64_t ordinal) const {
-  if (ordinal < range_limit_) {
-    // Branchless lower bound: the owner is the number of slice upper
-    // bounds at or below the ordinal. The bound count halves each step
-    // and the select compiles to a conditional move, so the lookup costs
-    // ceil(log2(P − 1)) compares and no division.
-    const uint64_t* base = slice_bounds_.data();
-    size_t n = slice_bounds_.size();
-    while (n > 1) {
-      const size_t half = n / 2;
-      base = base[half] <= ordinal ? base + half : base;
-      n -= half;
-    }
-    return static_cast<uint32_t>(base - slice_bounds_.data()) +
-           (*base <= ordinal ? 1 : 0);
-  }
-  // Padding-region ordinals (and every ordinal under kByClient routing —
-  // though kByClient batches route whole) spread by residue.
-  return partitions_ <= 1 ? 0
-                          : static_cast<uint32_t>(ordinal % partitions_);
-}
-
 Status PartitionMap::AdmitOrdinals(
     uint32_t p, const std::vector<uint64_t>& ordinals) const {
   if (mode_ != PartitionMode::kByValue || partitions_ <= 1) {

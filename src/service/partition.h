@@ -99,7 +99,9 @@ class PartitionMap {
   /// their range owner; padding-region ordinals (>= d) route to
   /// `ordinal mod P` so the fake blanket spreads deterministically and
   /// every ordinal has exactly one home. The range owner is a
-  /// division-free lower bound over the P − 1 slice upper bounds.
+  /// division-free lower bound over the P − 1 slice upper bounds. Inline:
+  /// the routed frame encoder and the endpoint's admission check call it
+  /// once per ordinal.
   uint32_t OwnerOfOrdinal(uint64_t ordinal) const;
 
   /// The admission check of the endpoint owning partition `p`: under
@@ -116,8 +118,11 @@ class PartitionMap {
   /// leaves the other groups empty. Every endpoint receives a (possibly
   /// empty) group for every producer batch, so per-endpoint batch
   /// indices stay equal to producer batch indices — the alignment crash
-  /// recovery replays against. Each group is allocated at its exact size
-  /// (the routing client keeps the groups for a whole round).
+  /// recovery replays against. Each group is allocated at its exact size.
+  /// The routing client builds its frames with EncodeRoutedBatch
+  /// (transport.h), which routes the same way without materializing the
+  /// groups; Route stays as the reference the partition tests check that
+  /// encoder against.
   std::vector<std::vector<uint64_t>> Route(
       uint64_t batch_index, const std::vector<uint64_t>& ordinals) const;
 
@@ -152,6 +157,28 @@ class PartitionMap {
   friend Bytes SerializePartitionMap(const PartitionMap& map);
   friend Result<PartitionMap> ParsePartitionMap(ByteReader* r);
 };
+
+inline uint32_t PartitionMap::OwnerOfOrdinal(uint64_t ordinal) const {
+  if (ordinal < range_limit_) {
+    // Branchless lower bound: the owner is the number of slice upper
+    // bounds at or below the ordinal. The bound count halves each step
+    // and the select compiles to a conditional move, so the lookup costs
+    // ceil(log2(P − 1)) compares and no division.
+    const uint64_t* base = slice_bounds_.data();
+    size_t n = slice_bounds_.size();
+    while (n > 1) {
+      const size_t half = n / 2;
+      base = base[half] <= ordinal ? base + half : base;
+      n -= half;
+    }
+    return static_cast<uint32_t>(base - slice_bounds_.data()) +
+           (*base <= ordinal ? 1 : 0);
+  }
+  // Padding-region ordinals (and every ordinal under kByClient routing —
+  // though kByClient batches route whole) spread by residue.
+  return partitions_ <= 1 ? 0
+                          : static_cast<uint32_t>(ordinal % partitions_);
+}
 
 /// kHello payload codec: u8 mode, varint partitions, varint domain size,
 /// u8 packed bits (spec in docs/WIRE_FORMAT.md §2). The reader overload

@@ -364,22 +364,123 @@ class TimerWheel {
 // Framing codec
 // ---------------------------------------------------------------------------
 
-Bytes EncodeFrame(const Frame& frame) {
-  ByteWriter w(kFrameHeaderBytes + frame.payload.size());
-  w.PutBytes(kFrameMagic, sizeof(kFrameMagic));
-  w.PutU8(kWireVersion);
-  w.PutU8(static_cast<uint8_t>(frame.type));
-  w.PutU16(frame.partition);
-  w.PutU64(frame.round_id);
-  w.PutU32(static_cast<uint32_t>(frame.payload.size()));
+namespace {
+
+void StoreLittleEndian(uint8_t* out, uint64_t v, size_t bytes) {
+  for (size_t i = 0; i < bytes; ++i, v >>= 8) out[i] = static_cast<uint8_t>(v);
+}
+
+/// Writes the 24-byte header, CRC included, in front of the payload that
+/// already fills `frame` from kFrameHeaderBytes on. Every frame this
+/// endpoint or its clients encode is sealed here.
+void SealFrame(FrameType type, uint16_t partition, uint64_t round_id,
+               Bytes* frame) {
+  uint8_t* head = frame->data();
+  const size_t payload_len = frame->size() - kFrameHeaderBytes;
+  std::memcpy(head, kFrameMagic, sizeof(kFrameMagic));
+  head[4] = kWireVersion;
+  head[5] = static_cast<uint8_t>(type);
+  StoreLittleEndian(head + 6, partition, 2);
+  StoreLittleEndian(head + 8, round_id, 8);
+  StoreLittleEndian(head + 16, payload_len, 4);
   // The CRC covers the 20 header bytes before it *and* the payload, so a
   // corrupted round id or length cannot slip through just because the
   // payload survived intact.
-  uint32_t crc = Crc32(w.data().data(), kFrameHeaderBytes - 4);
-  crc = Crc32(frame.payload.data(), frame.payload.size(), crc);
-  w.PutU32(crc);
-  w.PutBytes(frame.payload);
-  return w.Release();
+  uint32_t crc = Crc32(head, kFrameHeaderBytes - 4);
+  crc = Crc32(head + kFrameHeaderBytes, payload_len, crc);
+  StoreLittleEndian(head + kFrameHeaderBytes - 4, crc, 4);
+}
+
+/// The one encoder of kBatchIndexed frames (EncodeRoutedBatch, and the
+/// direct client's indexed SendOrdinals as a one-partition map): frame p
+/// carries partition id first_partition + p.
+Result<std::vector<Bytes>> EncodeIndexedFrames(
+    const ldp::ScalarFrequencyOracle& oracle, const PartitionMap& map,
+    uint16_t first_partition, uint64_t round_id, uint64_t batch_index,
+    const std::vector<uint64_t>& ordinals) {
+  const uint32_t partitions = map.partitions();
+  const size_t count = ordinals.size();
+  const size_t width = ldp::WireReportBytes(oracle);
+  // One owner pass: under kByValue (P > 1) each ordinal gets its owner
+  // and its slot (rank) in that owner's frame; every other layout hands
+  // the whole batch to one frame. Both arrays are written before they
+  // are read, so they are allocated without a zero fill.
+  std::unique_ptr<uint16_t[]> owners;
+  std::unique_ptr<uint32_t[]> ranks;
+  std::vector<size_t> counts(partitions, 0);
+  const uint32_t whole_owner = map.OwnerOfBatch(batch_index);
+  if (map.mode() == PartitionMode::kByValue && partitions > 1) {
+    owners.reset(new uint16_t[count]);
+    ranks.reset(new uint32_t[count]);
+    for (size_t i = 0; i < count; ++i) {
+      const uint32_t owner = map.OwnerOfOrdinal(ordinals[i]);
+      owners[i] = static_cast<uint16_t>(owner);
+      ranks[i] = static_cast<uint32_t>(counts[owner]++);
+    }
+  } else {
+    counts[whole_owner] = count;
+  }
+  // One producer batch must stay one frame per endpoint: the endpoint's
+  // batch-index gate and the replay log count frames by producer batch
+  // index, so a share that cannot fit is a configuration error.
+  const size_t prefix_bytes = VarintSize(batch_index);
+  for (uint32_t p = 0; p < partitions; ++p) {
+    const size_t fit =
+        (kMaxFramePayload - prefix_bytes - VarintSize(counts[p])) / width;
+    if (counts[p] > fit) {
+      return Status::InvalidArgument(
+          "batch of " + std::to_string(counts[p]) + " reports (" +
+          std::to_string(width) + " B each) for partition " +
+          std::to_string(p) + " cannot fit one " +
+          std::to_string(kMaxFramePayload) +
+          "-byte transport frame; lower StreamingOptions::batch_size "
+          "below " + std::to_string(fit));
+    }
+  }
+  std::vector<Bytes> frames(partitions);
+  std::vector<uint8_t*> bases(partitions);
+  for (uint32_t p = 0; p < partitions; ++p) {
+    frames[p].resize(kFrameHeaderBytes + prefix_bytes +
+                     VarintSize(counts[p]) + counts[p] * width);
+    bases[p] = WriteVarint(
+        WriteVarint(frames[p].data() + kFrameHeaderBytes, batch_index),
+        counts[p]);
+  }
+  // One scatter: the ranks fixed every ordinal's slot (a batch whose
+  // ranks could wrap u32 was refused above).
+  if (owners == nullptr) {
+    ldp::ScatterOrdinals(oracle, ordinals.data(), count, nullptr, nullptr,
+                         &bases[whole_owner]);
+  } else {
+    ldp::ScatterOrdinals(oracle, ordinals.data(), count, owners.get(),
+                         ranks.get(), bases.data());
+  }
+  for (uint32_t p = 0; p < partitions; ++p) {
+    SealFrame(FrameType::kBatchIndexed,
+              static_cast<uint16_t>(first_partition + p), round_id,
+              &frames[p]);
+  }
+  return frames;
+}
+
+}  // namespace
+
+Bytes EncodeFrame(const Frame& frame) {
+  Bytes wire(kFrameHeaderBytes + frame.payload.size());
+  if (!frame.payload.empty()) {
+    std::memcpy(wire.data() + kFrameHeaderBytes, frame.payload.data(),
+                frame.payload.size());
+  }
+  SealFrame(frame.type, frame.partition, frame.round_id, &wire);
+  return wire;
+}
+
+Result<std::vector<Bytes>> EncodeRoutedBatch(
+    const ldp::ScalarFrequencyOracle& oracle, const PartitionMap& map,
+    uint64_t round_id, uint64_t batch_index,
+    const std::vector<uint64_t>& ordinals) {
+  return EncodeIndexedFrames(oracle, map, /*first_partition=*/0, round_id,
+                             batch_index, ordinals);
 }
 
 Status FrameDecoder::Feed(const uint8_t* data, size_t len) {
@@ -1805,20 +1906,17 @@ Status CollectorClient::SendOrdinals(
     uint64_t round_id, uint64_t batch_index,
     const ldp::ScalarFrequencyOracle& oracle,
     const std::vector<uint64_t>& ordinals) {
-  const size_t width = ldp::WireReportBytes(oracle);
-  // 20: the batch-index and report-count varints (<= 10 bytes each).
-  if (ordinals.size() > (kMaxFramePayload - 20) / width) {
-    return Status::InvalidArgument(
-        "batch of " + std::to_string(ordinals.size()) + " reports (" +
-        std::to_string(width) + " B each) cannot fit one transport frame; "
-        "lower StreamingOptions::batch_size below " +
-        std::to_string((kMaxFramePayload - 20) / width));
-  }
-  Frame frame;
-  frame.type = FrameType::kBatchIndexed;
-  frame.round_id = round_id;
-  frame.payload = ldp::SerializeIndexedOrdinals(oracle, batch_index, ordinals);
-  return WriteFrame(std::move(frame));
+  SHUFFLEDP_ASSIGN_OR_RETURN(
+      std::vector<Bytes> frames,
+      EncodeIndexedFrames(oracle, PartitionMap(), partition_, round_id,
+                          batch_index, ordinals));
+  return SendEncodedFrame(frames[0]);
+}
+
+Status CollectorClient::SendEncodedFrame(const Bytes& wire) {
+  return SendAllDeadline(fd_, wire.data(), wire.size(),
+                         DeadlineTimer::After(options_.write_timeout_ms),
+                         port_, peer_);
 }
 
 Status CollectorClient::SendReports(

@@ -164,6 +164,21 @@ struct Frame {
 /// Serializes a frame (header + CRC + payload) into wire bytes.
 Bytes EncodeFrame(const Frame& frame);
 
+/// Encodes producer batch `batch_index` of round `round_id` as the
+/// finished kBatchIndexed frames the endpoints of `map` receive, one per
+/// partition and ready for the socket. Frame p carries partition id p
+/// and, in order, the ordinals map.Route(batch_index, ordinals)[p]: byte
+/// for byte it is EncodeFrame of {kBatchIndexed, p, round_id,
+/// varint(batch_index) ‖ SerializeOrdinals(that group)}, empty groups
+/// included. One owner pass sizes every frame exactly, one scatter
+/// writes the ordinals behind room left for the header, and the header
+/// and CRC are then written in place. InvalidArgument, and no frame,
+/// when a frame's payload would exceed kMaxFramePayload.
+Result<std::vector<Bytes>> EncodeRoutedBatch(
+    const ldp::ScalarFrequencyOracle& oracle, const PartitionMap& map,
+    uint64_t round_id, uint64_t batch_index,
+    const std::vector<uint64_t>& ordinals);
+
 /// Incremental frame parser over an arbitrarily chunked byte stream
 /// (frames may arrive torn across reads). Feed() buffers bytes and
 /// validates each completed header and payload CRC; decoded frames queue
@@ -534,6 +549,10 @@ class CollectorClient {
   Status SendOrdinals(uint64_t round_id, uint64_t batch_index,
                       const ldp::ScalarFrequencyOracle& oracle,
                       const std::vector<uint64_t>& ordinals);
+
+  /// Writes one finished frame (an EncodeRoutedBatch frame whose header
+  /// names this client's partition) verbatim, under the write deadline.
+  Status SendEncodedFrame(const Bytes& wire);
 
   /// Ships one batch of reports (PackOrdinal'd) for `round_id`.
   Status SendReports(uint64_t round_id,

@@ -19,6 +19,21 @@ namespace shuffledp {
 
 using Bytes = std::vector<uint8_t>;
 
+/// Length of `v` as a LEB128 varint (1-10 bytes).
+inline size_t VarintSize(uint64_t v) {
+  size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
+/// Writes `v` as a LEB128 varint at `out` (VarintSize(v) bytes) and
+/// returns one past the last byte written.
+inline uint8_t* WriteVarint(uint8_t* out, uint64_t v) {
+  for (; v >= 0x80; v >>= 7) *out++ = static_cast<uint8_t>(v) | 0x80;
+  *out++ = static_cast<uint8_t>(v);
+  return out;
+}
+
 /// Appends primitive values to a growable byte buffer.
 class ByteWriter {
  public:

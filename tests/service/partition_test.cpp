@@ -10,7 +10,9 @@
 
 #include "ldp/grr.h"
 #include "ldp/local_hash.h"
+#include "ldp/wire.h"
 #include "service/partition.h"
+#include "service/transport.h"
 #include "util/bytes.h"
 #include "util/rng.h"
 
@@ -215,6 +217,110 @@ TEST(PartitionMap, ParsedMapLooksUpLikeTheCreatedOne) {
   ASSERT_EQ(*parsed, *created);
   for (uint64_t o = 0; o < 1024; ++o) {
     ASSERT_EQ(parsed->OwnerOfOrdinal(o), created->OwnerOfOrdinal(o));
+  }
+}
+
+// A map of `partitions` over the oracle's domain and ordinal width,
+// built from its handshake bytes so every (mode, P) pair exists — even a
+// by-value layout over a hash oracle or with more partitions than values,
+// which Create refuses but the frame encoder must still route like Route.
+PartitionMap LayoutMap(PartitionMode mode,
+                       const ldp::ScalarFrequencyOracle& oracle,
+                       uint32_t partitions) {
+  ByteWriter w;
+  w.PutU8(static_cast<uint8_t>(mode));
+  w.PutVarint(partitions);
+  w.PutVarint(oracle.domain_size());
+  w.PutU8(static_cast<uint8_t>(oracle.PackedBits()));
+  auto map = ParsePartitionMap(w.Release());
+  EXPECT_TRUE(map.ok()) << map.status().ToString();
+  return map.ok() ? *map : PartitionMap();
+}
+
+// EncodeRoutedBatch against the long way round: Route into groups, then
+// EncodeFrame over varint(index) ‖ SerializeOrdinals(group). Every frame
+// must match byte for byte and be accepted by its own endpoint's decoder,
+// ordinal parser and admission check. The oracles are the wire codec
+// pins' (ordinal widths 1, 2, 5 and 8).
+TEST(PartitionMap, RoutedFramesMatchRouteSerializeEncode) {
+  ldp::Grr grr11(1.0, 11);
+  ldp::Grr grr1000(1.0, 1000);
+  ldp::LocalHash solh(1.0, 100, 64, "SOLH");
+  ldp::LocalHash wide(1.0, 100, uint64_t{1} << 32, "OLH");
+  const ldp::ScalarFrequencyOracle* oracles[] = {&grr11, &grr1000, &solh,
+                                                 &wide};
+  const size_t widths[] = {1, 2, 5, 8};
+  constexpr uint64_t kRound = 0x0102030405ULL;
+  for (size_t k = 0; k < 4; ++k) {
+    const ldp::ScalarFrequencyOracle& oracle = *oracles[k];
+    ASSERT_EQ(ldp::WireReportBytes(oracle), widths[k]);
+    const unsigned bits = oracle.PackedBits();
+    const uint64_t max_ordinal =
+        bits >= 64 ? ~uint64_t{0} : (uint64_t{1} << bits) - 1;
+    Rng rng(40 + k);
+    std::vector<uint64_t> mixed;
+    for (int i = 0; i < 700; ++i) {
+      mixed.push_back(bits >= 64 ? rng.NextU64()
+                                 : rng.UniformU64(max_ordinal + 1));
+    }
+    // The domain's edges, the first padding ordinals and the maximum.
+    const uint64_t d = oracle.domain_size();
+    const std::vector<std::vector<uint64_t>> batches = {
+        {},
+        {0, d - 1, d, d + 1, max_ordinal, max_ordinal - 1, 0, max_ordinal},
+        mixed};
+    for (PartitionMode mode :
+         {PartitionMode::kByValue, PartitionMode::kByClient}) {
+      for (uint32_t partitions : {1u, 2u, 3u, 7u, 64u}) {
+        const PartitionMap map = LayoutMap(mode, oracle, partitions);
+        for (uint64_t index : {uint64_t{0}, uint64_t{5}, uint64_t{300},
+                               uint64_t{1} << 40}) {
+          for (const std::vector<uint64_t>& batch : batches) {
+            const std::string where = map.ToString() + " width " +
+                                      std::to_string(widths[k]) +
+                                      " batch " + std::to_string(index) +
+                                      " of " + std::to_string(batch.size());
+            auto frames = EncodeRoutedBatch(oracle, map, kRound, index, batch);
+            ASSERT_TRUE(frames.ok()) << where << ": "
+                                     << frames.status().ToString();
+            ASSERT_EQ(frames->size(), partitions) << where;
+            const auto groups = map.Route(index, batch);
+            for (uint32_t p = 0; p < partitions; ++p) {
+              ByteWriter payload;
+              payload.PutVarint(index);
+              payload.PutBytes(ldp::SerializeOrdinals(oracle, groups[p]));
+              Frame reference;
+              reference.type = FrameType::kBatchIndexed;
+              reference.partition = static_cast<uint16_t>(p);
+              reference.round_id = kRound;
+              reference.payload = payload.Release();
+              ASSERT_EQ((*frames)[p], EncodeFrame(reference))
+                  << where << " p=" << p;
+
+              FrameDecoder decoder;
+              ASSERT_TRUE(decoder.Feed((*frames)[p]).ok()) << where;
+              Frame decoded;
+              ASSERT_TRUE(decoder.Next(&decoded)) << where;
+              EXPECT_EQ(decoded.type, FrameType::kBatchIndexed);
+              EXPECT_EQ(decoded.partition, p);
+              EXPECT_EQ(decoded.round_id, kRound);
+              ByteReader r(decoded.payload);
+              auto decoded_index = r.GetVarint();
+              ASSERT_TRUE(decoded_index.ok()) << where;
+              EXPECT_EQ(*decoded_index, index) << where;
+              const size_t prefix = decoded.payload.size() - r.Remaining();
+              auto ordinals = ldp::ParseOrdinals(
+                  oracle, decoded.payload.data() + prefix, r.Remaining());
+              ASSERT_TRUE(ordinals.ok())
+                  << where << ": " << ordinals.status().ToString();
+              EXPECT_EQ(*ordinals, groups[p]) << where << " p=" << p;
+              EXPECT_TRUE(map.AdmitOrdinals(p, *ordinals).ok())
+                  << where << " p=" << p;
+            }
+          }
+        }
+      }
+    }
   }
 }
 
